@@ -18,7 +18,6 @@ class MfccConfig:
     pre_emphasis: float = 0.97
     n_filters: int = 26
     n_coeffs: int = 13
-    fft_size: int | None = None  # next power of two >= frame samples when None
     log_floor: float = 1e-10
 
     def __post_init__(self):
@@ -191,7 +190,7 @@ def mfcc_debug(sig: AudioSignal, cfg: MfccConfig | None = None) -> tuple[np.ndar
     frames = _frame_signal(emphasized, frame_n, hop_n)
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame_n) / (frame_n - 1))
     windowed = frames * window
-    fft_size = cfg.fft_size or 1 << (frame_n - 1).bit_length()
+    fft_size = 1 << (frame_n - 1).bit_length()  # next power of two >= frame samples
     padded = np.zeros((len(windowed), fft_size))
     padded[:, :frame_n] = windowed
     spectra = np.array([fft(row) for row in padded])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -13,12 +14,16 @@ import numpy as np
 
 from . import config as cfgmod
 from .audioproc import read_wav_file
-from .core import FormatError, Rng, TrainingError
+from .core import FormatError, LabeledDataset, Rng, TrainingError
 from .evaluation import evaluate, report_table, report_to_dict, roc_to_csv, stratified_kfold
-from .forest import ForestModel, forest_predict
+from .forest import forest_predict, train_random_forest
 from .imageproc import read_image_file
 from .persist import PersistError, _canon, load_model_file, save_model_file
 from .pipeline import (
+    SKIN_STANDIN_NAME,
+    CardioPipelineConfig,
+    ClotPipelineConfig,
+    SkinPipelineConfig,
     cardio_features,
     cardio_predict,
     cardio_train,
@@ -28,13 +33,11 @@ from .pipeline import (
     skin_features,
     skin_standin_classify,
     skin_standin_train,
-    SKIN_STANDIN_NAME,
 )
-from .svm import SvmModel, svm_predict, train_svm_smo
+from .svm import SvmModel, svm_decision_batch, train_svm_smo
 from .synthcardio import write_cardio_dataset
-from .synththermal import load_manifest, load_thermal_dataset, write_thermal_dataset
+from .synththermal import ThermalConfig, load_dataset, write_thermal_dataset
 from .voting import sequence_vote
-from .core import LabeledDataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,17 +63,49 @@ def _threads(args) -> int:
     if args.threads is not None:
         return args.threads
     env = os.environ.get("PREDIAGNOSE_THREADS")
-    return int(env) if env else 1
+    try:
+        return int(env) if env else 1
+    except ValueError:
+        raise _UsageError(f"PREDIAGNOSE_THREADS must be an integer, got {env!r}") from None
 
 
-def _load_audio_dataset(data_dir):
-    base = Path(data_dir)
-    return [(read_wav_file(base / name), label) for name, label in load_manifest(base)]
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
 
 
-def _load_image_dataset(data_dir):
-    base = Path(data_dir)
-    return [(read_image_file(base / name), label) for name, label in load_manifest(base)]
+def _pipeline(kind: str) -> tuple:
+    """(reader, config class, features, train, predict) of one pipeline.
+
+    Built when a command runs rather than at import, so functions rebound in
+    this module after import (bench/spans.py wraps them) are the ones called.
+    """
+    return {
+        "clot": (read_image_file, ClotPipelineConfig, clot_features, clot_train,
+                 clot_predict_frame),
+        "cardio": (read_wav_file, CardioPipelineConfig, cardio_features, cardio_train,
+                   cardio_predict),
+        "skin": (read_image_file, SkinPipelineConfig, skin_features, skin_standin_train,
+                 skin_standin_classify),
+    }[kind]
+
+
+def _model_type(model) -> tuple:
+    """(batch scorer, decision threshold, refit from the model's recorded
+    hyperparameters, name of the score in predict output) for an SVM or forest."""
+    if isinstance(model, SvmModel):
+        return (svm_decision_batch, 0.0,
+                lambda data, threads: train_svm_smo(data, c=model.c, gamma=model.gamma), "score")
+    return (lambda forest, feats: np.array([forest_predict(forest, x)[0] for x in feats]), 0.5,
+            lambda data, threads: train_random_forest(
+                data, **dataclasses.asdict(model.hyperparams), threads=threads),
+            "prob")
+
+
+def _standin_tag(kind: str) -> dict:
+    return {"standin": SKIN_STANDIN_NAME} if kind == "skin" else {}
 
 
 def build_parser() -> _Parser:
@@ -83,7 +118,7 @@ def build_parser() -> _Parser:
     p_st = synth_sub.add_parser("thermal")
     p_st.add_argument("--out", required=True)
     p_st.add_argument("--n", type=int, required=True)
-    p_st.add_argument("--positive-frac", type=float, default=0.5)
+    p_st.add_argument("--positive-frac", type=_fraction, default=0.5)
     p_st.add_argument("--seed", type=int, required=True)
     p_st.add_argument("--frames", type=int, default=0)
     p_st.add_argument("--config", default=None)
@@ -93,7 +128,7 @@ def build_parser() -> _Parser:
     p_sc.add_argument("--task", choices=["lung", "heart"], required=True)
     p_sc.add_argument("--out", required=True)
     p_sc.add_argument("--n", type=int, required=True)
-    p_sc.add_argument("--positive-frac", type=float, default=0.5)
+    p_sc.add_argument("--positive-frac", type=_fraction, default=0.5)
     p_sc.add_argument("--seed", type=int, required=True)
     p_sc.add_argument("--rate", type=int, default=8000)
     p_sc.add_argument("--duration", type=float, default=3.0)
@@ -132,7 +167,7 @@ def build_parser() -> _Parser:
 
 def _cmd_synth(args) -> int:
     if args.modality == "thermal":
-        thermal = cfgmod.load_thermal_config(args.config)
+        thermal = cfgmod.load_config(ThermalConfig, args.config)
         write_thermal_dataset(args.out, thermal, args.n, args.positive_frac, args.seed,
                               frames=args.frames)
     else:
@@ -144,148 +179,84 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     threads = _threads(args)
-    if args.pipeline == "clot":
-        cfg = cfgmod.load_clot_config(args.config)
-        samples = _load_image_dataset(args.data)
-        model = clot_train(samples, cfg, threads=threads)
-        snapshot = cfgmod.clot_config_snapshot(cfg)
-        preds = [clot_predict_frame(model, im, cfg)[1] for im, _ in samples]
-    elif args.pipeline == "cardio":
-        cfg = cfgmod.load_cardio_config(args.config)
-        recordings = _load_audio_dataset(args.data)
-        model = cardio_train(recordings, cfg, threads=threads)
-        snapshot = cfgmod.cardio_config_snapshot(cfg)
-        preds = [cardio_predict(model, sig, cfg)[1] for sig, _ in recordings]
-    else:
-        samples = _load_image_dataset(args.data)
-        if len({lab for _, lab in samples}) < 2:
-            raise TrainingError("training data must contain both classes")
-        model = skin_standin_train(samples)
-        snapshot = {"pipeline": "skin", "standin": SKIN_STANDIN_NAME}
-        preds = [skin_standin_classify(model, im)[1] for im, _ in samples]
-    labels = [lab for _, lab in (samples if args.pipeline != "cardio" else recordings)]
+    read, config, _, train, predict = _pipeline(args.pipeline)
+    cfg = cfgmod.load_config(config, args.config)
+    samples = load_dataset(args.data, read)
+    model = train(samples, cfg, threads)
+    preds = [predict(model, x, cfg)[1] for x, _ in samples]
+    labels = [lab for _, lab in samples]
     accuracy = float(np.mean(np.array(preds) == np.array(labels)))
-    save_model_file(args.out, model, snapshot)
+    save_model_file(args.out, model,
+                    {**cfgmod.config_snapshot(args.pipeline, cfg), **_standin_tag(args.pipeline)})
     _emit({"pipeline": args.pipeline, "n_train": len(labels), "train_accuracy": accuracy,
            "model": str(args.out)})
     return EXIT_OK
 
 
-def _pipeline_kind(created_with: dict) -> str:
+def _load_model(path):
+    """(model, created_with, pipeline kind) of a model file."""
+    model, created_with = load_model_file(path)
     kind = created_with.get("pipeline")
     if kind not in ("clot", "cardio", "skin"):
         raise PersistError("model is missing its pipeline tag")
-    return kind
+    return model, created_with, kind
 
 
 def _cmd_predict(args) -> int:
-    model, created_with = load_model_file(args.model)
-    kind = _pipeline_kind(created_with)
+    model, created_with, kind = _load_model(args.model)
     if kind != args.pipeline:
         raise FormatError(f"model was trained for the {kind} pipeline, not {args.pipeline}")
+    read, config, _, _, predict = _pipeline(kind)
     start = time.perf_counter()
-    doc: dict
-    if args.pipeline == "clot":
-        cfg = cfgmod.clot_config_from_snapshot(created_with)
-        if args.sequence:
-            frames = sorted(Path(args.sequence).glob("*.pgm"))
-            if not frames:
-                raise FormatError(f"no PGM frames in {args.sequence}")
-            window = args.window if args.window is not None else cfg.window
-            labels = [clot_predict_frame(model, read_image_file(f), cfg)[1] for f in frames]
-            label = sequence_vote(labels, window)
-            doc = {"label": label, "n_frames": len(frames)}
-        else:
-            if not args.input:
-                raise _UsageError("predict requires --input or --sequence")
-            score, label = clot_predict_frame(model, read_image_file(args.input), cfg)
-            doc = {"score": score, "label": label}
-    elif args.pipeline == "cardio":
-        if not args.input:
-            raise _UsageError("predict cardio requires --input")
-        cfg = cfgmod.cardio_config_from_snapshot(created_with)
-        prob, label = cardio_predict(model, read_wav_file(args.input), cfg)
-        doc = {"prob": prob, "label": label}
+    cfg = cfgmod.config_from_snapshot(config, created_with)
+    if kind == "clot" and args.sequence:
+        frames = sorted(Path(args.sequence).glob("*.pgm"))
+        if not frames:
+            raise FormatError(f"no PGM frames in {args.sequence}")
+        window = args.window if args.window is not None else cfg.window
+        labels = [clot_predict_frame(model, read_image_file(f), cfg)[1] for f in frames]
+        doc = {"label": sequence_vote(labels, window), "n_frames": len(frames)}
+    elif not args.input:
+        raise _UsageError("predict requires --input (or --sequence for clot)")
     else:
-        if not args.input:
-            raise _UsageError("predict skin requires --input")
-        score, label = skin_standin_classify(model, read_image_file(args.input))
-        doc = {"score": score, "label": label, "classifier": SKIN_STANDIN_NAME}
+        score, label = predict(model, read(args.input), cfg)
+        *_, score_name = _model_type(model)
+        doc = {score_name: score, "label": label}
+        if kind == "skin":
+            doc["classifier"] = SKIN_STANDIN_NAME
     doc["latency_ms"] = (time.perf_counter() - start) * 1000.0
     _emit(doc)
     return EXIT_OK
 
 
-def _eval_features(kind, model, created_with, data_dir, threads):
-    """Feature matrix, labels, and a per-sample scorer for the given pipeline."""
-    if kind == "clot":
-        cfg = cfgmod.clot_config_from_snapshot(created_with)
-        samples = _load_image_dataset(data_dir)
-        feats = np.array([clot_features(im, cfg) for im, _ in samples])
-        labels = np.array([lab for _, lab in samples])
-        return feats, labels, cfg
-    if kind == "cardio":
-        cfg = cfgmod.cardio_config_from_snapshot(created_with)
-        recs = _load_audio_dataset(data_dir)
-        feats = np.array([cardio_features(sig, cfg) for sig, _ in recs])
-        labels = np.array([lab for _, lab in recs])
-        return feats, labels, cfg
-    samples = _load_image_dataset(data_dir)
-    feats = np.array([skin_features(im) for im, _ in samples])
-    labels = np.array([lab for _, lab in samples])
-    return feats, labels, None
-
-
-def _score_with(model, feats) -> np.ndarray:
-    if isinstance(model, SvmModel):
-        from .svm import svm_decision_batch
-
-        return svm_decision_batch(model, feats)
-    return np.array([forest_predict(model, x)[0] for x in feats])
-
-
-def _labels_from_scores(model, scores) -> np.ndarray:
-    threshold = 0.0 if isinstance(model, SvmModel) else 0.5
-    return (scores >= threshold).astype(int)
+_TITLES = {"clot": "Blood Clot Detection (thermal)", "cardio": "Cardiopulmonary Analysis",
+           "skin": f"Skin STAND-IN ({SKIN_STANDIN_NAME})"}
 
 
 def _cmd_eval(args) -> int:
-    model, created_with = load_model_file(args.model)
-    kind = _pipeline_kind(created_with)
-    feats, labels, cfg = _eval_features(kind, model, created_with, args.data, _threads(args))
+    threads = _threads(args)
+    model, created_with, kind = _load_model(args.model)
+    read, config, features, _, _ = _pipeline(kind)
+    cfg = cfgmod.config_from_snapshot(config, created_with)
+    samples = load_dataset(args.data, read)
+    feats = np.array([features(x, cfg) for x, _ in samples])
+    labels = np.array([lab for _, lab in samples])
+    del samples  # free the decoded inputs before the k-fold refits allocate
+    score, threshold, refit, _ = _model_type(model)
     if args.kfold:
         # Retrain per fold with the model's recorded hyperparameters and pool
         # held-out predictions into one report.
-        folds = stratified_kfold(labels, args.kfold, Rng(args.seed))
         scores = np.zeros(len(labels))
-        for train_idx, test_idx in folds:
-            sub = LabeledDataset(feats[train_idx], labels[train_idx])
-            if isinstance(model, SvmModel):
-                fold_model = train_svm_smo(sub, c=model.c, gamma=model.gamma)
-            else:
-                hp = model.hyperparams
-                from .forest import train_random_forest
-
-                fold_model = train_random_forest(
-                    sub, n_trees=hp.n_trees, max_depth=hp.max_depth,
-                    min_samples_leaf=hp.min_samples_leaf, mtry=hp.mtry,
-                    seed=hp.seed, threads=_threads(args),
-                )
-            scores[test_idx] = _score_with(fold_model, feats[test_idx])
+        for train_idx, test_idx in stratified_kfold(labels, args.kfold, Rng(args.seed)):
+            fold_model = refit(LabeledDataset(feats[train_idx], labels[train_idx]), threads)
+            scores[test_idx] = score(fold_model, feats[test_idx])
     else:
-        scores = _score_with(model, feats)
-    preds = _labels_from_scores(model, scores)
-    report = evaluate(labels, preds, scores)
-    title = {"clot": "Blood Clot Detection (thermal)", "cardio": "Cardiopulmonary Analysis",
-             "skin": f"Skin STAND-IN ({SKIN_STANDIN_NAME})"}[kind]
+        scores = score(model, feats)
+    report = evaluate(labels, (scores >= threshold).astype(int), scores)
     if args.roc_csv:
         Path(args.roc_csv).write_text(roc_to_csv(report.roc_points))
-    doc = report_to_dict(report)
-    doc["pipeline"] = kind
-    if kind == "skin":
-        doc["standin"] = SKIN_STANDIN_NAME
-    _emit(doc)
-    print(report_table(report, title), file=sys.stderr)
+    _emit({**report_to_dict(report), "pipeline": kind, **_standin_tag(kind)})
+    print(report_table(report, _TITLES[kind]), file=sys.stderr)
     return EXIT_OK
 
 

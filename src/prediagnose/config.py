@@ -1,19 +1,20 @@
-"""INI-style pipeline configuration files.
+"""INI-style pipeline configuration files and the config snapshots kept in models.
 
-Sections mirror module names; every key has a default; unknown sections or
-keys are hard errors.
+Sections mirror module names; unknown sections or keys are hard errors.  Every
+default lives in its config dataclass: the INI loader, the snapshot written to
+a model's ``created_with`` and the config rebuilt from it all walk the
+dataclass fields, with the fields of a nested config (``hog``, ``mfcc``)
+flattened in place.
 """
 
 from __future__ import annotations
 
 import configparser
-from pathlib import Path
+import dataclasses
+import typing
 
-from .audioproc import MfccConfig
 from .core import FormatError
-from .imageproc import HogConfig
-from .pipeline import CardioPipelineConfig, ClotPipelineConfig
-from .synththermal import ThermalConfig
+from .persist import PersistError
 
 _SCHEMA: dict[str, dict[str, type]] = {
     "synththermal": {
@@ -37,152 +38,67 @@ _SCHEMA: dict[str, dict[str, type]] = {
     },
     "pipeline": {"task": str},
 }
+# Keys are unique across sections, so one flat table types every value.
+_TYPES = {key: typ for keys in _SCHEMA.values() for key, typ in keys.items()}
 
 
-def _parse_file(path) -> dict[str, dict[str, object]]:
+def _parse_file(path) -> dict[str, object]:
+    """Typed values of every key in the file, all sections merged."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
             parser.read_file(fh)
     except (OSError, configparser.Error) as exc:
         raise FormatError(f"cannot read config {path}: {exc}") from exc
-    values: dict[str, dict[str, object]] = {}
+    values: dict[str, object] = {}
     for section in parser.sections():
         if section not in _SCHEMA:
             raise FormatError(f"unknown config section [{section}]")
-        values[section] = {}
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise FormatError(f"unknown config key {key!r} in [{section}]")
             typ = _SCHEMA[section][key]
             try:
-                values[section][key] = raw if typ is str else typ(raw)
+                values[key] = raw if typ is str else typ(raw)
             except ValueError as exc:
                 raise FormatError(f"bad value for {section}.{key}: {raw!r}") from exc
     return values
 
 
-def _get(values, section, key, default):
-    return values.get(section, {}).get(key, default)
+def config_from_snapshot(cls, values: dict):
+    """Config dataclass cls with each field taken from values (a model's
+    ``created_with`` record, or a parsed INI file) when present, else its
+    default.  A value of the wrong type raises PersistError; None passes only
+    where the field's annotation allows it."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        if dataclasses.is_dataclass(hint):
+            kwargs[f.name] = config_from_snapshot(hint, values)
+        elif f.name in values:
+            kwargs[f.name] = _checked(f.name, values[f.name], type(None) in typing.get_args(hint))
+    return cls(**kwargs)
 
 
-def load_thermal_config(path=None) -> ThermalConfig:
-    values = _parse_file(path) if path else {}
-    sec = values.get("synththermal", {})
-    return ThermalConfig(**sec)
+def _checked(key: str, value, nullable: bool):
+    typ = _TYPES[key]
+    if value is None and nullable:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else typ):
+        raise PersistError(f"config value {key}={value!r} is not {typ.__name__}")
+    return value
 
 
-def load_clot_config(path=None) -> ClotPipelineConfig:
-    values = _parse_file(path) if path else {}
-    hog = HogConfig(
-        cell_size=_get(values, "imageproc", "cell_size", 8),
-        block_size=_get(values, "imageproc", "block_size", 2),
-        bins=_get(values, "imageproc", "bins", 9),
-    )
-    return ClotPipelineConfig(
-        canny_sigma=_get(values, "imageproc", "canny_sigma", 1.4),
-        canny_low=_get(values, "imageproc", "canny_low", 0.05),
-        canny_high=_get(values, "imageproc", "canny_high", 0.15),
-        intensity_blur_sigma=_get(values, "imageproc", "intensity_blur_sigma", 3.0),
-        hog=hog,
-        svm_c=_get(values, "ml", "svm_c", 10.0),
-        svm_gamma=_get(values, "ml", "svm_gamma", 0.15),
-        window=_get(values, "ml", "window", 5),
-        hog_view=_get(values, "imageproc", "hog_view", "both"),
-    )
+def load_config(cls, path=None):
+    """Config dataclass cls with the values of the INI file at path (defaults without one)."""
+    return config_from_snapshot(cls, _parse_file(path) if path else {})
 
 
-def load_cardio_config(path=None) -> CardioPipelineConfig:
-    values = _parse_file(path) if path else {}
-    mfcc = MfccConfig(
-        frame_len=_get(values, "audioproc", "frame_len", 0.025),
-        hop=_get(values, "audioproc", "hop", 0.010),
-        pre_emphasis=_get(values, "audioproc", "pre_emphasis", 0.97),
-        n_filters=_get(values, "audioproc", "n_filters", 26),
-        n_coeffs=_get(values, "audioproc", "n_coeffs", 13),
-        log_floor=_get(values, "audioproc", "log_floor", 1e-10),
-    )
-    return CardioPipelineConfig(
-        mfcc=mfcc,
-        denoise_levels=_get(values, "audioproc", "denoise_levels", 4),
-        n_trees=_get(values, "ml", "n_trees", 100),
-        max_depth=_get(values, "ml", "max_depth", 12),
-        min_samples_leaf=_get(values, "ml", "min_samples_leaf", 2),
-        mtry=_get(values, "ml", "mtry", None),
-        seed=_get(values, "ml", "seed", 0),
-        task=_get(values, "pipeline", "task", "lung"),
-    )
-
-
-def clot_config_snapshot(cfg: ClotPipelineConfig) -> dict:
-    return {
-        "pipeline": "clot",
-        "canny_sigma": cfg.canny_sigma,
-        "canny_low": cfg.canny_low,
-        "canny_high": cfg.canny_high,
-        "intensity_blur_sigma": cfg.intensity_blur_sigma,
-        "cell_size": cfg.hog.cell_size,
-        "block_size": cfg.hog.block_size,
-        "bins": cfg.hog.bins,
-        "svm_c": cfg.svm_c,
-        "svm_gamma": cfg.svm_gamma,
-        "window": cfg.window,
-        "hog_view": cfg.hog_view,
-    }
-
-
-def cardio_config_snapshot(cfg: CardioPipelineConfig) -> dict:
-    return {
-        "pipeline": "cardio",
-        "frame_len": cfg.mfcc.frame_len,
-        "hop": cfg.mfcc.hop,
-        "pre_emphasis": cfg.mfcc.pre_emphasis,
-        "n_filters": cfg.mfcc.n_filters,
-        "n_coeffs": cfg.mfcc.n_coeffs,
-        "log_floor": cfg.mfcc.log_floor,
-        "denoise_levels": cfg.denoise_levels,
-        "n_trees": cfg.n_trees,
-        "max_depth": cfg.max_depth,
-        "min_samples_leaf": cfg.min_samples_leaf,
-        "mtry": cfg.mtry,
-        "seed": cfg.seed,
-        "task": cfg.task,
-    }
-
-
-def clot_config_from_snapshot(snap: dict) -> ClotPipelineConfig:
-    return ClotPipelineConfig(
-        canny_sigma=snap.get("canny_sigma", 1.4),
-        canny_low=snap.get("canny_low", 0.05),
-        canny_high=snap.get("canny_high", 0.15),
-        intensity_blur_sigma=snap.get("intensity_blur_sigma", 3.0),
-        hog=HogConfig(
-            cell_size=snap.get("cell_size", 8),
-            block_size=snap.get("block_size", 2),
-            bins=snap.get("bins", 9),
-        ),
-        svm_c=snap.get("svm_c", 10.0),
-        svm_gamma=snap.get("svm_gamma", 0.15),
-        window=snap.get("window", 5),
-        hog_view=snap.get("hog_view", "both"),
-    )
-
-
-def cardio_config_from_snapshot(snap: dict) -> CardioPipelineConfig:
-    return CardioPipelineConfig(
-        mfcc=MfccConfig(
-            frame_len=snap.get("frame_len", 0.025),
-            hop=snap.get("hop", 0.010),
-            pre_emphasis=snap.get("pre_emphasis", 0.97),
-            n_filters=snap.get("n_filters", 26),
-            n_coeffs=snap.get("n_coeffs", 13),
-            log_floor=snap.get("log_floor", 1e-10),
-        ),
-        denoise_levels=snap.get("denoise_levels", 4),
-        n_trees=snap.get("n_trees", 100),
-        max_depth=snap.get("max_depth", 12),
-        min_samples_leaf=snap.get("min_samples_leaf", 2),
-        mtry=snap.get("mtry"),
-        seed=snap.get("seed", 0),
-        task=snap.get("task", "lung"),
-    )
+def config_snapshot(kind: str, cfg) -> dict:
+    """A model's ``created_with`` record: the pipeline kind, then every config
+    field in declaration order, nested configs flattened in place."""
+    snap: dict = {"pipeline": kind}
+    for key, value in dataclasses.asdict(cfg).items():
+        snap.update(value if isinstance(value, dict) else {key: value})
+    return snap

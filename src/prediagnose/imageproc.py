@@ -11,34 +11,12 @@ from .core import FormatError, GrayImage
 
 
 @dataclass
-class EdgeMap:
-    """Binary {0,1} edge mask with the same dimensions as its source image."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    def as_image(self) -> GrayImage:
-        return GrayImage(self.pixels.copy())
-
-
-@dataclass
 class HogConfig:
-    """Dalal-Triggs style HOG parameters (unsigned gradients by default)."""
+    """Dalal-Triggs style HOG parameters (unsigned gradients)."""
 
     cell_size: int = 8
     block_size: int = 2
     bins: int = 9
-    signed: bool = False
 
     def __post_init__(self):
         if self.cell_size < 2:
@@ -204,8 +182,9 @@ def _nms(mag: np.ndarray, ang: np.ndarray) -> np.ndarray:
     return keep
 
 
-def canny(img: GrayImage, sigma: float = 1.4, low: float = 0.05, high: float = 0.15) -> EdgeMap:
-    """Canny edges: blur, Sobel, NMS, double threshold, 8-connected hysteresis."""
+def canny(img: GrayImage, sigma: float = 1.4, low: float = 0.05, high: float = 0.15) -> GrayImage:
+    """Canny edges as a {0,1} image: blur, Sobel, NMS, double threshold,
+    8-connected hysteresis."""
     if not (0 < low < high):
         raise ValueError("thresholds must satisfy 0 < low < high")
     blurred = gaussian_blur(img, sigma)
@@ -216,11 +195,11 @@ def canny(img: GrayImage, sigma: float = 1.4, low: float = 0.05, high: float = 0
     weak = keep & (mag >= low)
     labels, n = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
     if n == 0:
-        return EdgeMap(np.zeros_like(mag))
+        return GrayImage(np.zeros_like(mag))
     strong_ids = np.unique(labels[strong])
     strong_ids = strong_ids[strong_ids > 0]
     edges = np.isin(labels, strong_ids) & weak
-    return EdgeMap(edges.astype(np.float64))
+    return GrayImage(edges.astype(np.float64))
 
 
 def _cell_histograms(img: GrayImage, cfg: HogConfig) -> np.ndarray:
@@ -228,9 +207,8 @@ def _cell_histograms(img: GrayImage, cfg: HogConfig) -> np.ndarray:
     gx = ndimage.correlate(img.pixels, _SOBEL_X, mode="nearest")
     gy = ndimage.correlate(img.pixels, _SOBEL_Y, mode="nearest")
     mag = np.sqrt(gx * gx + gy * gy)
-    span = 360.0 if cfg.signed else 180.0
-    ang = np.degrees(np.arctan2(gy, gx)) % span
-    bin_width = span / cfg.bins
+    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
+    bin_width = 180.0 / cfg.bins
     pos = ang / bin_width
     lo = np.floor(pos).astype(int)
     frac = pos - lo
@@ -274,12 +252,6 @@ def hog(img: GrayImage, cfg: HogConfig | None = None) -> np.ndarray:
     cfg = cfg or HogConfig()
     _, final = _blocks(img, cfg)
     return final.ravel()
-
-
-def hog_length(width: int, height: int, cfg: HogConfig) -> int:
-    cy, cx = height // cfg.cell_size, width // cfg.cell_size
-    by, bx = cy - cfg.block_size + 1, cx - cfg.block_size + 1
-    return by * bx * cfg.block_size**2 * cfg.bins
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from .core import AudioSignal, GrayImage, LabeledDataset, TrainingError
 from .forest import ForestModel, forest_predict, train_random_forest
 from .imageproc import HogConfig, canny, gaussian_blur, hog, normalize_image, resize_bilinear
 from .svm import SvmModel, svm_predict, train_svm_smo
-from .voting import majority_vote, sequence_vote
+from .voting import sequence_vote
 
 CLOT_IMAGE_SIZE = 128
 SKIN_IMAGE_SIZE = 224
@@ -64,32 +64,32 @@ def clot_features(img: GrayImage, cfg: ClotPipelineConfig) -> np.ndarray:
     img = _to_unit_range(img)
     parts = []
     if cfg.hog_view in ("edge", "both"):
-        edges = canny(img, cfg.canny_sigma, cfg.canny_low, cfg.canny_high)
-        parts.append(hog(edges.as_image(), cfg.hog))
+        parts.append(hog(canny(img, cfg.canny_sigma, cfg.canny_low, cfg.canny_high), cfg.hog))
     if cfg.hog_view in ("intensity", "both"):
         parts.append(hog(gaussian_blur(img, cfg.intensity_blur_sigma), cfg.hog))
     return np.concatenate(parts)
 
 
-def _feature_matrix(images, cfg: ClotPipelineConfig, threads: int = 1) -> np.ndarray:
+def _feature_matrix(features, xs: list, cfg, threads: int = 1) -> np.ndarray:
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda im: clot_features(im, cfg), images))
-    else:
-        rows = [clot_features(im, cfg) for im in images]
-    return np.array(rows)
+            return np.array(list(pool.map(lambda x: features(x, cfg), xs)))
+    return np.array([features(x, cfg) for x in xs])
+
+
+def _training_set(features, train: list, cfg, threads: int) -> LabeledDataset:
+    """Feature matrix and labels of (sample, label) pairs; both classes required."""
+    labels = [lab for _, lab in train]
+    if len(set(labels)) < 2:
+        raise TrainingError("training data must contain both classes")
+    return LabeledDataset(_feature_matrix(features, [x for x, _ in train], cfg, threads),
+                          np.array(labels))
 
 
 def clot_train(train: list[tuple[GrayImage, int]], cfg: ClotPipelineConfig | None = None,
                threads: int = 1) -> SvmModel:
     cfg = cfg or ClotPipelineConfig()
-    if len(train) < 2:
-        raise TrainingError("need at least 2 training samples")
-    labels = [lab for _, lab in train]
-    if len(set(labels)) < 2:
-        raise TrainingError("training data must contain both classes")
-    feats = _feature_matrix([im for im, _ in train], cfg, threads)
-    data = LabeledDataset(feats, np.array(labels))
+    data = _training_set(clot_features, train, cfg, threads)
     return train_svm_smo(data, c=cfg.svm_c, gamma=cfg.svm_gamma)
 
 
@@ -116,23 +116,13 @@ def cardio_features(sig: AudioSignal, cfg: CardioPipelineConfig) -> np.ndarray:
 def cardio_train(recordings: list[tuple[AudioSignal, int]],
                  cfg: CardioPipelineConfig | None = None, threads: int = 1) -> ForestModel:
     cfg = cfg or CardioPipelineConfig()
-    if len(recordings) < 2:
-        raise TrainingError("need at least 2 recordings")
-    labels = [lab for _, lab in recordings]
-    if len(set(labels)) < 2:
-        raise TrainingError("training data must contain both classes")
     too_short = [
         i for i, (sig, _) in enumerate(recordings)
         if len(sig.samples) < int(round(cfg.mfcc.frame_len * sig.sample_rate))
     ]
     if too_short:
         raise TrainingError(f"recordings shorter than one MFCC frame at indices {too_short}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda rec: cardio_features(rec[0], cfg), recordings))
-    else:
-        rows = [cardio_features(sig, cfg) for sig, _ in recordings]
-    data = LabeledDataset(np.array(rows), np.array(labels))
+    data = _training_set(cardio_features, recordings, cfg, threads)
     return train_random_forest(
         data,
         n_trees=cfg.n_trees,
@@ -160,8 +150,8 @@ _SKIN_HOG = HogConfig(cell_size=16)
 
 @dataclass
 class SkinPipelineConfig:
-    svm_c: float = 10.0
-    svm_gamma: float | None = None
+    """The stand-in has no settings; this gives its functions the same
+    (sample, cfg) arguments as the other pipelines."""
 
 
 def skin_preprocess(img: GrayImage, augment_specs: list[str] | None = None) -> list[GrayImage]:
@@ -176,20 +166,16 @@ def skin_preprocess(img: GrayImage, augment_specs: list[str] | None = None) -> l
     return out
 
 
-def skin_features(img: GrayImage) -> np.ndarray:
+def skin_features(img: GrayImage, cfg: SkinPipelineConfig | None = None) -> np.ndarray:
     return hog(skin_preprocess(img)[0], _SKIN_HOG)
 
 
 def skin_standin_train(train: list[tuple[GrayImage, int]],
-                       cfg: SkinPipelineConfig | None = None) -> SvmModel:
-    cfg = cfg or SkinPipelineConfig()
-    labels = [lab for _, lab in train]
-    if len(set(labels)) < 2:
-        raise TrainingError("training data must contain both classes")
-    feats = np.array([skin_features(im) for im, _ in train])
-    data = LabeledDataset(feats, np.array(labels))
-    return train_svm_smo(data, c=cfg.svm_c, gamma=cfg.svm_gamma)
+                       cfg: SkinPipelineConfig | None = None, threads: int = 1) -> SvmModel:
+    data = _training_set(skin_features, train, cfg, threads)
+    return train_svm_smo(data, c=10.0, gamma=None)
 
 
-def skin_standin_classify(model: SvmModel, img: GrayImage) -> tuple[float, int]:
-    return svm_predict(model, skin_features(img))
+def skin_standin_classify(model: SvmModel, img: GrayImage,
+                          cfg: SkinPipelineConfig | None = None) -> tuple[float, int]:
+    return svm_predict(model, skin_features(img, cfg))

@@ -16,6 +16,7 @@ from scipy.signal import lfilter
 
 from .core import AudioSignal, Rng
 from .audioproc import write_wav
+from .synththermal import shuffled_labels
 
 PEAK = 0.9
 
@@ -131,11 +132,7 @@ def generate_cardio_dataset(
     sample_rate: int,
     rng: Rng,
 ) -> list[tuple[AudioSignal, int]]:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    n_pos = int(np.floor(n * positive_fraction + 0.5))
-    labels = [1] * n_pos + [0] * (n - n_pos)
-    rng.shuffle(labels)
+    labels = shuffled_labels(n, positive_fraction, rng)
     return [(synth_cardio_sample(task, lab, duration_s, sample_rate, rng), lab) for lab in labels]
 
 
@@ -145,14 +142,10 @@ def write_cardio_dataset(
 ) -> None:
     """WAV files plus manifest.csv (filename,label,seed); the seed column holds
     the generator state just before each sample."""
+    rng = Rng(seed)
+    labels = shuffled_labels(n, positive_fraction, rng)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    n_pos = int(np.floor(n * positive_fraction + 0.5))
-    labels = [1] * n_pos + [0] * (n - n_pos)
-    rng = Rng(seed)
-    rng.shuffle(labels)
     rows = []
     for i, lab in enumerate(labels):
         state = rng.state

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FormatError, GrayImage, Rng
-from .imageproc import read_pgm, write_pgm
+from .imageproc import write_pgm
 
 BACKGROUND = 0.2
 
@@ -99,10 +99,8 @@ def generate_frame_sequence(cfg: ThermalConfig, label: int, n_frames: int, rng: 
     return frames
 
 
-def generate_dataset(
-    cfg: ThermalConfig, n: int, positive_fraction: float, rng: Rng
-) -> list[tuple[GrayImage, int]]:
-    """Exactly round(n*positive_fraction) positives, order shuffled by rng."""
+def shuffled_labels(n: int, positive_fraction: float, rng: Rng) -> list[int]:
+    """n labels, exactly round(n*positive_fraction) of them 1, order shuffled by rng."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (0.0 <= positive_fraction <= 1.0):
@@ -110,6 +108,14 @@ def generate_dataset(
     n_pos = int(np.floor(n * positive_fraction + 0.5))
     labels = [1] * n_pos + [0] * (n - n_pos)
     rng.shuffle(labels)
+    return labels
+
+
+def generate_dataset(
+    cfg: ThermalConfig, n: int, positive_fraction: float, rng: Rng
+) -> list[tuple[GrayImage, int]]:
+    """Exactly round(n*positive_fraction) positives, order shuffled by rng."""
+    labels = shuffled_labels(n, positive_fraction, rng)
     return [(generate_sample(cfg, lab, rng), lab) for lab in labels]
 
 
@@ -124,14 +130,10 @@ def write_thermal_dataset(out_dir, cfg: ThermalConfig, n: int, positive_fraction
     The manifest seed column records the generator state just before each
     sample so any row can be regenerated independently.
     """
+    rng = Rng(seed)
+    labels = shuffled_labels(n, positive_fraction, rng)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    n_pos = int(np.floor(n * positive_fraction + 0.5))
-    labels = [1] * n_pos + [0] * (n - n_pos)
-    rng = Rng(seed)
-    rng.shuffle(labels)
     rows = []
     for i, lab in enumerate(labels):
         state = rng.state
@@ -172,9 +174,7 @@ def load_manifest(data_dir) -> list[tuple[str, int]]:
     return rows
 
 
-def load_thermal_dataset(data_dir) -> list[tuple[GrayImage, int]]:
+def load_dataset(data_dir, read) -> list[tuple[object, int]]:
+    """(read(path), label) for each manifest row, in manifest order."""
     base = Path(data_dir)
-    samples = []
-    for name, label in load_manifest(base):
-        samples.append((read_pgm((base / name).read_bytes()), label))
-    return samples
+    return [(read(base / name), label) for name, label in load_manifest(base)]

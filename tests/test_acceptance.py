@@ -156,7 +156,7 @@ def test_07_clot_benchmark_500_200():
     test = st.generate_dataset(cfg, 200, 0.5, Rng(8))
     model = pl.clot_train(train, threads=4)
     pcfg = pl.ClotPipelineConfig()
-    feats = pl._feature_matrix([im for im, _ in test], pcfg, threads=4)
+    feats = pl._feature_matrix(pl.clot_features, [im for im, _ in test], pcfg, threads=4)
     scores = svm_decision_batch(model, feats)
     labels = np.array([lab for _, lab in test])
     acc = float(np.mean((scores >= 0).astype(int) == labels))

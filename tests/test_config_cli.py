@@ -6,6 +6,9 @@ import pytest
 from prediagnose import config as cfgmod
 from prediagnose.cli import main
 from prediagnose.core import FormatError
+from prediagnose.persist import PersistError, save_model_file
+from prediagnose.pipeline import CardioPipelineConfig, ClotPipelineConfig
+from prediagnose.svm import SvmModel
 
 
 def run(capsys, *argv):
@@ -16,9 +19,9 @@ def run(capsys, *argv):
 
 class TestConfigFiles:
     def test_defaults_without_file(self):
-        clot = cfgmod.load_clot_config(None)
+        clot = cfgmod.load_config(ClotPipelineConfig)
         assert clot.svm_c == 10.0 and clot.window == 5
-        cardio = cfgmod.load_cardio_config(None)
+        cardio = cfgmod.load_config(CardioPipelineConfig)
         assert cardio.mfcc.n_coeffs == 13 and cardio.task == "lung"
 
     def test_overrides(self, tmp_path):
@@ -28,36 +31,127 @@ class TestConfigFiles:
             "[ml]\nsvm_c = 3.5\nwindow = 7\n"
             "[pipeline]\ntask = heart\n"
         )
-        clot = cfgmod.load_clot_config(path)
+        clot = cfgmod.load_config(ClotPipelineConfig, path)
         assert clot.canny_sigma == 2.0 and clot.svm_c == 3.5
         assert clot.window == 7 and clot.hog_view == "edge"
-        cardio = cfgmod.load_cardio_config(path)
+        cardio = cfgmod.load_config(CardioPipelineConfig, path)
         assert cardio.task == "heart"
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[teleport]\nspeed = 9\n")
         with pytest.raises(FormatError, match="unknown config section"):
-            cfgmod.load_clot_config(path)
+            cfgmod.load_config(ClotPipelineConfig, path)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[ml]\nlearning_rate = 0.1\n")
         with pytest.raises(FormatError, match="unknown config key"):
-            cfgmod.load_clot_config(path)
+            cfgmod.load_config(ClotPipelineConfig, path)
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[ml]\nsvm_c = fast\n")
         with pytest.raises(FormatError, match="bad value"):
-            cfgmod.load_clot_config(path)
+            cfgmod.load_config(ClotPipelineConfig, path)
 
     def test_snapshot_round_trip(self):
-        cfg = cfgmod.load_clot_config(None)
-        snap = cfgmod.clot_config_snapshot(cfg)
-        assert cfgmod.clot_config_from_snapshot(snap) == cfg
-        ccfg = cfgmod.load_cardio_config(None)
-        assert cfgmod.cardio_config_from_snapshot(cfgmod.cardio_config_snapshot(ccfg)) == ccfg
+        cfg = cfgmod.load_config(ClotPipelineConfig)
+        snap = cfgmod.config_snapshot("clot", cfg)
+        assert cfgmod.config_from_snapshot(ClotPipelineConfig, snap) == cfg
+        ccfg = cfgmod.load_config(CardioPipelineConfig)
+        snap = cfgmod.config_snapshot("cardio", ccfg)
+        assert cfgmod.config_from_snapshot(CardioPipelineConfig, snap) == ccfg
+
+    def test_default_snapshots_are_pinned(self):
+        # The created_with record of a default model, key order included:
+        # saved models are compared byte for byte.
+        clot = cfgmod.config_snapshot("clot", ClotPipelineConfig())
+        assert list(clot.items()) == [
+            ("pipeline", "clot"), ("canny_sigma", 1.4), ("canny_low", 0.05),
+            ("canny_high", 0.15), ("intensity_blur_sigma", 3.0), ("cell_size", 8),
+            ("block_size", 2), ("bins", 9), ("svm_c", 10.0), ("svm_gamma", 0.15),
+            ("window", 5), ("hog_view", "both"),
+        ]
+        cardio = cfgmod.config_snapshot("cardio", CardioPipelineConfig())
+        assert list(cardio.items()) == [
+            ("pipeline", "cardio"), ("frame_len", 0.025), ("hop", 0.010),
+            ("pre_emphasis", 0.97), ("n_filters", 26), ("n_coeffs", 13),
+            ("log_floor", 1e-10), ("denoise_levels", 4), ("n_trees", 100),
+            ("max_depth", 12), ("min_samples_leaf", 2), ("mtry", None), ("seed", 0),
+            ("task", "lung"),
+        ]
+
+    @pytest.mark.parametrize("cls, snap", [
+        (ClotPipelineConfig, {"window": "x"}),
+        (ClotPipelineConfig, {"window": None}),
+        (ClotPipelineConfig, {"svm_c": True}),
+        (ClotPipelineConfig, {"cell_size": 8.0}),
+        (ClotPipelineConfig, {"hog_view": 3}),
+        (CardioPipelineConfig, {"n_filters": "26"}),
+        (CardioPipelineConfig, {"mtry": 2.5}),
+    ], ids=["window_str", "window_none", "svm_c_bool", "cell_size_float", "hog_view_int",
+            "n_filters_str", "mtry_float"])
+    def test_snapshot_value_of_wrong_type_rejected(self, cls, snap):
+        with pytest.raises(PersistError, match="config value"):
+            cfgmod.config_from_snapshot(cls, snap)
+
+    def test_snapshot_none_only_where_the_field_allows_it(self):
+        assert cfgmod.config_from_snapshot(ClotPipelineConfig, {"svm_gamma": None}).svm_gamma is None
+        assert cfgmod.config_from_snapshot(CardioPipelineConfig, {"mtry": None}).mtry is None
+        assert cfgmod.config_from_snapshot(ClotPipelineConfig, {"svm_c": 3}).svm_c == 3
+
+
+def save_tiny_model(path, created_with) -> None:
+    save_model_file(path, SvmModel(np.zeros((1, 2)), np.ones(1), 0.0, 1.0, 1.0), created_with)
+
+
+# One row per malformed input: argv ("{tmp}" is the test's directory), extra
+# environment, the created_with of the model at {tmp}/m.pdmodel.json, and the
+# exit code.
+MALFORMED = {
+    "positive_frac_above_1": (
+        ["synth", "thermal", "--out", "{tmp}/d", "--n", "4", "--positive-frac", "1.5",
+         "--seed", "1"], {}, None, 1),
+    "positive_frac_below_0": (
+        ["synth", "cardio", "--task", "lung", "--out", "{tmp}/d", "--n", "4",
+         "--positive-frac", "-0.5", "--seed", "1"], {}, None, 1),
+    "positive_frac_not_a_number": (
+        ["synth", "thermal", "--out", "{tmp}/d", "--n", "4", "--positive-frac", "half",
+         "--seed", "1"], {}, None, 1),
+    "threads_env_not_an_integer": (
+        ["train", "clot", "--data", "{tmp}/d", "--out", "{tmp}/o.pdmodel.json"],
+        {"PREDIAGNOSE_THREADS": "abc"}, None, 1),
+    "created_with_window_not_an_int": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, {"pipeline": "clot", "window": "x"}, 2),
+    "created_with_none_not_allowed": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d"],
+        {}, {"pipeline": "clot", "window": None}, 2),
+    "created_with_cardio_value_not_an_int": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        {}, {"pipeline": "cardio", "n_filters": "x"}, 2),
+    "predict_clot_without_input": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json"], {}, {"pipeline": "clot"}, 1),
+    "predict_cardio_without_input": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json"], {}, {"pipeline": "cardio"}, 1),
+    "predict_skin_without_input": (
+        ["predict", "skin", "--model", "{tmp}/m.pdmodel.json"], {}, {"pipeline": "skin"}, 1),
+}
+
+
+@pytest.mark.parametrize("row", sorted(MALFORMED))
+def test_malformed_input_exit_code(row, tmp_path, capsys, monkeypatch):
+    argv, env, created_with, expected = MALFORMED[row]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if created_with is not None:
+        save_tiny_model(tmp_path / "m.pdmodel.json", created_with)
+    code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert code == expected
+    assert out == ""
+    assert ("usage error" if expected == 1 else "data error") in err
+    assert not (tmp_path / "d").exists()
 
 
 class TestExitCodes:
@@ -176,6 +270,37 @@ class TestThermalFlow:
                            "--input", str(sample))
         assert code == 2
         assert "clot pipeline" in err
+
+
+class TestSkinFlow:
+    def test_train_eval_kfold_predict(self, thermal_ws, capsys):
+        workspace = thermal_ws
+        model = workspace / "skin.pdmodel.json"
+        code, out, _ = run(capsys, "train", "skin", "--data", str(workspace / "train"),
+                           "--out", str(model))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pipeline"] == "skin" and doc["n_train"] == 16
+        created_with = json.loads(model.read_text())["created_with"]
+        assert created_with == {"pipeline": "skin", "standin": "skin-standin-hog-svm"}
+
+        for extra in ([], ["--kfold", "2", "--seed", "5"]):
+            code, out, err = run(capsys, "eval", "--model", str(model),
+                                 "--data", str(workspace / "test"), *extra)
+            assert code == 0
+            report = json.loads(out)
+            assert report["pipeline"] == "skin"
+            assert report["standin"] == "skin-standin-hog-svm"
+            assert sum(report["confusion"].values()) == 8
+            assert "STAND-IN" in err
+
+        sample = next((workspace / "test").glob("*.pgm"))
+        code, out, _ = run(capsys, "predict", "skin", "--model", str(model),
+                           "--input", str(sample))
+        assert code == 0
+        pred = json.loads(out)
+        assert pred["label"] in (0, 1) and "score" in pred
+        assert pred["classifier"] == "skin-standin-hog-svm"
 
 
 class TestCardioFlow:

@@ -91,8 +91,8 @@ class TestClotPipeline:
     def test_threaded_features_match(self):
         imgs = [st.generate_sample(THERMAL_CFG, i % 2, Rng(30 + i)) for i in range(4)]
         cfg = pl.ClotPipelineConfig()
-        f1 = pl._feature_matrix(imgs, cfg, threads=1)
-        f4 = pl._feature_matrix(imgs, cfg, threads=4)
+        f1 = pl._feature_matrix(pl.clot_features, imgs, cfg, threads=1)
+        f4 = pl._feature_matrix(pl.clot_features, imgs, cfg, threads=4)
         assert np.array_equal(f1, f4)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from prediagnose.core import FormatError, Rng
 from prediagnose import synththermal as st
+from prediagnose.imageproc import read_image_file
 
 
 CFG = st.ThermalConfig()
@@ -107,7 +108,7 @@ class TestGenerate:
 class TestDatasetIO:
     def test_write_load_round_trip(self, tmp_path):
         st.write_thermal_dataset(tmp_path, CFG, 6, 0.5, seed=21)
-        samples = st.load_thermal_dataset(tmp_path)
+        samples = st.load_dataset(tmp_path, read_image_file)
         assert len(samples) == 6
         assert sum(lab for _, lab in samples) == 3
         assert all(img.pixels.shape == (128, 128) for img, _ in samples)
@@ -132,8 +133,18 @@ class TestDatasetIO:
         rows = st.load_manifest(tmp_path)
         assert len(rows) == 6
         assert rows[0][0].startswith("seq0000/")
-        samples = st.load_thermal_dataset(tmp_path)
+        samples = st.load_dataset(tmp_path, read_image_file)
         assert len(samples) == 6
+
+    def test_out_of_range_fraction_writes_nothing(self, tmp_path):
+        from prediagnose.synthcardio import write_cardio_dataset
+
+        for frac in (1.5, -0.5):
+            with pytest.raises(ValueError, match="positive_fraction"):
+                st.write_thermal_dataset(tmp_path / "t", CFG, 4, frac, seed=1)
+            with pytest.raises(ValueError, match="positive_fraction"):
+                write_cardio_dataset(tmp_path / "c", "lung", 4, frac, 2.0, 4000, seed=1)
+        assert not (tmp_path / "t").exists() and not (tmp_path / "c").exists()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError):
