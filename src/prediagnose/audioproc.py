@@ -115,26 +115,32 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
 
 
 def fft(x, inverse: bool = False) -> np.ndarray:
-    """Radix-2 Cooley-Tukey DFT.  Inverse scales by 1/N."""
-    a = np.asarray(x, dtype=np.complex128).copy()
-    n = len(a)
+    """Radix-2 Cooley-Tukey DFT along the last axis.  Inverse scales by 1/N.
+
+    Leading axes are a batch: each row along the last axis is transformed
+    with the same butterflies, so a row's result does not depend on the
+    batch it sits in.
+    """
+    a = np.asarray(x, dtype=np.complex128)
+    n = a.shape[-1] if a.ndim else 0
     if n == 0 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
     if n == 1:
-        return a
-    a = a[_bit_reverse_indices(n)]
+        return a.copy()
+    lead = a.shape[:-1]
+    a = np.take(a, _bit_reverse_indices(n), axis=-1)  # C-contiguous, so reshapes are views
     sign = 1j if inverse else -1j
     m = 2
     while m <= n:
         half = m // 2
         tw = np.exp(sign * 2.0 * np.pi * np.arange(half) / m)
-        a = a.reshape(-1, m)
-        odd = a[:, half:] * tw
-        even = a[:, :half].copy()
-        a[:, :half] = even + odd
-        a[:, half:] = even - odd
-        a = a.reshape(-1)
+        a = a.reshape(*lead, -1, m)
+        odd = a[..., half:] * tw
+        even = a[..., :half].copy()
+        a[..., :half] = even + odd
+        a[..., half:] = even - odd
         m *= 2
+    a = a.reshape(*lead, n)
     if inverse:
         a /= n
     return a
@@ -193,7 +199,7 @@ def mfcc_debug(sig: AudioSignal, cfg: MfccConfig | None = None) -> tuple[np.ndar
     fft_size = 1 << (frame_n - 1).bit_length()  # next power of two >= frame samples
     padded = np.zeros((len(windowed), fft_size))
     padded[:, :frame_n] = windowed
-    spectra = np.array([fft(row) for row in padded])
+    spectra = fft(padded)
     power = np.abs(spectra[:, : fft_size // 2 + 1]) ** 2 / fft_size
     bank = mel_filterbank(cfg.n_filters, fft_size, sr)
     energies = power @ bank.T
@@ -256,9 +262,9 @@ def _analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _synthesize(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
     n = 2 * len(approx)
     idx = (2 * np.arange(len(approx))[:, None] + np.arange(8)[None, :]) % n
-    out = np.zeros(n)
-    np.add.at(out, idx, approx[:, None] * _DB4_LO[None, :] + detail[:, None] * _DB4_HI[None, :])
-    return out
+    w = approx[:, None] * _DB4_LO[None, :] + detail[:, None] * _DB4_HI[None, :]
+    # bincount adds each weight in order onto 0.0, exactly as np.add.at would.
+    return np.bincount(idx.ravel(), weights=w.ravel(), minlength=n)
 
 
 def dwt_forward(x: np.ndarray, levels: int) -> WaveletPyramid:

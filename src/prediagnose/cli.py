@@ -64,15 +64,36 @@ def _threads(args) -> int:
         return args.threads
     env = os.environ.get("PREDIAGNOSE_THREADS")
     try:
-        return int(env) if env else 1
-    except ValueError:
-        raise _UsageError(f"PREDIAGNOSE_THREADS must be an integer, got {env!r}") from None
+        return _count(env) if env else 1
+    except (ValueError, argparse.ArgumentTypeError):
+        raise _UsageError(f"PREDIAGNOSE_THREADS must be an integer >= 1, got {env!r}") from None
 
 
 def _fraction(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer >= 1")
+    return value
+
+
+def _folds(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer >= 2")
+    return value
+
+
+def _window(text: str) -> int:
+    value = int(text)
+    if value < 1 or value % 2 == 0:
+        raise argparse.ArgumentTypeError(f"{text} is not an odd integer >= 1")
     return value
 
 
@@ -117,50 +138,50 @@ def build_parser() -> _Parser:
 
     p_st = synth_sub.add_parser("thermal")
     p_st.add_argument("--out", required=True)
-    p_st.add_argument("--n", type=int, required=True)
+    p_st.add_argument("--n", type=_count, required=True)
     p_st.add_argument("--positive-frac", type=_fraction, default=0.5)
     p_st.add_argument("--seed", type=int, required=True)
     p_st.add_argument("--frames", type=int, default=0)
     p_st.add_argument("--config", default=None)
-    p_st.add_argument("--threads", type=int, default=None)
+    p_st.add_argument("--threads", type=_count, default=None)
 
     p_sc = synth_sub.add_parser("cardio")
     p_sc.add_argument("--task", choices=["lung", "heart"], required=True)
     p_sc.add_argument("--out", required=True)
-    p_sc.add_argument("--n", type=int, required=True)
+    p_sc.add_argument("--n", type=_count, required=True)
     p_sc.add_argument("--positive-frac", type=_fraction, default=0.5)
     p_sc.add_argument("--seed", type=int, required=True)
     p_sc.add_argument("--rate", type=int, default=8000)
     p_sc.add_argument("--duration", type=float, default=3.0)
-    p_sc.add_argument("--threads", type=int, default=None)
+    p_sc.add_argument("--threads", type=_count, default=None)
 
     p_train = sub.add_parser("train", help="train a pipeline model")
     p_train.add_argument("pipeline", choices=["clot", "cardio", "skin"])
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--config", default=None)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--threads", type=int, default=None)
+    p_train.add_argument("--threads", type=_count, default=None)
 
     p_pred = sub.add_parser("predict", help="single-sample prediction")
     p_pred.add_argument("pipeline", choices=["clot", "cardio", "skin"])
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--input", default=None)
     p_pred.add_argument("--sequence", default=None)
-    p_pred.add_argument("--window", type=int, default=None)
-    p_pred.add_argument("--threads", type=int, default=None)
+    p_pred.add_argument("--window", type=_window, default=None)
+    p_pred.add_argument("--threads", type=_count, default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a model on a dataset directory")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--kfold", type=int, default=None)
+    p_eval.add_argument("--kfold", type=_folds, default=None)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--roc-csv", default=None)
-    p_eval.add_argument("--threads", type=int, default=None)
+    p_eval.add_argument("--threads", type=_count, default=None)
 
     p_rep = sub.add_parser("report", help="concatenate per-modality reports")
     p_rep.add_argument("--inputs", nargs="+", required=True)
     p_rep.add_argument("--out", required=True)
-    p_rep.add_argument("--threads", type=int, default=None)
+    p_rep.add_argument("--threads", type=_count, default=None)
 
     return parser
 

@@ -66,7 +66,7 @@ def _expect(mapping, key, types, path):
     return value
 
 
-def _tree_from_dict(obj, path) -> TreeNode:
+def _tree_from_dict(obj, path, n_features: int) -> TreeNode:
     if not isinstance(obj, dict):
         raise PersistError(f"field {path} must be an object")
     if "leaf" in obj:
@@ -75,9 +75,11 @@ def _tree_from_dict(obj, path) -> TreeNode:
             raise PersistError(f"field {path}.leaf must be [n0, n1]")
         return TreeNode(counts=(leaf[0], leaf[1]))
     feature = _expect(obj, "feature", int, path)
+    if not 0 <= feature < n_features:
+        raise PersistError(f"field {path}.feature = {feature} is outside [0, {n_features})")
     threshold = float(_expect(obj, "threshold", (int, float), path))
-    left = _tree_from_dict(_expect(obj, "left", dict, path), f"{path}.left")
-    right = _tree_from_dict(_expect(obj, "right", dict, path), f"{path}.right")
+    left = _tree_from_dict(_expect(obj, "left", dict, path), f"{path}.left", n_features)
+    right = _tree_from_dict(_expect(obj, "right", dict, path), f"{path}.right", n_features)
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
@@ -166,7 +168,8 @@ def load_model(data: bytes):
             seed=_expect(hp_obj, "seed", int, "$.payload.hyperparams"),
         )
         trees_obj = _expect(payload, "trees", list, "$.payload")
-        trees = [_tree_from_dict(t, f"$.payload.trees[{i}]") for i, t in enumerate(trees_obj)]
+        trees = [_tree_from_dict(t, f"$.payload.trees[{i}]", n_features)
+                 for i, t in enumerate(trees_obj)]
         model = ForestModel(trees=trees, n_features=n_features, hyperparams=hp)
         return model, created_with
     raise PersistError(f"unknown model kind {kind!r}")

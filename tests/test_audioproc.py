@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.fft import dct
 
 from prediagnose.core import AudioSignal, FormatError, Rng
 from prediagnose import audioproc as ap
@@ -49,6 +50,31 @@ class TestFft:
         x = np.zeros(16)
         x[0] = 1.0
         assert np.allclose(ap.fft(x), np.ones(16))
+
+    @pytest.mark.parametrize("shape", [(7, 1), (5, 2), (9, 64), (3, 256), (2, 3, 32)])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_batch_equals_rows_bit_for_bit(self, shape, inverse):
+        rng = Rng(shape[-1] + 3 * inverse)
+        size = int(np.prod(shape))
+        x = (rng.gaussian_array(size) + 1j * rng.gaussian_array(size)).reshape(shape)
+        batch = ap.fft(x, inverse=inverse)
+        assert batch.shape == shape
+        rows = x.reshape(-1, shape[-1])
+        per_row = np.array([ap.fft(row, inverse=inverse) for row in rows]).reshape(shape)
+        assert np.array_equal(batch.view(np.uint64), per_row.view(np.uint64))
+        for got, row in zip(batch.reshape(-1, shape[-1]), rows):
+            assert np.max(np.abs(got - naive_dft(row, inverse=inverse))) < 1e-9
+
+    def test_batch_inverse_roundtrip(self):
+        x = Rng(4).gaussian_array(6 * 128).reshape(6, 128)
+        back = ap.fft(ap.fft(x), inverse=True)
+        assert np.max(np.abs(back - x)) < 1e-12
+
+    def test_batch_non_power_of_two_rejected(self):
+        with pytest.raises(ValueError):
+            ap.fft(np.zeros((4, 12)))
+        with pytest.raises(ValueError):
+            ap.fft(np.zeros((4, 0)))
 
 
 class TestMelScale:
@@ -126,6 +152,28 @@ class TestMfcc:
         text = ap.frames_to_csv(np.array([[1.0, 0.5]]))
         assert text == "1,0.5\n"
 
+    @pytest.mark.parametrize("sr", [4000, 8000])
+    def test_matches_per_frame_reference_bit_for_bit(self, sr):
+        # The batched FFT must give what one fft call per frame gave.
+        sig = AudioSignal(0.3 * Rng(sr).gaussian_array(2 * sr + 37), sr)
+        cfg = ap.MfccConfig()
+        frame_n = int(round(cfg.frame_len * sr))
+        hop_n = int(round(cfg.hop * sr))
+        fft_size = 1 << (frame_n - 1).bit_length()
+        frames = ap._frame_signal(ap.pre_emphasis(sig, cfg.pre_emphasis).samples, frame_n, hop_n)
+        window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame_n) / (frame_n - 1))
+        power = []
+        for frame in frames:
+            padded = np.zeros(fft_size)
+            padded[:frame_n] = frame * window
+            power.append(np.abs(ap.fft(padded)[: fft_size // 2 + 1]) ** 2 / fft_size)
+        energies = np.array(power) @ ap.mel_filterbank(cfg.n_filters, fft_size, sr).T
+        log_e = np.log(np.maximum(energies, cfg.log_floor))
+        coeffs = dct(log_e, type=2, norm="ortho", axis=1)[:, : cfg.n_coeffs]
+        got_coeffs, got_energies = ap.mfcc_debug(sig, cfg)
+        assert got_energies.tobytes() == energies.tobytes()
+        assert got_coeffs.tobytes() == coeffs.tobytes()
+
 
 class TestWavelet:
     def test_filters_orthonormal(self):
@@ -149,6 +197,15 @@ class TestWavelet:
         _, d = ap._analyze(x)
         assert np.max(np.abs(d[:-3])) < 1e-10
         assert np.max(np.abs(d[-3:])) > 1.0
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 16, 250, 1000, 4002])
+    def test_synthesize_equals_add_at_bit_for_bit(self, n):
+        rng = Rng(n)
+        approx, detail = rng.gaussian_array(n // 2), rng.gaussian_array(n // 2)
+        idx = (2 * np.arange(n // 2)[:, None] + np.arange(8)[None, :]) % n
+        ref = np.zeros(n)
+        np.add.at(ref, idx, approx[:, None] * ap._DB4_LO + detail[:, None] * ap._DB4_HI)
+        assert ap._synthesize(approx, detail).tobytes() == ref.tobytes()
 
     def test_roundtrip(self):
         x = Rng(17).gaussian_array(256)

@@ -5,8 +5,10 @@ import pytest
 
 from prediagnose import config as cfgmod
 from prediagnose.cli import main
-from prediagnose.core import FormatError
-from prediagnose.persist import PersistError, save_model_file
+from prediagnose.audioproc import write_wav
+from prediagnose.core import AudioSignal, FormatError
+from prediagnose.forest import ForestModel, TreeNode
+from prediagnose.persist import PersistError, save_model
 from prediagnose.pipeline import CardioPipelineConfig, ClotPipelineConfig
 from prediagnose.svm import SvmModel
 
@@ -102,13 +104,20 @@ class TestConfigFiles:
         assert cfgmod.config_from_snapshot(ClotPipelineConfig, {"svm_c": 3}).svm_c == 3
 
 
-def save_tiny_model(path, created_with) -> None:
-    save_model_file(path, SvmModel(np.zeros((1, 2)), np.ones(1), 0.0, 1.0, 1.0), created_with)
+def tiny_svm_file(created_with) -> bytes:
+    return save_model(SvmModel(np.zeros((1, 2)), np.ones(1), 0.0, 1.0, 1.0), created_with)
 
 
-# One row per malformed input: argv ("{tmp}" is the test's directory), extra
-# environment, the created_with of the model at {tmp}/m.pdmodel.json, and the
-# exit code.
+def tiny_forest_file(feature: int) -> bytes:
+    """A one-split cardio forest over 26 features whose root reads `feature`."""
+    root = TreeNode(feature=feature, threshold=0.0, left=TreeNode(counts=(1, 0)),
+                    right=TreeNode(counts=(0, 1)))
+    return save_model(ForestModel([root], 26), {"pipeline": "cardio"})
+
+
+# One row per malformed input: argv ("{tmp}" is the test's directory, which
+# also holds a valid recording x.wav), extra environment, the bytes of the
+# model file at {tmp}/m.pdmodel.json (None for no file), and the exit code.
 MALFORMED = {
     "positive_frac_above_1": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "4", "--positive-frac", "1.5",
@@ -119,34 +128,76 @@ MALFORMED = {
     "positive_frac_not_a_number": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "4", "--positive-frac", "half",
          "--seed", "1"], {}, None, 1),
+    "synth_n_zero": (
+        ["synth", "thermal", "--out", "{tmp}/d", "--n", "0", "--seed", "1"], {}, None, 1),
+    "synth_n_negative": (
+        ["synth", "cardio", "--task", "heart", "--out", "{tmp}/d", "--n", "-3", "--seed", "1"],
+        {}, None, 1),
     "threads_env_not_an_integer": (
         ["train", "clot", "--data", "{tmp}/d", "--out", "{tmp}/o.pdmodel.json"],
         {"PREDIAGNOSE_THREADS": "abc"}, None, 1),
+    "threads_env_zero": (
+        ["train", "clot", "--data", "{tmp}/d", "--out", "{tmp}/o.pdmodel.json"],
+        {"PREDIAGNOSE_THREADS": "0"}, None, 1),
+    "threads_env_negative": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d"],
+        {"PREDIAGNOSE_THREADS": "-2"}, tiny_svm_file({"pipeline": "clot"}), 1),
+    "threads_flag_zero": (
+        ["train", "cardio", "--data", "{tmp}/d", "--out", "{tmp}/o.pdmodel.json",
+         "--threads", "0"], {}, None, 1),
+    "threads_flag_negative": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d", "--threads", "-1"],
+        {}, tiny_svm_file({"pipeline": "clot"}), 1),
+    "kfold_one": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d", "--kfold", "1"],
+        {}, tiny_svm_file({"pipeline": "clot"}), 1),
+    "kfold_zero": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d", "--kfold", "0"],
+        {}, tiny_svm_file({"pipeline": "clot"}), 1),
+    "window_even": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d",
+         "--window", "4"], {}, tiny_svm_file({"pipeline": "clot"}), 1),
+    "window_zero": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d",
+         "--window", "0"], {}, tiny_svm_file({"pipeline": "clot"}), 1),
+    "window_negative": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d",
+         "--window", "-1"], {}, tiny_svm_file({"pipeline": "clot"}), 1),
     "created_with_window_not_an_int": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, {"pipeline": "clot", "window": "x"}, 2),
+        {}, tiny_svm_file({"pipeline": "clot", "window": "x"}), 2),
     "created_with_none_not_allowed": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d"],
-        {}, {"pipeline": "clot", "window": None}, 2),
+        {}, tiny_svm_file({"pipeline": "clot", "window": None}), 2),
     "created_with_cardio_value_not_an_int": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
-        {}, {"pipeline": "cardio", "n_filters": "x"}, 2),
+        {}, tiny_svm_file({"pipeline": "cardio", "n_filters": "x"}), 2),
+    "forest_feature_negative": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        {}, tiny_forest_file(-1), 2),
+    "forest_feature_too_large": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        {}, tiny_forest_file(26), 2),
     "predict_clot_without_input": (
-        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json"], {}, {"pipeline": "clot"}, 1),
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json"], {},
+        tiny_svm_file({"pipeline": "clot"}), 1),
     "predict_cardio_without_input": (
-        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json"], {}, {"pipeline": "cardio"}, 1),
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json"], {},
+        tiny_svm_file({"pipeline": "cardio"}), 1),
     "predict_skin_without_input": (
-        ["predict", "skin", "--model", "{tmp}/m.pdmodel.json"], {}, {"pipeline": "skin"}, 1),
+        ["predict", "skin", "--model", "{tmp}/m.pdmodel.json"], {},
+        tiny_svm_file({"pipeline": "skin"}), 1),
 }
 
 
 @pytest.mark.parametrize("row", sorted(MALFORMED))
 def test_malformed_input_exit_code(row, tmp_path, capsys, monkeypatch):
-    argv, env, created_with, expected = MALFORMED[row]
+    argv, env, model_file, expected = MALFORMED[row]
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    if created_with is not None:
-        save_tiny_model(tmp_path / "m.pdmodel.json", created_with)
+    if model_file is not None:
+        (tmp_path / "m.pdmodel.json").write_bytes(model_file)
+    (tmp_path / "x.wav").write_bytes(write_wav(AudioSignal(np.zeros(2000), 4000)))
     code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert code == expected
     assert out == ""

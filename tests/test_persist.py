@@ -138,3 +138,17 @@ class TestSchemaErrors:
         obj["payload"]["trees"][0] = {"leaf": [1]}
         with pytest.raises(persist.PersistError, match=r"trees\[0\]\.leaf"):
             persist.load_model(persist._canon(obj).encode())
+
+    @pytest.mark.parametrize("feature", [-1, 3, 99])
+    def test_tree_feature_outside_range(self, feature):
+        # tiny_forest has 3 features; -1 would read the last one, 3 would
+        # index past the end.
+        import json
+
+        obj = json.loads(persist.save_model(tiny_forest()))
+        node = obj["payload"]["trees"][0]
+        while "leaf" not in node["left"]:
+            node = node["left"]
+        node["feature"] = feature
+        with pytest.raises(persist.PersistError, match=r"trees\[0\](\.left)*\.feature"):
+            persist.load_model(persist._canon(obj).encode())

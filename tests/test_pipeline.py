@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,23 @@ class TestCardioPipeline:
         sig = sc.synth_cardio_sample("lung", 0, 2.0, 4000, Rng(1))
         with pytest.raises(TrainingError):
             pl.cardio_train([(sig, 0), (sig, 0)])
+
+    def test_features_pinned_bit_for_bit(self):
+        # Guards every later speed-up of the audio path: a change of even one
+        # ulp in any feature changes the digest. Both rates and tasks, both
+        # labels, and a length that needs the denoiser's zero padding.
+        rng = Rng(20260)
+        cfg = pl.CardioPipelineConfig()
+        digest = hashlib.sha256()
+        for rate in (4000, 8000):
+            for task in ("heart", "lung"):
+                for label in (0, 1):
+                    sig = sc.synth_cardio_sample(task, label, 2.0, rate, rng)
+                    for samples in (sig.samples, sig.samples[:-5]):
+                        feats = pl.cardio_features(AudioSignal(samples, rate), cfg)
+                        digest.update(np.ascontiguousarray(feats, dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "063f55ced1da4a7c748d2fd2baae559dc4cfd4c9ea370a33bb859e2b559b4ac6")
 
 
 class TestSkinPipeline:
