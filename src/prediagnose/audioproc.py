@@ -62,8 +62,8 @@ def read_wav(data: bytes) -> AudioSignal:
         raise FormatError(f"unsupported format code {audio_format} (PCM only)")
     if bits != 16:
         raise FormatError(f"unsupported bit depth {bits} (16-bit only)")
-    if n_channels < 1:
-        raise FormatError("zero channels")
+    if n_channels < 1 or sample_rate < 1:
+        raise FormatError(f"zero channels or sample rate ({n_channels}, {sample_rate} Hz)")
     ints = np.frombuffer(raw[: len(raw) - len(raw) % (2 * n_channels)], dtype="<i2")
     if len(ints) == 0:
         raise FormatError("empty data chunk")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -29,15 +30,15 @@ from .pipeline import (
     cardio_train,
     clot_features,
     clot_predict_frame,
+    clot_predict_sequence,
     clot_train,
     skin_features,
     skin_standin_classify,
     skin_standin_train,
 )
 from .svm import SvmModel, svm_decision_batch, train_svm_smo
-from .synthcardio import write_cardio_dataset
+from .synthcardio import MIN_DURATION_S, SAMPLE_RATES, write_cardio_dataset
 from .synththermal import ThermalConfig, load_dataset, write_thermal_dataset
-from .voting import sequence_vote
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -69,32 +70,22 @@ def _threads(args) -> int:
         raise _UsageError(f"PREDIAGNOSE_THREADS must be an integer >= 1, got {env!r}") from None
 
 
-def _fraction(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
-    return value
+def _arg(parse, ok, what: str):
+    """argparse type: parse(text), a usage error unless ok(value)."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    check.__name__ = parse.__name__  # argparse names it when parse raises ValueError
+    return check
 
 
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not an integer >= 1")
-    return value
-
-
-def _folds(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"{text} is not an integer >= 2")
-    return value
-
-
-def _window(text: str) -> int:
-    value = int(text)
-    if value < 1 or value % 2 == 0:
-        raise argparse.ArgumentTypeError(f"{text} is not an odd integer >= 1")
-    return value
+_count = _arg(int, lambda v: v >= 1, "an integer >= 1")
+_fraction = _arg(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_window = _arg(int, lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
+_duration = _arg(float, lambda v: math.isfinite(v) and v >= MIN_DURATION_S,
+                 f"a number of seconds >= {MIN_DURATION_S}")
 
 
 def _pipeline(kind: str) -> tuple:
@@ -141,7 +132,7 @@ def build_parser() -> _Parser:
     p_st.add_argument("--n", type=_count, required=True)
     p_st.add_argument("--positive-frac", type=_fraction, default=0.5)
     p_st.add_argument("--seed", type=int, required=True)
-    p_st.add_argument("--frames", type=int, default=0)
+    p_st.add_argument("--frames", type=_arg(int, lambda v: v >= 0, "an integer >= 0"), default=0)
     p_st.add_argument("--config", default=None)
     p_st.add_argument("--threads", type=_count, default=None)
 
@@ -151,8 +142,8 @@ def build_parser() -> _Parser:
     p_sc.add_argument("--n", type=_count, required=True)
     p_sc.add_argument("--positive-frac", type=_fraction, default=0.5)
     p_sc.add_argument("--seed", type=int, required=True)
-    p_sc.add_argument("--rate", type=int, default=8000)
-    p_sc.add_argument("--duration", type=float, default=3.0)
+    p_sc.add_argument("--rate", type=int, choices=SAMPLE_RATES, default=8000)
+    p_sc.add_argument("--duration", type=_duration, default=3.0)
     p_sc.add_argument("--threads", type=_count, default=None)
 
     p_train = sub.add_parser("train", help="train a pipeline model")
@@ -173,7 +164,7 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate a model on a dataset directory")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--kfold", type=_folds, default=None)
+    p_eval.add_argument("--kfold", type=_arg(int, lambda v: v >= 2, "an integer >= 2"), default=None)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--roc-csv", default=None)
     p_eval.add_argument("--threads", type=_count, default=None)
@@ -234,9 +225,10 @@ def _cmd_predict(args) -> int:
         frames = sorted(Path(args.sequence).glob("*.pgm"))
         if not frames:
             raise FormatError(f"no PGM frames in {args.sequence}")
-        window = args.window if args.window is not None else cfg.window
-        labels = [clot_predict_frame(model, read_image_file(f), cfg)[1] for f in frames]
-        doc = {"label": sequence_vote(labels, window), "n_frames": len(frames)}
+        if args.window is not None:
+            cfg = dataclasses.replace(cfg, window=args.window)
+        doc = {"label": clot_predict_sequence(model, [read(f) for f in frames], cfg),
+               "n_frames": len(frames)}
     elif not args.input:
         raise _UsageError("predict requires --input (or --sequence for clot)")
     else:

@@ -92,10 +92,11 @@ class Rng:
 
 @dataclass
 class GrayImage:
-    """2-D grid of real intensities, row-major.
+    """2-D grid of real intensities in [0,1], row-major.
 
-    Unbounded reals internally; [0,1] after normalization, [0,255] straight
-    from 8-bit files.
+    The PGM/PPM readers return [0,1] and write_pgm takes it; the Canny
+    thresholds and the augmentations' clip assume it.  Derived maps (Sobel
+    magnitude and angle, blurred or rescaled copies) reuse the type unbounded.
     """
 
     pixels: np.ndarray

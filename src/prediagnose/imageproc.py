@@ -27,11 +27,6 @@ class HogConfig:
             raise ValueError("block_size must be >= 1")
 
 
-def normalize_image(img: GrayImage) -> GrayImage:
-    """Map an 8-bit-range [0,255] image into [0,1]."""
-    return GrayImage(img.pixels / 255.0)
-
-
 def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     """Resize with the half-pixel-center convention, clamped at borders."""
     if out_w < 1 or out_h < 1:
@@ -155,14 +150,18 @@ _SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
 _SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64)
 
 
+def _sobel(px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """3x3 Sobel magnitude and angle (degrees in [0,180), borders replicated)."""
+    gx = ndimage.correlate(px, _SOBEL_X, mode="nearest")
+    gy = ndimage.correlate(px, _SOBEL_Y, mode="nearest")
+    return np.sqrt(gx * gx + gy * gy), np.degrees(np.arctan2(gy, gx)) % 180.0
+
+
 def sobel_gradients(img: GrayImage) -> tuple[GrayImage, GrayImage]:
     """3x3 Sobel magnitude and angle (degrees in [0,180), borders replicated)."""
     if img.width < 3 or img.height < 3:
         raise ValueError("image must be at least 3x3")
-    gx = ndimage.correlate(img.pixels, _SOBEL_X, mode="nearest")
-    gy = ndimage.correlate(img.pixels, _SOBEL_Y, mode="nearest")
-    mag = np.sqrt(gx * gx + gy * gy)
-    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
+    mag, ang = _sobel(img.pixels)
     return GrayImage(mag), GrayImage(ang)
 
 
@@ -204,10 +203,7 @@ def canny(img: GrayImage, sigma: float = 1.4, low: float = 0.05, high: float = 0
 
 def _cell_histograms(img: GrayImage, cfg: HogConfig) -> np.ndarray:
     """Per-cell orientation histograms with linear interpolation between bins."""
-    gx = ndimage.correlate(img.pixels, _SOBEL_X, mode="nearest")
-    gy = ndimage.correlate(img.pixels, _SOBEL_Y, mode="nearest")
-    mag = np.sqrt(gx * gx + gy * gy)
-    ang = np.degrees(np.arctan2(gy, gx)) % 180.0
+    mag, ang = _sobel(img.pixels)
     bin_width = 180.0 / cfg.bins
     pos = ang / bin_width
     lo = np.floor(pos).astype(int)
@@ -255,10 +251,11 @@ def hog(img: GrayImage, cfg: HogConfig | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# PGM / PPM I/O
+# PGM / PPM I/O: the one place where 8-bit samples and [0,1] intensities meet
 
 
-def _read_pnm_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
+def _read_pnm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
+    """The (height, width, channels) 8-bit samples of a binary PNM file, as floats."""
     if data[:2] != magic:
         raise FormatError(f"expected {magic.decode()} magic, got {data[:2]!r}")
     # Tokenizer tolerating whitespace and '#' comments.
@@ -287,37 +284,30 @@ def _read_pnm_header(data: bytes, magic: bytes) -> tuple[int, int, int]:
         raise FormatError(f"only maxval 255 supported, got {maxval}")
     if w < 1 or h < 1:
         raise FormatError("non-positive image dimensions")
-    return w, h, i + 1  # +1 skips the single whitespace after maxval
+    size = w * h * channels
+    raster = data[i + 1 : i + 1 + size]  # +1 skips the single whitespace after maxval
+    if len(raster) < size:
+        raise FormatError(f"truncated {magic.decode()} raster")
+    return np.frombuffer(raster, dtype=np.uint8).astype(np.float64).reshape(h, w, channels)
 
 
 def read_pgm(data: bytes) -> GrayImage:
-    """Parse a binary P5 PGM (8-bit, maxval 255) into a [0,255] image."""
-    w, h, offset = _read_pnm_header(data, b"P5")
-    raster = data[offset : offset + w * h]
-    if len(raster) < w * h:
-        raise FormatError("truncated PGM raster")
-    return GrayImage(np.frombuffer(raster, dtype=np.uint8).astype(np.float64).reshape(h, w))
+    """Parse a binary P5 PGM (8-bit, maxval 255) into a [0,1] image (sample / 255)."""
+    return GrayImage(_read_pnm(data, b"P5", 1)[:, :, 0] / 255.0)
 
 
 def write_pgm(img: GrayImage) -> bytes:
-    """Serialize to binary P5.  Inputs in [0,1] are scaled up; [0,255] passed through."""
-    px = img.pixels
-    if px.max() <= 1.0:
-        px = px * 255.0
-    quantized = np.clip(np.round(px), 0, 255).astype(np.uint8)
+    """Serialize a [0,1] image to binary P5: round(255 * intensity), clipped to [0,255]."""
+    quantized = np.clip(np.round(img.pixels * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{img.width} {img.height}\n255\n".encode()
     return header + quantized.tobytes()
 
 
 def read_ppm(data: bytes) -> GrayImage:
-    """Parse binary P6 PPM and convert to luminance (0.299R + 0.587G + 0.114B)."""
-    w, h, offset = _read_pnm_header(data, b"P6")
-    raster = data[offset : offset + 3 * w * h]
-    if len(raster) < 3 * w * h:
-        raise FormatError("truncated PPM raster")
-    rgb = np.frombuffer(raster, dtype=np.uint8).astype(np.float64).reshape(h, w, 3)
+    """Parse binary P6 PPM into a [0,1] luminance image, (0.299R + 0.587G + 0.114B) / 255."""
+    rgb = _read_pnm(data, b"P6", 3)
     y = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
-    return GrayImage(y)
+    return GrayImage(y / 255.0)
 
 
 def read_image_file(path) -> GrayImage:

@@ -7,6 +7,7 @@ digits, so model equality is byte equality and doubles round-trip exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -66,6 +67,29 @@ def _expect(mapping, key, types, path):
     return value
 
 
+def _real(mapping, key, path) -> float:
+    """A finite number at mapping[key]."""
+    try:
+        value = float(_expect(mapping, key, (int, float), path))
+    except OverflowError:  # an integer literal beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise PersistError(f"field {path}.{key} must be finite, got {value}")
+    return value
+
+
+def _finite_array(mapping, key, path, ndim: int) -> np.ndarray:
+    """mapping[key], nested lists of numbers, as a finite float64 array of ndim dimensions."""
+    values = _expect(mapping, key, list, path)
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PersistError(f"field {path}.{key} must hold numbers only: {exc}") from exc
+    if arr.ndim != ndim or not np.all(np.isfinite(arr)):
+        raise PersistError(f"field {path}.{key} must be finite numbers in {ndim} dimensions")
+    return arr
+
+
 def _tree_from_dict(obj, path, n_features: int) -> TreeNode:
     if not isinstance(obj, dict):
         raise PersistError(f"field {path} must be an object")
@@ -77,7 +101,7 @@ def _tree_from_dict(obj, path, n_features: int) -> TreeNode:
     feature = _expect(obj, "feature", int, path)
     if not 0 <= feature < n_features:
         raise PersistError(f"field {path}.feature = {feature} is outside [0, {n_features})")
-    threshold = float(_expect(obj, "threshold", (int, float), path))
+    threshold = _real(obj, "threshold", path)
     left = _tree_from_dict(_expect(obj, "left", dict, path), f"{path}.left", n_features)
     right = _tree_from_dict(_expect(obj, "right", dict, path), f"{path}.right", n_features)
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
@@ -124,11 +148,14 @@ def save_model(model, created_with: dict | None = None) -> bytes:
 
 
 def load_model(data: bytes):
-    """Returns (model, created_with)."""
+    """Returns (model, created_with).  Anything but a well-formed model with
+    finite numbers raises PersistError."""
     try:
         envelope = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
         raise PersistError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise PersistError("invalid JSON: nested too deeply") from None
     version = _expect(envelope, "format_version", int, "$")
     if version != FORMAT_VERSION:
         raise PersistError(f"unsupported format_version {version}")
@@ -136,26 +163,21 @@ def load_model(data: bytes):
     created_with = _expect(envelope, "created_with", dict, "$")
     payload = _expect(envelope, "payload", dict, "$")
     if kind == "svm":
-        gamma = float(_expect(payload, "gamma", (int, float), "$.payload"))
-        c = float(_expect(payload, "c", (int, float), "$.payload"))
-        bias = float(_expect(payload, "bias", (int, float), "$.payload"))
-        alpha_y = _expect(payload, "alpha_y", list, "$.payload")
-        sv = _expect(payload, "support_vectors", list, "$.payload")
-        if len(sv) != len(alpha_y):
-            raise PersistError("$.payload.support_vectors length mismatch with alpha_y")
-        for i, row in enumerate(sv):
-            if not isinstance(row, list):
-                raise PersistError(f"field $.payload.support_vectors[{i}] must be a list")
-        model = SvmModel(
-            support_vectors=np.array(sv, dtype=np.float64).reshape(len(sv), -1),
-            alpha_y=np.array(alpha_y, dtype=np.float64),
-            bias=bias,
-            gamma=gamma,
-            c=c,
-        )
-        return model, created_with
+        gamma = _real(payload, "gamma", "$.payload")
+        c = _real(payload, "c", "$.payload")
+        if gamma < 0 or c <= 0:
+            raise PersistError(f"need gamma >= 0 and c > 0, got gamma={gamma}, c={c}")
+        bias = _real(payload, "bias", "$.payload")
+        alpha_y = _finite_array(payload, "alpha_y", "$.payload", 1)
+        sv = _finite_array(payload, "support_vectors", "$.payload", 2)
+        if sv.size == 0 or len(sv) != len(alpha_y):
+            raise PersistError(f"$.payload.support_vectors of shape {sv.shape} is empty or has a "
+                               f"length mismatch with alpha_y ({len(alpha_y)})")
+        return SvmModel(support_vectors=sv, alpha_y=alpha_y, bias=bias, gamma=gamma, c=c), created_with
     if kind == "forest":
         n_features = _expect(payload, "n_features", int, "$.payload")
+        if n_features < 1:
+            raise PersistError(f"field $.payload.n_features = {n_features} is below 1")
         hp_obj = _expect(payload, "hyperparams", dict, "$.payload")
         mtry = hp_obj.get("mtry")
         if mtry is not None and not isinstance(mtry, int):
@@ -168,10 +190,15 @@ def load_model(data: bytes):
             seed=_expect(hp_obj, "seed", int, "$.payload.hyperparams"),
         )
         trees_obj = _expect(payload, "trees", list, "$.payload")
-        trees = [_tree_from_dict(t, f"$.payload.trees[{i}]", n_features)
-                 for i, t in enumerate(trees_obj)]
-        model = ForestModel(trees=trees, n_features=n_features, hyperparams=hp)
-        return model, created_with
+        if not trees_obj or hp.n_trees < 1:
+            raise PersistError("a forest needs at least one tree in $.payload.trees and "
+                               "$.payload.hyperparams.n_trees")
+        try:
+            trees = [_tree_from_dict(t, f"$.payload.trees[{i}]", n_features)
+                     for i, t in enumerate(trees_obj)]
+        except RecursionError:
+            raise PersistError("field $.payload.trees is nested too deeply") from None
+        return ForestModel(trees=trees, n_features=n_features, hyperparams=hp), created_with
     raise PersistError(f"unknown model kind {kind!r}")
 
 

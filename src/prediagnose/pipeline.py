@@ -10,7 +10,7 @@ import numpy as np
 from .audioproc import MfccConfig, aggregate_features, mfcc, wavelet_denoise
 from .core import AudioSignal, GrayImage, LabeledDataset, TrainingError
 from .forest import ForestModel, forest_predict, train_random_forest
-from .imageproc import HogConfig, canny, gaussian_blur, hog, normalize_image, resize_bilinear
+from .imageproc import HogConfig, augment, canny, gaussian_blur, hog, resize_bilinear
 from .svm import SvmModel, svm_predict, train_svm_smo
 from .voting import sequence_vote
 
@@ -52,16 +52,10 @@ class CardioPipelineConfig:
     task: str = "lung"
 
 
-def _to_unit_range(img: GrayImage) -> GrayImage:
-    # Files arrive in [0,255]; in-memory synthetic frames are already [0,1].
-    return normalize_image(img) if img.pixels.max() > 1.0 else img
-
-
 def clot_features(img: GrayImage, cfg: ClotPipelineConfig) -> np.ndarray:
-    """Resize to 128x128, normalize, then HOG over the Canny edge map and/or
+    """Resize a [0,1] image to 128x128, then HOG over the Canny edge map and/or
     the blurred intensity image."""
     img = resize_bilinear(img, CLOT_IMAGE_SIZE, CLOT_IMAGE_SIZE)
-    img = _to_unit_range(img)
     parts = []
     if cfg.hog_view in ("edge", "both"):
         parts.append(hog(canny(img, cfg.canny_sigma, cfg.canny_low, cfg.canny_high), cfg.hog))
@@ -102,8 +96,6 @@ def clot_predict_frame(model: SvmModel, img: GrayImage, cfg: ClotPipelineConfig 
 def clot_predict_sequence(model: SvmModel, frames: list[GrayImage],
                           cfg: ClotPipelineConfig | None = None) -> int:
     cfg = cfg or ClotPipelineConfig()
-    if not frames:
-        raise ValueError("empty frame sequence")
     labels = [clot_predict_frame(model, f, cfg)[1] for f in frames]
     return sequence_vote(labels, cfg.window)
 
@@ -155,14 +147,12 @@ class SkinPipelineConfig:
 
 
 def skin_preprocess(img: GrayImage, augment_specs: list[str] | None = None) -> list[GrayImage]:
-    """Resize to 224x224 and normalize; returns the original plus one copy per
+    """Resize a [0,1] image to 224x224; returns it plus one augmented copy per
     augmentation spec."""
-    from .imageproc import augment as apply_augment
-
-    base = _to_unit_range(resize_bilinear(img, SKIN_IMAGE_SIZE, SKIN_IMAGE_SIZE))
+    base = resize_bilinear(img, SKIN_IMAGE_SIZE, SKIN_IMAGE_SIZE)
     out = [base]
     for spec in augment_specs or []:
-        out.append(apply_augment(base, spec))
+        out.append(augment(base, spec))
     return out
 
 

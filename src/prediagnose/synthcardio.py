@@ -7,18 +7,17 @@ in the same WAV + manifest layout.
 
 from __future__ import annotations
 
-import csv
-from pathlib import Path
-
 import numpy as np
 
 from scipy.signal import lfilter
 
 from .core import AudioSignal, Rng
 from .audioproc import write_wav
-from .synththermal import shuffled_labels
+from .synththermal import shuffled_labels, write_dataset
 
 PEAK = 0.9
+SAMPLE_RATES = (4000, 8000)
+MIN_DURATION_S = 2.0
 
 
 def _lowpass_kernel(cutoff_hz: float, sample_rate: int, taps: int = 101) -> np.ndarray:
@@ -109,10 +108,10 @@ def synth_cardio_sample(
     normalization scale comes from the base signal alone (the base peak
     dominates by construction), so the peak amplitude is PEAK for both labels.
     """
-    if duration_s < 2.0:
-        raise ValueError("duration must be >= 2 s")
-    if sample_rate not in (4000, 8000):
-        raise ValueError("sample_rate must be 4000 or 8000")
+    if not duration_s >= MIN_DURATION_S:  # also rejects NaN
+        raise ValueError(f"duration must be >= {MIN_DURATION_S} s")
+    if sample_rate not in SAMPLE_RATES:
+        raise ValueError(f"sample_rate must be one of {SAMPLE_RATES}")
     if task == "heart":
         base, abnormality = _render_heart(duration_s, sample_rate, rng)
     elif task == "lung":
@@ -140,20 +139,6 @@ def write_cardio_dataset(
     out_dir, task: str, n: int, positive_fraction: float, duration_s: float,
     sample_rate: int, seed: int
 ) -> None:
-    """WAV files plus manifest.csv (filename,label,seed); the seed column holds
-    the generator state just before each sample."""
-    rng = Rng(seed)
-    labels = shuffled_labels(n, positive_fraction, rng)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for i, lab in enumerate(labels):
-        state = rng.state
-        sig = synth_cardio_sample(task, lab, duration_s, sample_rate, rng)
-        name = f"rec{i:04d}.wav"
-        (out / name).write_bytes(write_wav(sig))
-        rows.append((name, lab, state))
-    with open(out / "manifest.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["filename", "label", "seed"])
-        writer.writerows(rows)
+    """WAV files plus manifest.csv (see synththermal.write_dataset)."""
+    write_dataset(out_dir, n, positive_fraction, seed, lambda i, label, rng: {
+        f"rec{i:04d}.wav": write_wav(synth_cardio_sample(task, label, duration_s, sample_rate, rng))})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,13 +74,7 @@ def _draw_scene_params(cfg: ThermalConfig, rng: Rng) -> tuple[int, tuple[int, in
 
 def generate_sample(cfg: ThermalConfig, label: int, rng: Rng) -> GrayImage:
     """One synthetic thermal frame; label=1 adds the clot hotspot."""
-    col, center = _draw_scene_params(cfg, rng)
-    field = render_scene(cfg, col, center if label == 1 else None)
-    if cfg.noise_sigma > 0:
-        field = field + cfg.noise_sigma * rng.gaussian_array(cfg.width * cfg.height).reshape(
-            cfg.height, cfg.width
-        )
-    return GrayImage(np.clip(field, 0.0, 1.0))
+    return generate_frame_sequence(cfg, label, 1, rng)[0]
 
 
 def generate_frame_sequence(cfg: ThermalConfig, label: int, n_frames: int, rng: Rng) -> list[GrayImage]:
@@ -123,13 +118,11 @@ def generate_dataset(
 # Directory layout: PGM files plus manifest.csv (filename,label,seed)
 
 
-def write_thermal_dataset(out_dir, cfg: ThermalConfig, n: int, positive_fraction: float, seed: int,
-                          frames: int = 0) -> None:
-    """Write PGMs and a manifest.  frames > 0 writes per-sample sequence subdirs.
-
-    The manifest seed column records the generator state just before each
-    sample so any row can be regenerated independently.
-    """
+def write_dataset(out_dir, n: int, positive_fraction: float, seed: int, render) -> None:
+    """Write n samples and manifest.csv (filename,label,seed).  render(i, label,
+    rng) returns sample i's {filename: bytes}.  The seed column records the
+    generator state just before each sample so any row can be regenerated
+    independently."""
     rng = Rng(seed)
     labels = shuffled_labels(n, positive_fraction, rng)
     out = Path(out_dir)
@@ -137,38 +130,59 @@ def write_thermal_dataset(out_dir, cfg: ThermalConfig, n: int, positive_fraction
     rows = []
     for i, lab in enumerate(labels):
         state = rng.state
-        if frames > 0:
-            seq_dir = out / f"seq{i:04d}"
-            seq_dir.mkdir(exist_ok=True)
-            for j, frame in enumerate(generate_frame_sequence(cfg, lab, frames, rng)):
-                name = f"seq{i:04d}/frame{j:02d}.pgm"
-                (out / name).write_bytes(write_pgm(frame))
-                rows.append((name, lab, state))
-        else:
-            name = f"sample{i:04d}.pgm"
-            (out / name).write_bytes(write_pgm(generate_sample(cfg, lab, rng)))
+        for name, data in render(i, lab, rng).items():
+            (out / name).parent.mkdir(exist_ok=True)
+            (out / name).write_bytes(data)
             rows.append((name, lab, state))
-    with open(out / "manifest.csv", "w", newline="") as fh:
+    write_manifest(out, rows)
+
+
+def write_thermal_dataset(out_dir, cfg: ThermalConfig, n: int, positive_fraction: float, seed: int,
+                          frames: int = 0) -> None:
+    """Write PGMs and a manifest.  frames > 0 writes per-sample sequence subdirs."""
+    def render(i: int, label: int, rng: Rng) -> dict[str, bytes]:
+        names = [f"seq{i:04d}/frame{j:02d}.pgm" for j in range(frames)] or [f"sample{i:04d}.pgm"]
+        images = generate_frame_sequence(cfg, label, len(names), rng)
+        return {name: write_pgm(image) for name, image in zip(names, images)}
+
+    write_dataset(out_dir, n, positive_fraction, seed, render)
+
+
+def write_manifest(out_dir, rows) -> None:
+    """Write out_dir/manifest.csv from (filename, label, seed) rows."""
+    with open(Path(out_dir) / "manifest.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["filename", "label", "seed"])
         writer.writerows(rows)
 
 
 def load_manifest(data_dir) -> list[tuple[str, int]]:
-    """Read manifest.csv; returns (filename, label) rows."""
+    """Read manifest.csv; returns (filename, label) rows.  Each label is 0 or 1,
+    and each filename is relative and stays inside data_dir: an absolute name,
+    or one whose ".." parts lead out (resolved lexically, not through
+    symlinks), is a FormatError."""
     path = Path(data_dir) / "manifest.csv"
     if not path.exists():
         raise FormatError(f"missing manifest.csv in {data_dir}")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "filename" not in reader.fieldnames or "label" not in reader.fieldnames:
-            raise FormatError("manifest.csv must have filename and label columns")
-        for rec in reader:
-            try:
-                rows.append((rec["filename"], int(rec["label"])))
-            except (TypeError, ValueError) as exc:
-                raise FormatError(f"bad manifest row {rec!r}") from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "filename" not in reader.fieldnames or "label" not in reader.fieldnames:
+                raise FormatError("manifest.csv must have filename and label columns")
+            for rec in reader:
+                try:
+                    label = int(rec["label"])
+                except (TypeError, ValueError):
+                    label = None
+                name = rec["filename"]
+                if not name or label not in (0, 1):
+                    raise FormatError(f"bad manifest row {rec!r}")
+                if os.path.isabs(name) or os.path.normpath(name).split(os.sep)[0] == os.pardir:
+                    raise FormatError(f"manifest filename {name!r} is outside {data_dir}")
+                rows.append((name, label))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"unreadable manifest.csv in {data_dir}: {exc}") from exc
     if not rows:
         raise FormatError("empty manifest")
     return rows

@@ -6,8 +6,9 @@ import pytest
 from prediagnose import config as cfgmod
 from prediagnose.cli import main
 from prediagnose.audioproc import write_wav
-from prediagnose.core import AudioSignal, FormatError
+from prediagnose.core import AudioSignal, FormatError, GrayImage
 from prediagnose.forest import ForestModel, TreeNode
+from prediagnose.imageproc import write_pgm
 from prediagnose.persist import PersistError, save_model
 from prediagnose.pipeline import CardioPipelineConfig, ClotPipelineConfig
 from prediagnose.svm import SvmModel
@@ -104,100 +105,155 @@ class TestConfigFiles:
         assert cfgmod.config_from_snapshot(ClotPipelineConfig, {"svm_c": 3}).svm_c == 3
 
 
-def tiny_svm_file(created_with) -> bytes:
-    return save_model(SvmModel(np.zeros((1, 2)), np.ones(1), 0.0, 1.0, 1.0), created_with)
+CLOT_FEATURES = 2 * 8100
 
 
-def tiny_forest_file(feature: int) -> bytes:
-    """A one-split cardio forest over 26 features whose root reads `feature`."""
+def tiny_svm_file(created_with, **payload) -> bytes:
+    """A one-vector SVM over the clot features; payload items replace its fields."""
+    doc = json.loads(save_model(SvmModel(np.zeros((1, CLOT_FEATURES)), np.ones(1), 0.0, 1.0, 1.0),
+                                created_with))
+    doc["payload"].update(payload)
+    return json.dumps(doc).encode()
+
+
+def tiny_forest_file(feature: int = 0, **payload) -> bytes:
+    """A one-split cardio forest over 26 features whose root reads `feature`;
+    payload items replace its fields."""
     root = TreeNode(feature=feature, threshold=0.0, left=TreeNode(counts=(1, 0)),
                     right=TreeNode(counts=(0, 1)))
-    return save_model(ForestModel([root], 26), {"pipeline": "cardio"})
+    doc = json.loads(save_model(ForestModel([root], 26), {"pipeline": "cardio"}))
+    doc["payload"].update(payload)
+    return json.dumps(doc).encode()
+
+
+def model(data: bytes) -> dict:
+    return {"m.pdmodel.json": data}
+
+
+def clot_data(*names: str) -> dict:
+    """A clot model, and a data directory whose manifest lists names with
+    alternating labels."""
+    rows = "".join(f"{name},{i % 2}\n" for i, name in enumerate(names))
+    return {**model(tiny_svm_file({"pipeline": "clot"})),
+            "data/manifest.csv": f"filename,label\n{rows}".encode()}
 
 
 # One row per malformed input: argv ("{tmp}" is the test's directory, which
-# also holds a valid recording x.wav), extra environment, the bytes of the
-# model file at {tmp}/m.pdmodel.json (None for no file), and the exit code.
+# also holds a valid recording x.wav and a valid image x.pgm), extra
+# environment, the files to write under {tmp} as {relative path: bytes}
+# ("{tmp}" in the bytes is replaced too), and the exit code.
 MALFORMED = {
     "positive_frac_above_1": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "4", "--positive-frac", "1.5",
-         "--seed", "1"], {}, None, 1),
+         "--seed", "1"], {}, {}, 1),
     "positive_frac_below_0": (
         ["synth", "cardio", "--task", "lung", "--out", "{tmp}/d", "--n", "4",
-         "--positive-frac", "-0.5", "--seed", "1"], {}, None, 1),
+         "--positive-frac", "-0.5", "--seed", "1"], {}, {}, 1),
     "positive_frac_not_a_number": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "4", "--positive-frac", "half",
-         "--seed", "1"], {}, None, 1),
+         "--seed", "1"], {}, {}, 1),
     "synth_n_zero": (
-        ["synth", "thermal", "--out", "{tmp}/d", "--n", "0", "--seed", "1"], {}, None, 1),
+        ["synth", "thermal", "--out", "{tmp}/d", "--n", "0", "--seed", "1"], {}, {}, 1),
     "synth_n_negative": (
         ["synth", "cardio", "--task", "heart", "--out", "{tmp}/d", "--n", "-3", "--seed", "1"],
-        {}, None, 1),
+        {}, {}, 1),
     "threads_env_not_an_integer": (
         ["train", "clot", "--data", "{tmp}/d", "--out", "{tmp}/o.pdmodel.json"],
-        {"PREDIAGNOSE_THREADS": "abc"}, None, 1),
+        {"PREDIAGNOSE_THREADS": "abc"}, {}, 1),
     "threads_env_zero": (
         ["train", "clot", "--data", "{tmp}/d", "--out", "{tmp}/o.pdmodel.json"],
-        {"PREDIAGNOSE_THREADS": "0"}, None, 1),
+        {"PREDIAGNOSE_THREADS": "0"}, {}, 1),
     "threads_env_negative": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d"],
-        {"PREDIAGNOSE_THREADS": "-2"}, tiny_svm_file({"pipeline": "clot"}), 1),
+        {"PREDIAGNOSE_THREADS": "-2"}, model(tiny_svm_file({"pipeline": "clot"})), 1),
     "threads_flag_zero": (
         ["train", "cardio", "--data", "{tmp}/d", "--out", "{tmp}/o.pdmodel.json",
-         "--threads", "0"], {}, None, 1),
+         "--threads", "0"], {}, {}, 1),
     "threads_flag_negative": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d", "--threads", "-1"],
-        {}, tiny_svm_file({"pipeline": "clot"}), 1),
+        {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
     "kfold_one": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d", "--kfold", "1"],
-        {}, tiny_svm_file({"pipeline": "clot"}), 1),
+        {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
     "kfold_zero": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d", "--kfold", "0"],
-        {}, tiny_svm_file({"pipeline": "clot"}), 1),
+        {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
     "window_even": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d",
-         "--window", "4"], {}, tiny_svm_file({"pipeline": "clot"}), 1),
+         "--window", "4"], {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
     "window_zero": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d",
-         "--window", "0"], {}, tiny_svm_file({"pipeline": "clot"}), 1),
+         "--window", "0"], {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
     "window_negative": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d",
-         "--window", "-1"], {}, tiny_svm_file({"pipeline": "clot"}), 1),
+         "--window", "-1"], {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
     "created_with_window_not_an_int": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, tiny_svm_file({"pipeline": "clot", "window": "x"}), 2),
+        {}, model(tiny_svm_file({"pipeline": "clot", "window": "x"})), 2),
     "created_with_none_not_allowed": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d"],
-        {}, tiny_svm_file({"pipeline": "clot", "window": None}), 2),
+        {}, model(tiny_svm_file({"pipeline": "clot", "window": None})), 2),
     "created_with_cardio_value_not_an_int": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
-        {}, tiny_svm_file({"pipeline": "cardio", "n_filters": "x"}), 2),
+        {}, model(tiny_svm_file({"pipeline": "cardio", "n_filters": "x"})), 2),
     "forest_feature_negative": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
-        {}, tiny_forest_file(-1), 2),
+        {}, model(tiny_forest_file(-1)), 2),
     "forest_feature_too_large": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
-        {}, tiny_forest_file(26), 2),
+        {}, model(tiny_forest_file(26)), 2),
     "predict_clot_without_input": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json"], {},
-        tiny_svm_file({"pipeline": "clot"}), 1),
+        model(tiny_svm_file({"pipeline": "clot"})), 1),
     "predict_cardio_without_input": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json"], {},
-        tiny_svm_file({"pipeline": "cardio"}), 1),
+        model(tiny_svm_file({"pipeline": "cardio"})), 1),
     "predict_skin_without_input": (
         ["predict", "skin", "--model", "{tmp}/m.pdmodel.json"], {},
-        tiny_svm_file({"pipeline": "skin"}), 1),
+        model(tiny_svm_file({"pipeline": "skin"})), 1),
+    "synth_frames_negative": (
+        ["synth", "thermal", "--out", "{tmp}/d", "--n", "2", "--seed", "1", "--frames", "-2"],
+        {}, {}, 1),
+    "synth_rate_unsupported": (
+        ["synth", "cardio", "--task", "lung", "--out", "{tmp}/d", "--n", "2", "--seed", "1",
+         "--rate", "5000"], {}, {}, 1),
+    "synth_duration_too_short": (
+        ["synth", "cardio", "--task", "heart", "--out", "{tmp}/d", "--n", "2", "--seed", "1",
+         "--duration", "1"], {}, {}, 1),
+    "svm_gamma_negative": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(tiny_svm_file({"pipeline": "clot"}, gamma=-1)), 2),
+    "svm_bias_nan": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(tiny_svm_file({"pipeline": "clot"}, bias=float("nan"))), 2),
+    "forest_without_trees": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        {}, model(tiny_forest_file(trees=[])), 2),
+    "model_nested_too_deeply": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        {}, model(b"[" * 100_000 + b"]" * 100_000), 2),
+    "manifest_name_leaves_data_dir": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
+        {}, clot_data("../x.pgm", "../x.pgm"), 2),
+    "manifest_name_absolute": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
+        {}, clot_data("{tmp}/x.pgm", "{tmp}/x.pgm"), 2),
+    "manifest_not_utf8": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
+        {}, {**clot_data(), "data/manifest.csv": b"filename,label\n\xff.pgm,1\n"}, 2),
 }
 
 
 @pytest.mark.parametrize("row", sorted(MALFORMED))
 def test_malformed_input_exit_code(row, tmp_path, capsys, monkeypatch):
-    argv, env, model_file, expected = MALFORMED[row]
+    argv, env, files, expected = MALFORMED[row]
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    if model_file is not None:
-        (tmp_path / "m.pdmodel.json").write_bytes(model_file)
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data.replace(b"{tmp}", str(tmp_path).encode()))
     (tmp_path / "x.wav").write_bytes(write_wav(AudioSignal(np.zeros(2000), 4000)))
+    (tmp_path / "x.pgm").write_bytes(write_pgm(GrayImage(np.full((8, 8), 0.5))))
     code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert code == expected
     assert out == ""

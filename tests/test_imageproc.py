@@ -18,12 +18,6 @@ def horizontal_step(n=32):
 
 
 class TestNormalizeResize:
-    def test_normalize_endpoints(self):
-        img = GrayImage(np.array([[255.0, 0.0, 51.0]]))
-        out = ip.normalize_image(img).pixels
-        assert out[0, 0] == 1.0 and out[0, 1] == 0.0
-        assert out[0, 2] == pytest.approx(0.2)
-
     def test_resize_identity(self):
         img = GrayImage(np.arange(12.0).reshape(3, 4))
         out = ip.resize_bilinear(img, 4, 3)
@@ -188,14 +182,18 @@ class TestHog:
 
 class TestPnmIO:
     def test_pgm_round_trip(self):
-        img = GrayImage(np.round(Rng(1).uniform_array(48).reshape(6, 8) * 255))
+        img = GrayImage(np.round(Rng(1).uniform_array(48).reshape(6, 8) * 255) / 255.0)
         again = ip.read_pgm(ip.write_pgm(img))
         assert np.array_equal(again.pixels, img.pixels)
 
     def test_pgm_comments_tolerated(self):
         data = b"P5\n# a comment\n2 1\n255\n\x00\xff"
         img = ip.read_pgm(data)
-        assert img.pixels.tolist() == [[0.0, 255.0]]
+        assert img.pixels.tolist() == [[0.0, 1.0]]
+
+    def test_pgm_samples_divided_by_255(self):
+        img = ip.read_pgm(b"P5\n3 1\n255\n\xff\x00\x33")
+        assert img.pixels.tolist() == [[1.0, 0.0, 0.2]]
 
     def test_pgm_bad_magic(self):
         with pytest.raises(FormatError):
@@ -212,4 +210,4 @@ class TestPnmIO:
     def test_ppm_luminance(self):
         data = b"P6\n1 1\n255\n" + bytes([100, 200, 50])
         img = ip.read_ppm(data)
-        assert img.pixels[0, 0] == pytest.approx(0.299 * 100 + 0.587 * 200 + 0.114 * 50)
+        assert img.pixels[0, 0] == pytest.approx((0.299 * 100 + 0.587 * 200 + 0.114 * 50) / 255)

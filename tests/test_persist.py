@@ -152,3 +152,42 @@ class TestSchemaErrors:
         node["feature"] = feature
         with pytest.raises(persist.PersistError, match=r"trees\[0\](\.left)*\.feature"):
             persist.load_model(persist._canon(obj).encode())
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", -1.0), ("gamma", float("inf")), ("gamma", 10**400), ("c", 0.0),
+        ("c", -2.0), ("c", float("nan")), ("bias", float("nan")),
+        ("alpha_y", [float("nan")] * 8), ("alpha_y", [[1.0]] * 8), ("alpha_y", ["x"] * 8),
+        ("support_vectors", [[float("inf"), 0.0]] * 8), ("support_vectors", [[1.0], [1.0, 2.0]]),
+        ("support_vectors", [[]] * 8),
+    ])
+    def test_svm_field_not_finite_or_out_of_range(self, field, value):
+        # tiny_svm has 8 support vectors of 2 features.
+        import json
+
+        obj = json.loads(persist.save_model(tiny_svm()))
+        obj["payload"][field] = value
+        with pytest.raises(persist.PersistError, match=rf"\$\.payload\.{field}|gamma|c ="):
+            persist.load_model(json.dumps(obj).encode())
+
+    @pytest.mark.parametrize("mutate", [
+        lambda payload: payload.update(trees=[]),
+        lambda payload: payload["hyperparams"].update(n_trees=0),
+        lambda payload: payload.update(n_features=0),
+        lambda payload: payload["trees"][0].update(threshold=float("nan")),
+    ], ids=["no_trees", "n_trees_zero", "no_features", "threshold_nan"])
+    def test_forest_payload_rejected(self, mutate):
+        import json
+
+        obj = json.loads(persist.save_model(tiny_forest()))
+        assert "threshold" in obj["payload"]["trees"][0]
+        mutate(obj["payload"])
+        with pytest.raises(persist.PersistError, match=r"\$\.payload\.(trees|n_features)"):
+            persist.load_model(json.dumps(obj).encode())
+
+    @pytest.mark.parametrize("data", [
+        b"[" * 100_000 + b"]" * 100_000,
+        b"\xff\xfe\x00",
+    ], ids=["nested_too_deeply", "not_unicode"])
+    def test_unparsable_bytes(self, data):
+        with pytest.raises(persist.PersistError, match="invalid JSON"):
+            persist.load_model(data)

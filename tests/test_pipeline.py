@@ -3,11 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from prediagnose.core import AudioSignal, Rng, TrainingError
+from prediagnose.core import AudioSignal, GrayImage, Rng, TrainingError
 from prediagnose import pipeline as pl
 from prediagnose import synthcardio as sc
 from prediagnose import synththermal as st
 from prediagnose.audioproc import read_wav
+from prediagnose.imageproc import read_pgm
 
 
 THERMAL_CFG = st.ThermalConfig()
@@ -52,6 +53,15 @@ class TestSynthCardio:
 
 
 class TestClotPipeline:
+    def test_dark_pgm_features_match_the_unit_range_image(self):
+        # A file whose brightest sample is 1 is scaled like any other, not
+        # taken to be in [0,1] already.
+        on_disk = read_pgm(b"P5\n2 1\n255\n\x00\x01")
+        assert on_disk.pixels.tolist() == [[0.0, 1 / 255]]
+        cfg = pl.ClotPipelineConfig()
+        in_memory = GrayImage(np.array([[0.0, 1 / 255]]))
+        assert np.array_equal(pl.clot_features(on_disk, cfg), pl.clot_features(in_memory, cfg))
+
     def test_feature_length(self):
         img = st.generate_sample(THERMAL_CFG, 1, Rng(1))
         feats = pl.clot_features(img, pl.ClotPipelineConfig())

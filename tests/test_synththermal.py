@@ -125,7 +125,7 @@ class TestDatasetIO:
         from prediagnose.imageproc import read_pgm
 
         on_disk = read_pgm((tmp_path / rec["filename"]).read_bytes())
-        quantized = np.round(np.clip(regen.pixels, 0, 1) * 255.0)
+        quantized = np.round(np.clip(regen.pixels, 0, 1) * 255.0) / 255.0
         assert np.array_equal(on_disk.pixels, quantized)
 
     def test_sequence_layout(self, tmp_path):
@@ -154,3 +154,26 @@ class TestDatasetIO:
         (tmp_path / "manifest.csv").write_text("filename,label\nfoo.pgm,notanint\n")
         with pytest.raises(FormatError):
             st.load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("data", [
+        b"filename,label\n\xff.pgm,1\n",
+        b"filename,label\nsample0000.pgm,2\n",
+        b"label,filename\n1\n",
+    ], ids=["not_utf8", "label_not_binary", "filename_missing"])
+    def test_unreadable_manifest(self, tmp_path, data):
+        (tmp_path / "manifest.csv").write_bytes(data)
+        with pytest.raises(FormatError):
+            st.load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("name", ["../outside.pgm", "seq0000/../../outside.pgm", "{abs}"])
+    def test_filename_outside_data_dir(self, tmp_path, name):
+        from prediagnose.core import GrayImage
+        from prediagnose.imageproc import write_pgm
+
+        outside = tmp_path / "outside.pgm"
+        outside.write_bytes(write_pgm(GrayImage(np.zeros((4, 4)))))
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.csv").write_text(f"filename,label\n{name.format(abs=outside)},1\n")
+        with pytest.raises(FormatError, match="outside"):
+            st.load_dataset(data, read_image_file)
