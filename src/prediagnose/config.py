@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
+import sys
 import typing
 
 from .core import FormatError
@@ -62,14 +64,16 @@ def _parse_file(path) -> dict[str, object]:
                 values[key] = raw if typ is str else typ(raw)
             except ValueError as exc:
                 raise FormatError(f"bad value for {section}.{key}: {raw!r}") from exc
+            if typ is float and not math.isfinite(values[key]):
+                raise FormatError(f"bad value for {section}.{key}: {raw!r} is not finite")
     return values
 
 
 def config_from_snapshot(cls, values: dict):
     """Config dataclass cls with each field taken from values (a model's
     ``created_with`` record, or a parsed INI file) when present, else its
-    default.  A value of the wrong type raises PersistError; None passes only
-    where the field's annotation allows it."""
+    default.  A value of the wrong type, or a float that is not finite, raises
+    PersistError; None passes only where the field's annotation allows it."""
     hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
@@ -87,6 +91,9 @@ def _checked(key: str, value, nullable: bool):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else typ):
         raise PersistError(f"config value {key}={value!r} is not {typ.__name__}")
+    # NaN fails both comparisons; an int beyond the float range fails one
+    if typ is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise PersistError(f"config value {key}={value!r} is not a finite float")
     return value
 
 

@@ -2,6 +2,7 @@
 
 Canonical form: fixed field order, reals as decimal text with 17 significant
 digits, so model equality is byte equality and doubles round-trip exactly.
+NaN and infinities are not JSON, so writing one is a ValueError.
 """
 
 from __future__ import annotations
@@ -41,9 +42,18 @@ def _canon(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot serialize the non-finite float {obj}")
         return format(float(obj), ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        if not np.all(np.isfinite(obj)):
+            raise ValueError("cannot serialize a non-finite float array")
+        if obj.ndim > 1:
+            return "[" + ", ".join(_canon(row) for row in obj) + "]"
+        # one %-format per row; "%.17g" % v is format(v, ".17g")
+        return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj.tolist()) + "]"
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -122,8 +132,8 @@ def save_model(model, created_with: dict | None = None) -> bytes:
             "gamma": float(model.gamma),
             "c": float(model.c),
             "bias": float(model.bias),
-            "alpha_y": [float(v) for v in model.alpha_y],
-            "support_vectors": [[float(v) for v in row] for row in model.support_vectors],
+            "alpha_y": np.asarray(model.alpha_y, dtype=np.float64),
+            "support_vectors": np.asarray(model.support_vectors, dtype=np.float64),
         }
     else:
         hp = model.hyperparams

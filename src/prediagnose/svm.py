@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,10 @@ def train_svm_smo(
     hierarchy; without the fallback, isolated KKT violations can persist.
     Terminates after max_passes consecutive full sweeps with no alpha change.
     """
-    if c <= 0:
-        raise TrainingError("c must be positive")
+    if not 0 < c < math.inf:
+        raise TrainingError(f"c must be positive and finite, got {c}")
+    if gamma is not None and not 0 <= gamma < math.inf:
+        raise TrainingError(f"gamma must be >= 0 and finite, got {gamma}")
     X = data.features
     y01 = data.labels
     if len(np.unique(y01)) < 2:

@@ -58,6 +58,16 @@ class TestConfigFiles:
         with pytest.raises(FormatError, match="bad value"):
             cfgmod.load_config(ClotPipelineConfig, path)
 
+    @pytest.mark.parametrize("line", ["[ml]\nsvm_c = nan", "[ml]\nsvm_gamma = -inf",
+                                      "[imageproc]\ncanny_sigma = inf",
+                                      "[audioproc]\nhop = NaN"],
+                             ids=["svm_c_nan", "svm_gamma_minus_inf", "canny_sigma_inf", "hop_nan"])
+    def test_non_finite_float_rejected(self, tmp_path, line):
+        path = tmp_path / "cfg.ini"
+        path.write_text(line + "\n")
+        with pytest.raises(FormatError, match="is not finite"):
+            cfgmod.load_config(ClotPipelineConfig, path)
+
     def test_snapshot_round_trip(self):
         cfg = cfgmod.load_config(ClotPipelineConfig)
         snap = cfgmod.config_snapshot("clot", cfg)
@@ -93,8 +103,11 @@ class TestConfigFiles:
         (ClotPipelineConfig, {"hog_view": 3}),
         (CardioPipelineConfig, {"n_filters": "26"}),
         (CardioPipelineConfig, {"mtry": 2.5}),
+        (ClotPipelineConfig, {"svm_c": float("nan")}),
+        (ClotPipelineConfig, {"canny_sigma": float("inf")}),
+        (ClotPipelineConfig, {"svm_gamma": -10**400}),
     ], ids=["window_str", "window_none", "svm_c_bool", "cell_size_float", "hog_view_int",
-            "n_filters_str", "mtry_float"])
+            "n_filters_str", "mtry_float", "svm_c_nan", "canny_sigma_inf", "svm_gamma_huge_int"])
     def test_snapshot_value_of_wrong_type_rejected(self, cls, snap):
         with pytest.raises(PersistError, match="config value"):
             cfgmod.config_from_snapshot(cls, snap)
@@ -130,6 +143,14 @@ def model(data: bytes) -> dict:
     return {"m.pdmodel.json": data}
 
 
+def clot_train_data(ini: str) -> dict:
+    """A two-image clot training set in data/ and the config file c.ini."""
+    images = {f"data/{name}.pgm": write_pgm(GrayImage(np.full((8, 8), 0.1 + 0.8 * i)))
+              for i, name in enumerate("ab")}
+    return {**images, "data/manifest.csv": b"filename,label\na.pgm,0\nb.pgm,1\n",
+            "c.ini": ini.encode()}
+
+
 def clot_data(*names: str) -> dict:
     """A clot model, and a data directory whose manifest lists names with
     alternating labels."""
@@ -141,7 +162,8 @@ def clot_data(*names: str) -> dict:
 # One row per malformed input: argv ("{tmp}" is the test's directory, which
 # also holds a valid recording x.wav and a valid image x.pgm), extra
 # environment, the files to write under {tmp} as {relative path: bytes}
-# ("{tmp}" in the bytes is replaced too), and the exit code.
+# ("{tmp}" in the bytes is replaced too), and the exit code.  Nothing may be
+# written to {tmp}/d, so commands that write name it as their output.
 MALFORMED = {
     "positive_frac_above_1": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "4", "--positive-frac", "1.5",
@@ -241,6 +263,22 @@ MALFORMED = {
     "manifest_not_utf8": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
         {}, {**clot_data(), "data/manifest.csv": b"filename,label\n\xff.pgm,1\n"}, 2),
+    "config_svm_c_nan": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, clot_train_data("[ml]\nsvm_c = nan\n"), 2),
+    "config_canny_sigma_inf": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, clot_train_data("[imageproc]\ncanny_sigma = inf\n"), 2),
+    "config_svm_gamma_negative": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, clot_train_data("[ml]\nsvm_gamma = -1\n"), 3),
+    "created_with_canny_sigma_infinite": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(tiny_svm_file({"pipeline": "clot"}).replace(
+            b'"pipeline": "clot"', b'"pipeline": "clot", "canny_sigma": Infinity')), 2),
+    "report_input_nan": (
+        ["report", "--inputs", "{tmp}/r.json", "--out", "{tmp}/d"],
+        {}, {"r.json": b'{"auc": NaN}'}, 2),
 }
 
 
@@ -257,7 +295,7 @@ def test_malformed_input_exit_code(row, tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert code == expected
     assert out == ""
-    assert ("usage error" if expected == 1 else "data error") in err
+    assert {1: "usage error", 2: "data error", 3: "training error"}[expected] in err
     assert not (tmp_path / "d").exists()
 
 

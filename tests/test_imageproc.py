@@ -119,6 +119,14 @@ class TestSobel:
         mag, ang = ip.sobel_gradients(horizontal_step())
         assert np.allclose(ang.pixels[15:17, 5:-5], 90.0)
 
+    def test_angle_folding_matches_np_mod(self):
+        # every signed zero, both ends, and negatives so small that +180 rounds to 180
+        deg = np.array([-180.0, -179.99999999999997, -90.0, -1e-14, -1e-300, -5e-324, -0.0,
+                        0.0, 5e-324, 1e-300, 45.0, 179.99999999999997, 180.0])
+        gy, gx = Rng(14).gaussian_array(2000).reshape(2, -1)
+        deg = np.concatenate([deg, np.degrees(np.arctan2(gy, gx))])
+        assert ip._mod180(deg).tobytes() == (deg % 180.0).tobytes()
+
     def test_too_small(self):
         with pytest.raises(ValueError):
             ip.sobel_gradients(GrayImage(np.zeros((2, 5))))
@@ -178,6 +186,57 @@ class TestHog:
         norms = np.sqrt((clipped**2).sum(axis=2))
         assert np.all(norms <= 1 + 1e-9)
         assert np.all(clipped <= 0.2 + 1e-9)
+
+
+def cell_histograms_reference(img, cfg):
+    """One np.add.at per interpolation half, indexed by (cell row, cell column, bin)."""
+    mag, ang = ip._sobel(img.pixels)
+    pos = ang / (180.0 / cfg.bins)
+    lo = np.floor(pos).astype(int)
+    frac = pos - lo
+    h, w = mag.shape
+    cell_r = np.repeat(np.arange(h // cfg.cell_size), cfg.cell_size)[:, None] * np.ones(w, int)
+    cell_c = np.ones(h, int)[:, None] * np.repeat(np.arange(w // cfg.cell_size), cfg.cell_size)
+    hist = np.zeros((h // cfg.cell_size, w // cfg.cell_size, cfg.bins))
+    np.add.at(hist, (cell_r, cell_c, lo % cfg.bins), mag * (1 - frac))
+    np.add.at(hist, (cell_r, cell_c, (lo + 1) % cfg.bins), mag * frac)
+    return hist
+
+
+def blocks_reference(hist, bs, eps=1e-6):
+    """L2-Hys of each block, one block at a time."""
+    by, bx = hist.shape[0] - bs + 1, hist.shape[1] - bs + 1
+    clipped = np.zeros((by, bx, bs * bs * hist.shape[2]))
+    final = np.zeros_like(clipped)
+    for i in range(by):
+        for j in range(bx):
+            v = hist[i : i + bs, j : j + bs, :].ravel()
+            clipped[i, j] = np.minimum(v / np.sqrt(np.dot(v, v) + eps * eps), 0.2)
+            final[i, j] = clipped[i, j] / np.sqrt(np.dot(clipped[i, j], clipped[i, j]) + eps * eps)
+    return clipped, final
+
+
+class TestHogMatchesLoopReference:
+    """The vectorized histograms and blocks add and round exactly as the
+    per-pixel np.add.at and per-block loop they replace."""
+
+    @staticmethod
+    def images():
+        rng = np.random.default_rng(7)
+        thermal = GrayImage(np.clip(rng.normal(0.5, 0.2, (128, 128)), 0, 1))
+        return ([GrayImage(rng.random(shape)) for shape in ((128, 128), (64, 96), (40, 24))]
+                + [ip.canny(thermal), ip.gaussian_blur(thermal, 3.0), vertical_step(64)])
+
+    @pytest.mark.parametrize("cfg", [ip.HogConfig(),
+                                     ip.HogConfig(cell_size=4, block_size=3, bins=7),
+                                     ip.HogConfig(block_size=1, bins=12)],
+                             ids=["default", "cell4_block3_bins7", "block1_bins12"])
+    def test_bit_identical(self, cfg):
+        for img in self.images():
+            hist = ip._cell_histograms(img, cfg)
+            assert np.array_equal(hist, cell_histograms_reference(img, cfg))
+            for got, want in zip(ip._blocks(img, cfg), blocks_reference(hist, cfg.block_size)):
+                assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestPnmIO:

@@ -136,6 +136,15 @@ class TestSmo:
                 LabeledDataset(np.zeros((2, 2)), np.array([0, 1])), c=0.0
             )
 
+    @pytest.mark.parametrize("c, gamma", [(-1.0, None), (float("nan"), None), (float("inf"), None),
+                                          (1.0, -1.0), (1.0, float("nan")), (1.0, float("inf"))],
+                             ids=["c_negative", "c_nan", "c_inf", "gamma_negative", "gamma_nan",
+                                  "gamma_inf"])
+    def test_c_or_gamma_out_of_range_rejected(self, c, gamma):
+        # load_model would refuse the model these would give
+        with pytest.raises(TrainingError, match="finite"):
+            sv.train_svm_smo(LabeledDataset(np.eye(2), np.array([0, 1])), c=c, gamma=gamma)
+
     def test_decision_shape_check(self):
         model = sv.train_svm_smo(
             LabeledDataset(np.array([[0.0], [1.0]]), np.array([0, 1])), gamma=1.0

@@ -1,12 +1,18 @@
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prediagnose.core import LabeledDataset, Rng
 from prediagnose import persist
+from prediagnose import pipeline as pl
+from prediagnose import synththermal
+from prediagnose.config import config_snapshot
 from prediagnose.forest import forest_predict, train_random_forest
-from prediagnose.svm import svm_decision, train_svm_smo
+from prediagnose.svm import SvmModel, svm_decision, train_svm_smo
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -44,6 +50,64 @@ class TestCanonicalJson:
         rng = Rng(1)
         for v in rng.gaussian_array(100):
             assert json.loads(persist._canon(float(v))) == float(v)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+                                       np.array([1.0, float("nan")]),
+                                       np.array([[1.0, 2.0], [float("inf"), 0.0]])],
+                             ids=["nan", "inf", "-inf", "np_nan", "array_1d", "array_2d"])
+    def test_non_finite_refused(self, value):
+        # NaN and Infinity are not JSON
+        with pytest.raises(ValueError, match="non-finite"):
+            persist._canon({"x": [value]})
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def svm_bytes_reference(model) -> bytes:
+    """save_model(model) for an SVM, one format(v, ".17g") per float."""
+    def num(v):
+        return format(float(v), ".17g")
+
+    def row(values):
+        return "[" + ", ".join(num(v) for v in values) + "]"
+
+    svs = "[" + ", ".join(row(sv) for sv in model.support_vectors) + "]"
+    return (f'{{"format_version": 1, "kind": "svm", "created_with": {{}}, "payload": '
+            f'{{"gamma": {num(model.gamma)}, "c": {num(model.c)}, "bias": {num(model.bias)}, '
+            f'"alpha_y": {row(model.alpha_y)}, "support_vectors": {svs}}}}}\n').encode()
+
+
+@st.composite
+def svm_models(draw):
+    m, d = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    values = st.lists(st.one_of(FINITE, st.sampled_from(EXTREMES)), min_size=m * d + m + 3,
+                      max_size=m * d + m + 3)
+    v = draw(values)
+    return SvmModel(support_vectors=np.array(v[: m * d], dtype=np.float64).reshape(m, d),
+                    alpha_y=np.array(v[m * d : m * d + m], dtype=np.float64),
+                    bias=v[-3], gamma=v[-2], c=v[-1])
+
+
+class TestSvmBytes:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(svm_models())
+    @example(SvmModel(np.array([EXTREMES, EXTREMES[::-1]]), np.array([-0.0, 5e-324]),
+                      -0.0, 1.7976931348623157e308, 5e-324))
+    def test_save_model_formats_each_float_with_17_digits(self, model):
+        assert persist.save_model(model) == svm_bytes_reference(model)
+
+    def test_seeded_clot_model_pinned(self):
+        # Several 16,200-feature support vectors and the default created_with
+        # record; the digest is of the per-float writer this one replaced.
+        cfg = pl.ClotPipelineConfig()
+        train = synththermal.generate_dataset(synththermal.ThermalConfig(), 6, 0.5, Rng(31))
+        model = pl.clot_train(train, cfg)
+        assert len(model.alpha_y) > 1
+        data = persist.save_model(model, config_snapshot("clot", cfg))
+        assert hashlib.sha256(data).hexdigest() == (
+            "6acfc0d00a7a414cae4a15c8fae786dcd4ca8651789c4b94513dcf778544139b")
 
 
 class TestGolden:

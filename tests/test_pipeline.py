@@ -100,6 +100,22 @@ class TestClotPipeline:
         with pytest.raises(ValueError):
             pl.ClotPipelineConfig(hog_view="depth")
 
+    def test_features_pinned_bit_for_bit(self):
+        # Guards every later speed-up of the image path: a change of even one
+        # ulp in any feature changes the digest. Every HOG view, both labels,
+        # and a crop that is not 128x128 and so goes through the resize.
+        rng = Rng(20261)
+        samples = [st.generate_sample(THERMAL_CFG, label, rng) for label in (0, 1, 0, 1)]
+        samples[3] = GrayImage(samples[3].pixels[:120, 4:100])
+        digest = hashlib.sha256()
+        for view in ("both", "edge", "intensity"):
+            cfg = pl.ClotPipelineConfig(hog_view=view)
+            for img in samples:
+                feats = pl.clot_features(img, cfg)
+                digest.update(np.ascontiguousarray(feats, dtype="<f8").tobytes())
+        assert digest.hexdigest() == (
+            "7ab815c52ec24b18f78c5c826299cafabb21fd252b1c22d1ac05cd5cfae3ba19")
+
     def test_threaded_features_match(self):
         imgs = [st.generate_sample(THERMAL_CFG, i % 2, Rng(30 + i)) for i in range(4)]
         cfg = pl.ClotPipelineConfig()
