@@ -1,12 +1,24 @@
 """Versioned canonical-JSON model persistence (.pdmodel.json).
 
 Canonical form: fixed field order, reals as decimal text with 17 significant
-digits, so model equality is byte equality and doubles round-trip exactly.
-NaN and infinities are not JSON, so writing one is a ValueError.
+digits, so model equality is byte equality and doubles round-trip exactly
+(except that -0.0, written "-0", reads back as 0.0). NaN and infinities are
+not JSON, so writing one is a ValueError.
+
+Format version 2 packs an SVM's support-vector matrix, the bulk of a clot
+model, as {"shape": [m, d], "float64le_base64": "..."}: the standard base64
+(no line breaks) of its m*d little-endian float64 values in row-major order.
+Parsing 17-digit decimals was nearly all of a clot `predict`; decoding
+base64 costs a fraction of that. The packed values are the doubles
+themselves, so they round-trip bit for bit and the bytes stay deterministic.
+Every other field keeps its version 1 form. save_model writes version 2
+only; version 1 files, whose support vectors are nested decimal lists,
+still load.
 """
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
 import os
@@ -19,7 +31,7 @@ from .core import FormatError
 from .forest import ForestHyperparams, ForestModel, TreeNode
 from .svm import SvmModel
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 FILE_SUFFIX = ".pdmodel.json"
 
 
@@ -50,9 +62,7 @@ def _canon(obj) -> str:
     if isinstance(obj, np.ndarray):
         if not np.all(np.isfinite(obj)):
             raise ValueError("cannot serialize a non-finite float array")
-        if obj.ndim > 1:
-            return "[" + ", ".join(_canon(row) for row in obj) + "]"
-        # one %-format per row; "%.17g" % v is format(v, ".17g")
+        # one %-format per 1-D array; "%.17g" % v is format(v, ".17g")
         return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj.tolist()) + "]"
     raise TypeError(f"cannot serialize {type(obj)}")
 
@@ -100,6 +110,31 @@ def _finite_array(mapping, key, path, ndim: int) -> np.ndarray:
     return arr
 
 
+def _packed_matrix(mapping, key, path) -> np.ndarray:
+    """mapping[key] in its version 2 form, {"shape": [m, d], "float64le_base64":
+    text}, as a finite (m, d) float64 array."""
+    packed = _expect(mapping, key, dict, path)
+    path = f"{path}.{key}"
+    shape = _expect(packed, "shape", list, path)
+    if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
+        raise PersistError(f"field {path}.shape must be two non-negative integers")
+    text = _expect(packed, "float64le_base64", str, path)
+    n_bytes = 8 * shape[0] * shape[1]
+    # Checked before decoding, so no text of the wrong length is decoded.
+    if len(text) != 4 * -(-n_bytes // 3):
+        raise PersistError(f"field {path}.float64le_base64 does not hold {n_bytes} bytes")
+    try:
+        raw = binascii.a2b_base64(text, strict_mode=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise PersistError(f"field {path}.float64le_base64 is not base64: {exc}") from None
+    if len(raw) != n_bytes:
+        raise PersistError(f"field {path}.float64le_base64 does not hold {n_bytes} bytes")
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise PersistError(f"field {path} must be finite numbers in 2 dimensions")
+    return arr
+
+
 def _tree_from_dict(obj, path, n_features: int) -> TreeNode:
     if not isinstance(obj, dict):
         raise PersistError(f"field {path} must be an object")
@@ -127,13 +162,18 @@ def model_kind(model) -> str:
 
 def save_model(model, created_with: dict | None = None) -> bytes:
     kind = model_kind(model)
+    packed = None
     if kind == "svm":
+        sv = np.ascontiguousarray(model.support_vectors, dtype="<f8")
+        if not np.all(np.isfinite(sv)):
+            raise ValueError("cannot serialize a non-finite float array")
+        packed = binascii.b2a_base64(sv, newline=False)
         payload = {
             "gamma": float(model.gamma),
             "c": float(model.c),
             "bias": float(model.bias),
             "alpha_y": np.asarray(model.alpha_y, dtype=np.float64),
-            "support_vectors": np.asarray(model.support_vectors, dtype=np.float64),
+            "support_vectors": {"shape": list(sv.shape), "float64le_base64": ""},
         }
     else:
         hp = model.hyperparams
@@ -154,7 +194,13 @@ def save_model(model, created_with: dict | None = None) -> bytes:
         "created_with": created_with or {},
         "payload": payload,
     }
-    return (_canon(envelope) + "\n").encode()
+    text = _canon(envelope) + "\n"
+    if packed is None:
+        return text.encode()
+    # The empty packed string is the file's last value. Joining the packed
+    # bytes in between its quotes keeps a single copy of them beside the result.
+    head, _, tail = text.rpartition('""')
+    return b"".join([head.encode(), b'"', packed, b'"', tail.encode()])
 
 
 def load_model(data: bytes):
@@ -167,7 +213,7 @@ def load_model(data: bytes):
     except RecursionError:
         raise PersistError("invalid JSON: nested too deeply") from None
     version = _expect(envelope, "format_version", int, "$")
-    if version != FORMAT_VERSION:
+    if version not in (1, FORMAT_VERSION):
         raise PersistError(f"unsupported format_version {version}")
     kind = _expect(envelope, "kind", str, "$")
     created_with = _expect(envelope, "created_with", dict, "$")
@@ -179,7 +225,10 @@ def load_model(data: bytes):
             raise PersistError(f"need gamma >= 0 and c > 0, got gamma={gamma}, c={c}")
         bias = _real(payload, "bias", "$.payload")
         alpha_y = _finite_array(payload, "alpha_y", "$.payload", 1)
-        sv = _finite_array(payload, "support_vectors", "$.payload", 2)
+        if version == 1:
+            sv = _finite_array(payload, "support_vectors", "$.payload", 2)
+        else:
+            sv = _packed_matrix(payload, "support_vectors", "$.payload")
         if sv.size == 0 or len(sv) != len(alpha_y):
             raise PersistError(f"$.payload.support_vectors of shape {sv.shape} is empty or has a "
                                f"length mismatch with alpha_y ({len(alpha_y)})")

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -127,6 +128,23 @@ def tiny_svm_file(created_with, **payload) -> bytes:
                                 created_with))
     doc["payload"].update(payload)
     return json.dumps(doc).encode()
+
+
+def zeros_but(value) -> np.ndarray:
+    """One clot support vector of zeros with value at feature 7."""
+    values = np.zeros((1, CLOT_FEATURES))
+    values[0, 7] = value
+    return values
+
+
+def packed_svm_file(values=None, shape=None, text=lambda t: t) -> bytes:
+    """tiny_svm_file with its packed support vectors replaced: values (little-
+    endian float64) in place of the zeros, shape in place of theirs, and
+    text(t) in place of the base64 text t."""
+    values = np.zeros((1, CLOT_FEATURES)) if values is None else values
+    t = base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+    return tiny_svm_file({"pipeline": "clot"}, support_vectors={
+        "shape": list(np.shape(values)) if shape is None else shape, "float64le_base64": text(t)})
 
 
 def tiny_forest_file(feature: int = 0, **payload) -> bytes:
@@ -276,6 +294,64 @@ MALFORMED = {
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
         {}, model(tiny_svm_file({"pipeline": "clot"}).replace(
             b'"pipeline": "clot"', b'"pipeline": "clot", "canny_sigma": Infinity')), 2),
+    "packed_not_base64_char": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(text=lambda t: t[:9] + "*" + t[10:])), 2),
+    "packed_bad_padding": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(text=lambda t: t[:9] + "=" + t[10:])), 2),
+    "packed_space": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(text=lambda t: t[:9] + " " + t[10:])), 2),
+    "packed_newline": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(text=lambda t: t[:9] + "\n" + t[10:])), 2),
+    "packed_line_breaks": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(text=lambda t: base64.encodebytes(base64.b64decode(t)).decode())),
+        2),
+    "packed_byte_count": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(np.zeros(CLOT_FEATURES - 1), shape=[1, CLOT_FEATURES])), 2),
+    "packed_byte_count_padded": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(text=lambda t: t[:-4] + "AA==")), 2),
+    "packed_nan": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(zeros_but(np.nan))), 2),
+    "packed_inf": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(zeros_but(np.inf))), 2),
+    "packed_minus_inf": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(zeros_but(-np.inf))), 2),
+    "packed_empty": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(np.zeros((1, 0)))), 2),
+    "packed_shape_one_entry": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(shape=[CLOT_FEATURES])), 2),
+    "packed_shape_three_entries": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(shape=[1, CLOT_FEATURES, 1])), 2),
+    "packed_shape_negative": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(shape=[-1, -CLOT_FEATURES])), 2),
+    "packed_shape_bool": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(shape=[True, CLOT_FEATURES])), 2),
+    "packed_shape_float": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(shape=[1.0, CLOT_FEATURES])), 2),
+    "packed_shape_huge": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file(shape=[2**40, 2**40])), 2),
+    "packed_in_v1_file": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(packed_svm_file().replace(b'"format_version": 2', b'"format_version": 1')), 2),
+    "nested_list_in_v2_file": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(tiny_svm_file({"pipeline": "clot"}, support_vectors=[[0.0] * CLOT_FEATURES])), 2),
     "report_input_nan": (
         ["report", "--inputs", "{tmp}/r.json", "--out", "{tmp}/d"],
         {}, {"r.json": b'{"auc": NaN}'}, 2),

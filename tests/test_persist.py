@@ -1,3 +1,4 @@
+import base64
 import hashlib
 from pathlib import Path
 
@@ -60,13 +61,22 @@ class TestCanonicalJson:
         with pytest.raises(ValueError, match="non-finite"):
             persist._canon({"x": [value]})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_support_vector_refused(self, value):
+        sv = np.zeros((2, 3))
+        sv[1, 2] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            persist.save_model(SvmModel(sv, np.ones(2), 0.0, 1.0, 1.0))
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
-def svm_bytes_reference(model) -> bytes:
-    """save_model(model) for an SVM, one format(v, ".17g") per float."""
+def svm_bytes_reference(model, created_with=None) -> bytes:
+    """An SVM model file in format version 1, one format(v, ".17g") per float:
+    the reference for the 17-digit writer and the source of v1 test files."""
     def num(v):
         return format(float(v), ".17g")
 
@@ -74,7 +84,8 @@ def svm_bytes_reference(model) -> bytes:
         return "[" + ", ".join(num(v) for v in values) + "]"
 
     svs = "[" + ", ".join(row(sv) for sv in model.support_vectors) + "]"
-    return (f'{{"format_version": 1, "kind": "svm", "created_with": {{}}, "payload": '
+    return (f'{{"format_version": 1, "kind": "svm", "created_with": '
+            f'{persist._canon(created_with or {})}, "payload": '
             f'{{"gamma": {num(model.gamma)}, "c": {num(model.c)}, "bias": {num(model.bias)}, '
             f'"alpha_y": {row(model.alpha_y)}, "support_vectors": {svs}}}}}\n').encode()
 
@@ -90,34 +101,76 @@ def svm_models(draw):
                     bias=v[-3], gamma=v[-2], c=v[-1])
 
 
+def bits(values, signed_zero: bool = True) -> np.ndarray:
+    """The IEEE-754 bit patterns of values, so that -0.0 differs from 0.0
+    unless signed_zero is False."""
+    values = np.asarray(values, dtype=np.float64)
+    if not signed_zero:
+        values = values + 0.0  # -0.0 + 0.0 is 0.0
+    return values.view(np.int64)
+
+
+def assert_same_svm(loaded, model, packed: bool):
+    """loaded holds model's doubles bit for bit. Decimal text writes -0.0 as
+    "-0", which JSON reads as the integer 0, so only packed support vectors
+    keep the sign of a zero."""
+    assert loaded.support_vectors.shape == model.support_vectors.shape
+    assert np.array_equal(bits(loaded.support_vectors, packed), bits(model.support_vectors, packed))
+    assert np.array_equal(bits(loaded.alpha_y, False), bits(model.alpha_y, False))
+    assert np.array_equal(bits([loaded.bias, loaded.gamma, loaded.c], False),
+                          bits([model.bias, model.gamma, model.c], False))
+
+
 class TestSvmBytes:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(svm_models())
     @example(SvmModel(np.array([EXTREMES, EXTREMES[::-1]]), np.array([-0.0, 5e-324]),
                       -0.0, 1.7976931348623157e308, 5e-324))
     def test_save_model_formats_each_float_with_17_digits(self, model):
-        assert persist.save_model(model) == svm_bytes_reference(model)
+        # Version 1 (17 digits per float) and version 2 (packed support
+        # vectors) files both load back bit for bit; a model load_model
+        # refuses is refused in both forms.
+        loadable = model.support_vectors.size > 0 and model.gamma >= 0 and model.c > 0
+        for data, packed in ((svm_bytes_reference(model), False),
+                             (persist.save_model(model), True)):
+            if loadable:
+                assert_same_svm(persist.load_model(data)[0], model, packed)
+            else:
+                with pytest.raises(persist.PersistError):
+                    persist.load_model(data)
 
     def test_seeded_clot_model_pinned(self):
         # Several 16,200-feature support vectors and the default created_with
-        # record; the digest is of the per-float writer this one replaced.
+        # record. The version 1 digest is of the per-float writer that wrote
+        # models before the packed format, so it shows training is unchanged.
         cfg = pl.ClotPipelineConfig()
         train = synththermal.generate_dataset(synththermal.ThermalConfig(), 6, 0.5, Rng(31))
         model = pl.clot_train(train, cfg)
         assert len(model.alpha_y) > 1
-        data = persist.save_model(model, config_snapshot("clot", cfg))
-        assert hashlib.sha256(data).hexdigest() == (
+        v1 = svm_bytes_reference(model, config_snapshot("clot", cfg))
+        assert hashlib.sha256(v1).hexdigest() == (
             "6acfc0d00a7a414cae4a15c8fae786dcd4ca8651789c4b94513dcf778544139b")
+        v2 = persist.save_model(model, config_snapshot("clot", cfg))
+        assert hashlib.sha256(v2).hexdigest() == (
+            "25c0b84c65a792b5693706020a6257fdcb8eda54d5a2966f2a7f82c9084e3d64")
+
+
+def assert_writes_golden(model, created_with, name):
+    """save_model writes the frozen version 2 golden file, and the frozen
+    version 1 golden file loads and saves to the same bytes."""
+    v2 = (GOLDEN / f"{name}.v2.pdmodel.json").read_bytes()
+    assert persist.save_model(model, created_with) == v2
+    loaded, meta = persist.load_model((GOLDEN / f"{name}.pdmodel.json").read_bytes())
+    assert meta == created_with
+    assert persist.save_model(loaded, meta) == v2
 
 
 class TestGolden:
     def test_svm_golden_bytes(self):
-        data = persist.save_model(tiny_svm(), {"tool": "test", "seed": 2024})
-        assert data == (GOLDEN / "svm_tiny.pdmodel.json").read_bytes()
+        assert_writes_golden(tiny_svm(), {"tool": "test", "seed": 2024}, "svm_tiny")
 
     def test_forest_golden_bytes(self):
-        data = persist.save_model(tiny_forest(), {"tool": "test", "seed": 77})
-        assert data == (GOLDEN / "forest_tiny.pdmodel.json").read_bytes()
+        assert_writes_golden(tiny_forest(), {"tool": "test", "seed": 77}, "forest_tiny")
 
     def test_golden_loads_and_predicts_identically(self):
         fresh = tiny_svm()
@@ -156,13 +209,23 @@ class TestRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+def packed_sv(values, shape=None, text=None) -> dict:
+    """A version 2 support-vector field holding values as little-endian
+    float64; shape defaults to that of values, and text(t) edits the base64."""
+    values = np.asarray(values, dtype="<f8")
+    t = base64.b64encode(values.tobytes()).decode()
+    return {"shape": list(values.shape) if shape is None else shape,
+            "float64le_base64": t if text is None else text(t)}
+
+
 class TestSchemaErrors:
     def test_unsupported_version(self):
-        data = persist.save_model(tiny_svm()).replace(
-            b'"format_version": 1', b'"format_version": 2'
-        )
-        with pytest.raises(persist.PersistError, match="format_version"):
-            persist.load_model(data)
+        for version in (b"0", b"3"):
+            data = persist.save_model(tiny_svm()).replace(
+                b'"format_version": 2', b'"format_version": ' + version
+            )
+            with pytest.raises(persist.PersistError, match="format_version"):
+                persist.load_model(data)
 
     def test_invalid_json(self):
         with pytest.raises(persist.PersistError, match="invalid JSON"):
@@ -225,13 +288,79 @@ class TestSchemaErrors:
         ("support_vectors", [[]] * 8),
     ])
     def test_svm_field_not_finite_or_out_of_range(self, field, value):
-        # tiny_svm has 8 support vectors of 2 features.
+        # tiny_svm has 6 support vectors of 2 features. A version 2 file
+        # refuses support vectors as nested lists whatever they hold.
+        import json
+
+        for data in (svm_bytes_reference(tiny_svm()), persist.save_model(tiny_svm())):
+            obj = json.loads(data)
+            obj["payload"][field] = value
+            with pytest.raises(persist.PersistError, match=rf"\$\.payload\.{field}|gamma|c ="):
+                persist.load_model(json.dumps(obj).encode())
+
+    @pytest.mark.parametrize("packed, message", [
+        (packed_sv(np.full((6, 2), np.inf)), "must be finite"),
+        (packed_sv(np.array([[1.0, 2.0]] * 5 + [[-np.inf, 0.0]])), "must be finite"),
+        (packed_sv(np.array([[np.nan, 0.0]] * 6)), "must be finite"),
+        (packed_sv(np.ones(11), shape=[6, 2]), "does not hold 96 bytes"),
+        (packed_sv(np.ones(13), shape=[6, 2]), "does not hold 96 bytes"),
+        (packed_sv(np.ones(7)[:0], shape=[6, 0]), "is empty"),
+        (packed_sv(np.ones(7)[:0], shape=[0, 2]), "is empty"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "*" + t[11:]), "is not base64"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "=" + t[11:]), "is not base64"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:-4] + "AA=="), "does not hold 96 bytes"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + " " + t[11:]), "is not base64"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "\n" + t[11:]), "is not base64"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:8] + "    " + t[12:]), "is not base64"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:64] + "\n" + t[64:]), "does not hold"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "\u00e9" + t[11:]), "is not base64"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: [t]), "wrong type"),
+        (packed_sv(np.ones((6, 2)), shape=[12]), "two non-negative integers"),
+        (packed_sv(np.ones((6, 2)), shape=[6, 2, 1]), "two non-negative integers"),
+        (packed_sv(np.ones((6, 2)), shape=[-6, -2]), "two non-negative integers"),
+        (packed_sv(np.ones(6), shape=[6, True]), "two non-negative integers"),
+        (packed_sv(np.ones((6, 2)), shape=[6.0, 2]), "two non-negative integers"),
+        ({"shape": [6, 2]}, "missing field"),
+        ([[1.0, 2.0]] * 6, "wrong type"),
+    ], ids=["inf", "minus_inf", "nan", "ragged_short", "ragged_long", "no_features", "no_rows",
+            "not_base64_char", "bad_padding", "early_padding", "space", "newline", "four_spaces",
+            "line_break_inserted", "not_ascii", "text_not_a_string", "shape_one_entry",
+            "shape_three_entries", "shape_negative", "shape_bool", "shape_float", "text_missing",
+            "nested_list"])
+    def test_packed_support_vectors_rejected(self, packed, message):
+        # tiny_svm has 6 support vectors of 2 features: 96 bytes.
         import json
 
         obj = json.loads(persist.save_model(tiny_svm()))
-        obj["payload"][field] = value
-        with pytest.raises(persist.PersistError, match=rf"\$\.payload\.{field}|gamma|c ="):
+        obj["payload"]["support_vectors"] = packed
+        with pytest.raises(persist.PersistError,
+                           match=rf"(?=.*\$\.payload\.support_vectors)(?=.*{message})"):
             persist.load_model(json.dumps(obj).encode())
+
+    def test_packed_support_vectors_in_v1_file_rejected(self):
+        import json
+
+        obj = json.loads(svm_bytes_reference(tiny_svm()))
+        obj["payload"]["support_vectors"] = packed_sv(tiny_svm().support_vectors)
+        with pytest.raises(persist.PersistError, match=r"\$\.payload\.support_vectors"):
+            persist.load_model(json.dumps(obj).encode())
+
+    @pytest.mark.parametrize("shape", [[2**40, 2**40], [2**17, 2**10], [1, 2**40]])
+    def test_huge_packed_shape_allocates_nothing(self, shape):
+        import json
+        import tracemalloc
+
+        obj = json.loads(persist.save_model(tiny_svm()))
+        obj["payload"]["support_vectors"]["shape"] = shape
+        data = json.dumps(obj).encode()
+        tracemalloc.start()
+        try:
+            with pytest.raises(persist.PersistError, match="does not hold"):
+                persist.load_model(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("mutate", [
         lambda payload: payload.update(trees=[]),
@@ -255,3 +384,36 @@ class TestSchemaErrors:
     def test_unparsable_bytes(self, data):
         with pytest.raises(persist.PersistError, match="invalid JSON"):
             persist.load_model(data)
+
+
+class TestCrossVersionCli:
+    def test_v1_and_v2_files_give_identical_output(self, tmp_path, capsys):
+        # One seeded clot model, written by the version 1 reference writer
+        # and by save_model; every command must print the same bytes.
+        import re
+
+        from prediagnose.cli import main
+
+        def run(*argv) -> str:
+            assert main([str(a) for a in argv]) == 0
+            return re.sub(r', "latency_ms": [^,}]+', "", capsys.readouterr().out)
+
+        run("synth", "thermal", "--out", tmp_path / "train", "--n", "6", "--seed", "31")
+        run("synth", "thermal", "--out", tmp_path / "test", "--n", "4", "--seed", "32")
+        run("synth", "thermal", "--out", tmp_path / "seq", "--n", "2", "--seed", "33",
+            "--frames", "5")
+        v2 = tmp_path / "v2.pdmodel.json"
+        run("train", "clot", "--data", tmp_path / "train", "--out", v2)
+        model, created_with = persist.load_model_file(v2)
+        v1 = tmp_path / "v1.pdmodel.json"
+        v1.write_bytes(svm_bytes_reference(model, created_with))
+        assert v1.read_bytes().startswith(b'{"format_version": 1')
+        assert v2.read_bytes().startswith(b'{"format_version": 2')
+        outputs = [[run("predict", "clot", "--model", path, "--input",
+                        tmp_path / "test" / "sample0001.pgm"),
+                    run("predict", "clot", "--model", path, "--sequence",
+                        tmp_path / "seq" / "seq0000"),
+                    run("eval", "--model", path, "--data", tmp_path / "test")]
+                   for path in (v1, v2)]
+        assert "latency_ms" not in "".join(outputs[1]) and '"score"' in outputs[1][0]
+        assert outputs[0] == outputs[1]

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from prediagnose import persist
 from prediagnose.audioproc import read_wav
@@ -143,7 +144,8 @@ def _replaced(obj, path, value):
 
 _GOLDEN = Path(__file__).parent / "golden"
 VALID_MODELS = [json.loads((_GOLDEN / name).read_bytes())
-                for name in ("svm_tiny.pdmodel.json", "forest_tiny.pdmodel.json")]
+                for name in ("svm_tiny.pdmodel.json", "forest_tiny.pdmodel.json",
+                             "svm_tiny.v2.pdmodel.json", "forest_tiny.v2.pdmodel.json")]
 
 
 @st.composite
@@ -173,6 +175,24 @@ def test_load_model_any_bytes(data):
         assert math.isfinite(model.bias) and model.gamma >= 0 and model.c > 0
     else:
         assert isinstance(model, ForestModel) and model.trees and model.n_features >= 1
+
+
+EXTREMES = [-0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+FINITE_MATRICES = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6),
+                         elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                            st.sampled_from(EXTREMES)))
+
+
+@PROPERTY
+@given(FINITE_MATRICES)
+def test_packed_support_vectors_round_trip(sv):
+    model = SvmModel(sv, np.ones(len(sv)), 0.5, 0.25, 2.0)
+    data = persist.save_model(model)
+    assert persist.save_model(model) == data
+    loaded, _ = persist.load_model(data)
+    assert loaded.support_vectors.shape == sv.shape
+    assert np.array_equal(loaded.support_vectors.view(np.int64), sv.view(np.int64))
+    assert persist.save_model(loaded) == data
 
 
 MANIFEST_CELL = st.one_of(st.sampled_from(["0", "1", "2", "-1", " 1", "a.pgm", '"q,x"', ""]),
