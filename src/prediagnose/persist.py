@@ -119,14 +119,12 @@ def _packed_matrix(mapping, key, path) -> np.ndarray:
     if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
         raise PersistError(f"field {path}.shape must be two non-negative integers")
     text = _expect(packed, "float64le_base64", str, path)
-    n_bytes = 8 * shape[0] * shape[1]
-    # Checked before decoding, so no text of the wrong length is decoded.
-    if len(text) != 4 * -(-n_bytes // 3):
-        raise PersistError(f"field {path}.float64le_base64 does not hold {n_bytes} bytes")
     try:
         raw = binascii.a2b_base64(text, strict_mode=True)
     except ValueError as exc:  # binascii.Error, or text that is not ASCII
         raise PersistError(f"field {path}.float64le_base64 is not base64: {exc}") from None
+    # Nothing is sized by shape before this check, so a huge shape allocates nothing.
+    n_bytes = 8 * shape[0] * shape[1]
     if len(raw) != n_bytes:
         raise PersistError(f"field {path}.float64le_base64 does not hold {n_bytes} bytes")
     arr = np.frombuffer(raw, dtype="<f8").reshape(shape)

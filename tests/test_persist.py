@@ -74,17 +74,24 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
-def svm_bytes_reference(model, created_with=None) -> bytes:
-    """An SVM model file in format version 1, one format(v, ".17g") per float:
-    the reference for the 17-digit writer and the source of v1 test files."""
+def svm_bytes_reference(model, created_with=None, packed=False) -> bytes:
+    """An SVM model file, one format(v, ".17g") per float: format version 1,
+    the source of v1 test files, or with packed=True version 2, whose support
+    vectors are the base64 of their little-endian float64 bytes. The
+    reference for save_model's bytes."""
     def num(v):
         return format(float(v), ".17g")
 
     def row(values):
         return "[" + ", ".join(num(v) for v in values) + "]"
 
-    svs = "[" + ", ".join(row(sv) for sv in model.support_vectors) + "]"
-    return (f'{{"format_version": 1, "kind": "svm", "created_with": '
+    if packed:
+        m, d = model.support_vectors.shape
+        b64 = base64.b64encode(np.asarray(model.support_vectors, dtype="<f8").tobytes()).decode()
+        svs = f'{{"shape": [{m}, {d}], "float64le_base64": "{b64}"}}'
+    else:
+        svs = "[" + ", ".join(row(sv) for sv in model.support_vectors) + "]"
+    return (f'{{"format_version": {2 if packed else 1}, "kind": "svm", "created_with": '
             f'{persist._canon(created_with or {})}, "payload": '
             f'{{"gamma": {num(model.gamma)}, "c": {num(model.c)}, "bias": {num(model.bias)}, '
             f'"alpha_y": {row(model.alpha_y)}, "support_vectors": {svs}}}}}\n').encode()
@@ -127,9 +134,11 @@ class TestSvmBytes:
     @example(SvmModel(np.array([EXTREMES, EXTREMES[::-1]]), np.array([-0.0, 5e-324]),
                       -0.0, 1.7976931348623157e308, 5e-324))
     def test_save_model_formats_each_float_with_17_digits(self, model):
-        # Version 1 (17 digits per float) and version 2 (packed support
-        # vectors) files both load back bit for bit; a model load_model
-        # refuses is refused in both forms.
+        # save_model writes exactly the reference's version 2 bytes. Version 1
+        # (17 digits per float) and version 2 (packed support vectors) files
+        # both load back bit for bit; a model load_model refuses is refused
+        # in both forms.
+        assert persist.save_model(model) == svm_bytes_reference(model, packed=True)
         loadable = model.support_vectors.size > 0 and model.gamma >= 0 and model.c > 0
         for data, packed in ((svm_bytes_reference(model), False),
                              (persist.save_model(model), True)):
@@ -312,7 +321,7 @@ class TestSchemaErrors:
         (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + " " + t[11:]), "is not base64"),
         (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "\n" + t[11:]), "is not base64"),
         (packed_sv(np.ones((6, 2)), text=lambda t: t[:8] + "    " + t[12:]), "is not base64"),
-        (packed_sv(np.ones((6, 2)), text=lambda t: t[:64] + "\n" + t[64:]), "does not hold"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:64] + "\n" + t[64:]), "is not base64"),
         (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "\u00e9" + t[11:]), "is not base64"),
         (packed_sv(np.ones((6, 2)), text=lambda t: [t]), "wrong type"),
         (packed_sv(np.ones((6, 2)), shape=[12]), "two non-negative integers"),
@@ -347,6 +356,8 @@ class TestSchemaErrors:
 
     @pytest.mark.parametrize("shape", [[2**40, 2**40], [2**17, 2**10], [1, 2**40]])
     def test_huge_packed_shape_allocates_nothing(self, shape):
+        # The shape must not size any allocation before the decoded byte
+        # count is checked against it.
         import json
         import tracemalloc
 
