@@ -216,11 +216,6 @@ def aggregate_features(frames: np.ndarray) -> np.ndarray:
     return np.concatenate([frames.mean(axis=0), frames.std(axis=0)])
 
 
-def frames_to_csv(frames: np.ndarray) -> str:
-    """One frame per row, 17 significant digits."""
-    return "\n".join(",".join(format(v, ".17g") for v in row) for row in frames) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Daubechies-4 (8-tap) wavelet transform, periodic boundary
 
@@ -246,10 +241,6 @@ class WaveletPyramid:
 
     approx: np.ndarray
     details: list[np.ndarray]
-
-    @property
-    def levels(self) -> int:
-        return len(self.details)
 
 
 def _analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

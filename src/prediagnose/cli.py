@@ -134,7 +134,6 @@ def build_parser() -> _Parser:
     p_st.add_argument("--seed", type=int, required=True)
     p_st.add_argument("--frames", type=_arg(int, lambda v: v >= 0, "an integer >= 0"), default=0)
     p_st.add_argument("--config", default=None)
-    p_st.add_argument("--threads", type=_count, default=None)
 
     p_sc = synth_sub.add_parser("cardio")
     p_sc.add_argument("--task", choices=["lung", "heart"], required=True)
@@ -144,7 +143,6 @@ def build_parser() -> _Parser:
     p_sc.add_argument("--seed", type=int, required=True)
     p_sc.add_argument("--rate", type=int, choices=SAMPLE_RATES, default=8000)
     p_sc.add_argument("--duration", type=_duration, default=3.0)
-    p_sc.add_argument("--threads", type=_count, default=None)
 
     p_train = sub.add_parser("train", help="train a pipeline model")
     p_train.add_argument("pipeline", choices=["clot", "cardio", "skin"])
@@ -156,8 +154,9 @@ def build_parser() -> _Parser:
     p_pred = sub.add_parser("predict", help="single-sample prediction")
     p_pred.add_argument("pipeline", choices=["clot", "cardio", "skin"])
     p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--input", default=None)
-    p_pred.add_argument("--sequence", default=None)
+    source = p_pred.add_mutually_exclusive_group()
+    source.add_argument("--input", default=None)
+    source.add_argument("--sequence", default=None)
     p_pred.add_argument("--window", type=_window, default=None)
     p_pred.add_argument("--threads", type=_count, default=None)
 
@@ -172,7 +171,6 @@ def build_parser() -> _Parser:
     p_rep = sub.add_parser("report", help="concatenate per-modality reports")
     p_rep.add_argument("--inputs", nargs="+", required=True)
     p_rep.add_argument("--out", required=True)
-    p_rep.add_argument("--threads", type=_count, default=None)
 
     return parser
 
@@ -215,13 +213,17 @@ def _load_model(path):
 
 
 def _cmd_predict(args) -> int:
+    if args.pipeline != "clot" and (args.sequence is not None or args.window is not None):
+        raise _UsageError(f"--sequence and --window are for clot, not {args.pipeline}")
+    if args.window is not None and args.sequence is None:
+        raise _UsageError("--window requires --sequence")
     model, created_with, kind = _load_model(args.model)
     if kind != args.pipeline:
         raise FormatError(f"model was trained for the {kind} pipeline, not {args.pipeline}")
     read, config, _, _, predict = _pipeline(kind)
     start = time.perf_counter()
     cfg = cfgmod.config_from_snapshot(config, created_with)
-    if kind == "clot" and args.sequence:
+    if args.sequence:
         frames = sorted(Path(args.sequence).glob("*.pgm"))
         if not frames:
             raise FormatError(f"no PGM frames in {args.sequence}")

@@ -95,8 +95,8 @@ class GrayImage:
     """2-D grid of real intensities in [0,1], row-major.
 
     The PGM/PPM readers return [0,1] and write_pgm takes it; the Canny
-    thresholds and the augmentations' clip assume it.  Derived maps (Sobel
-    magnitude and angle, blurred or rescaled copies) reuse the type unbounded.
+    thresholds assume it.  Derived maps (Sobel magnitude and angle, blurred or
+    rescaled copies) reuse the type unbounded.
     """
 
     pixels: np.ndarray
@@ -158,21 +158,5 @@ class LabeledDataset:
         if not np.all((self.labels == 0) | (self.labels == 1)):
             raise ValueError("labels must be 0 or 1")
 
-    @classmethod
-    def from_pairs(cls, pairs: list[tuple[np.ndarray, int]]) -> "LabeledDataset":
-        if not pairs:
-            raise ValueError("empty dataset")
-        dim = len(pairs[0][0])
-        for i, (vec, _) in enumerate(pairs):
-            if len(vec) != dim:
-                raise ValueError(f"feature vector {i} has length {len(vec)}, expected {dim}")
-        feats = np.array([np.asarray(v, dtype=np.float64) for v, _ in pairs])
-        labels = np.array([lab for _, lab in pairs], dtype=np.int64)
-        return cls(feats, labels)
-
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]

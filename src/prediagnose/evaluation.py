@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,11 +33,7 @@ class Metrics:
 @dataclass
 class EvalReport:
     confusion: ConfusionMatrix
-    accuracy: float
-    precision: float
-    recall: float
-    specificity: float
-    f1: float
+    metrics: Metrics
     auc: float
     roc_points: list[tuple[float, float]]
 
@@ -64,8 +60,7 @@ def metrics(cm: ConfusionMatrix) -> Metrics:
     precision = cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp > 0 else 0.0
     recall = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn > 0 else 0.0
     specificity = cm.tn / (cm.tn + cm.fp) if cm.tn + cm.fp > 0 else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return Metrics(accuracy, precision, recall, specificity, f1)
+    return Metrics(accuracy, precision, recall, specificity, f1_score(precision, recall))
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -134,33 +129,14 @@ def stratified_kfold(labels, k: int, rng: Rng) -> list[tuple[list[int], list[int
 
 def evaluate(labels, predictions, scores) -> EvalReport:
     cm = confusion(labels, predictions)
-    m = metrics(cm)
     auc, points = roc_auc(labels, scores)
-    return EvalReport(
-        confusion=cm,
-        accuracy=m.accuracy,
-        precision=m.precision,
-        recall=m.recall,
-        specificity=m.specificity,
-        f1=m.f1,
-        auc=auc,
-        roc_points=points,
-    )
+    return EvalReport(confusion=cm, metrics=metrics(cm), auc=auc, roc_points=points)
 
 
 def report_to_dict(report: EvalReport) -> dict:
     return {
-        "confusion": {
-            "tp": report.confusion.tp,
-            "fp": report.confusion.fp,
-            "fn": report.confusion.fn,
-            "tn": report.confusion.tn,
-        },
-        "accuracy": report.accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "specificity": report.specificity,
-        "f1": report.f1,
+        "confusion": asdict(report.confusion),
+        **asdict(report.metrics),
         "auc": report.auc,
         "roc_points": [[fpr, tpr] for fpr, tpr in report.roc_points],
     }
@@ -168,12 +144,13 @@ def report_to_dict(report: EvalReport) -> dict:
 
 def report_table(report: EvalReport, title: str = "Results") -> str:
     """Human-readable metric table for terminal output."""
+    m = report.metrics
     rows = [
-        ("Accuracy", f"{report.accuracy * 100:.1f}%"),
-        ("Precision", f"{report.precision * 100:.1f}%"),
-        ("Recall (Sensitivity)", f"{report.recall * 100:.1f}%"),
-        ("Specificity", f"{report.specificity * 100:.1f}%"),
-        ("F1-Score", f"{report.f1:.2f}"),
+        ("Accuracy", f"{m.accuracy * 100:.1f}%"),
+        ("Precision", f"{m.precision * 100:.1f}%"),
+        ("Recall (Sensitivity)", f"{m.recall * 100:.1f}%"),
+        ("Specificity", f"{m.specificity * 100:.1f}%"),
+        ("F1-Score", f"{m.f1:.2f}"),
         ("AUC", f"{report.auc:.2f}"),
     ]
     width = max(len(name) for name, _ in rows)

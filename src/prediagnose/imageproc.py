@@ -1,4 +1,4 @@
-"""Image preprocessing, augmentation, Canny edges, and HOG descriptors."""
+"""Image preprocessing, Canny edges, and HOG descriptors."""
 
 from __future__ import annotations
 
@@ -46,88 +46,6 @@ def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     bot = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
     out = top * (1 - fy)[:, None] + bot * fy[:, None]
     return GrayImage(out)
-
-
-def flip_h(img: GrayImage) -> GrayImage:
-    return GrayImage(img.pixels[:, ::-1].copy())
-
-
-def flip_v(img: GrayImage) -> GrayImage:
-    return GrayImage(img.pixels[::-1, :].copy())
-
-
-def rotate(img: GrayImage, degrees: float) -> GrayImage:
-    """Rotate counter-clockwise about the image center.
-
-    Multiples of 90 degrees are exact index permutations; anything else is
-    inverse-mapped with bilinear sampling, out-of-bounds filled with 0.
-    """
-    deg = degrees % 360.0
-    if deg % 90.0 == 0.0:
-        return GrayImage(np.rot90(img.pixels, k=int(deg // 90)).copy())
-    src = img.pixels
-    h, w = src.shape
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    theta = np.deg2rad(deg)
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    yy, xx = np.meshgrid(np.arange(h) - cy, np.arange(w) - cx, indexing="ij")
-    # Inverse map: rotate destination coordinates by -theta.
-    sx = cos_t * xx + sin_t * yy + cx
-    sy = -sin_t * xx + cos_t * yy + cy
-    valid = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
-    sx = np.clip(sx, 0, w - 1)
-    sy = np.clip(sy, 0, h - 1)
-    x0 = np.floor(sx).astype(int)
-    y0 = np.floor(sy).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = sx - x0
-    fy = sy - y0
-    out = (
-        src[y0, x0] * (1 - fx) * (1 - fy)
-        + src[y0, x1] * fx * (1 - fy)
-        + src[y1, x0] * (1 - fx) * fy
-        + src[y1, x1] * fx * fy
-    )
-    out[~valid] = 0.0
-    return GrayImage(out)
-
-
-def brightness(img: GrayImage, factor: float) -> GrayImage:
-    """Multiply intensities by factor and clip to [0,1]."""
-    if factor <= 0:
-        raise ValueError("brightness factor must be positive")
-    return GrayImage(np.clip(img.pixels * factor, 0.0, 1.0))
-
-
-def zoom(img: GrayImage, factor: float) -> GrayImage:
-    """Center-crop a 1/factor window and resize back to the original size."""
-    if factor < 1.0:
-        raise ValueError("zoom factor must be >= 1")
-    h, w = img.pixels.shape
-    crop_w = max(1, int(round(w / factor)))
-    crop_h = max(1, int(round(h / factor)))
-    x0 = (w - crop_w) // 2
-    y0 = (h - crop_h) // 2
-    crop = GrayImage(img.pixels[y0 : y0 + crop_h, x0 : x0 + crop_w].copy())
-    return resize_bilinear(crop, w, h)
-
-
-def augment(img: GrayImage, spec: str) -> GrayImage:
-    """Apply one augmentation spec: flip_h | flip_v | rotate=D | brightness=F | zoom=F."""
-    name, _, arg = spec.partition("=")
-    name = name.strip()
-    if name == "flip_h":
-        return flip_h(img)
-    if name == "flip_v":
-        return flip_v(img)
-    if name == "rotate":
-        return rotate(img, float(arg))
-    if name == "brightness":
-        return brightness(img, float(arg))
-    if name == "zoom":
-        return zoom(img, float(arg))
-    raise ValueError(f"unknown augmentation spec: {spec!r}")
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:

@@ -22,7 +22,6 @@ import binascii
 import json
 import math
 import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -260,10 +259,14 @@ def load_model(data: bytes):
 
 
 def save_model_file(path, model, created_with: dict | None = None) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+    """Atomic write: temp file in the target directory, then rename.
+
+    The temp file is created with mode 0o666 less the umask, as open() would.
+    """
     path = Path(path)
     data = save_model(model, created_with)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -23,17 +23,6 @@ class SvmModel:
         return self.support_vectors.shape[1]
 
 
-def kernel_rbf(x: np.ndarray, y: np.ndarray, gamma: float) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    d = x - y
-    return float(np.exp(-gamma * np.dot(d, d)))
-
-
 def rbf_gram(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """Pairwise RBF kernel matrix between the rows of a and b."""
     sq = (

@@ -148,10 +148,6 @@ class TestMfcc:
         with pytest.raises(ValueError):
             ap.aggregate_features(np.zeros((0, 13)))
 
-    def test_frames_to_csv(self):
-        text = ap.frames_to_csv(np.array([[1.0, 0.5]]))
-        assert text == "1,0.5\n"
-
     @pytest.mark.parametrize("sr", [4000, 8000])
     def test_matches_per_frame_reference_bit_for_bit(self, sr):
         # The batched FFT must give what one fft call per frame gave.

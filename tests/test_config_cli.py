@@ -251,6 +251,24 @@ MALFORMED = {
     "predict_skin_without_input": (
         ["predict", "skin", "--model", "{tmp}/m.pdmodel.json"], {},
         model(tiny_svm_file({"pipeline": "skin"})), 1),
+    "predict_input_and_sequence": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm",
+         "--sequence", "{tmp}/d"], {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
+    "predict_window_without_sequence": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm",
+         "--window", "3"], {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
+    "predict_cardio_sequence": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d"],
+        {}, model(tiny_forest_file(0)), 1),
+    "predict_cardio_window": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav",
+         "--window", "3"], {}, model(tiny_forest_file(0)), 1),
+    "predict_skin_sequence": (
+        ["predict", "skin", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d"],
+        {}, model(tiny_svm_file({"pipeline": "skin"})), 1),
+    "predict_skin_window": (
+        ["predict", "skin", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm",
+         "--window", "3"], {}, model(tiny_svm_file({"pipeline": "skin"})), 1),
     "synth_frames_negative": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "2", "--seed", "1", "--frames", "-2"],
         {}, {}, 1),

@@ -89,12 +89,8 @@ class TestTypes:
 
     def test_dataset_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
-            LabeledDataset.from_pairs([(np.zeros(3), 0), (np.zeros(4), 1)])
+            LabeledDataset([np.zeros(3), np.zeros(4)], [0, 1])
 
     def test_dataset_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 2]))
-
-    def test_dataset_from_pairs(self):
-        ds = LabeledDataset.from_pairs([(np.zeros(3), 0), (np.ones(3), 1)])
-        assert len(ds) == 2 and ds.n_features == 3

@@ -36,44 +36,6 @@ class TestNormalizeResize:
             ip.resize_bilinear(GrayImage(np.zeros((2, 2))), 0, 2)
 
 
-class TestAugment:
-    def test_flip_involutions(self):
-        img = GrayImage(Rng(1).uniform_array(64).reshape(8, 8))
-        assert np.array_equal(ip.flip_h(ip.flip_h(img)).pixels, img.pixels)
-        assert np.array_equal(ip.flip_v(ip.flip_v(img)).pixels, img.pixels)
-
-    def test_rotate_90_four_times_identity(self):
-        img = GrayImage(Rng(2).uniform_array(64).reshape(8, 8))
-        out = img
-        for _ in range(4):
-            out = ip.rotate(out, 90)
-        assert np.array_equal(out.pixels, img.pixels)
-
-    def test_rotate_axis_aligned_is_permutation(self):
-        img = GrayImage(Rng(3).uniform_array(36).reshape(6, 6))
-        out = ip.rotate(img, 180)
-        assert np.array_equal(np.sort(out.pixels.ravel()), np.sort(img.pixels.ravel()))
-
-    def test_brightness_identity_and_clip(self):
-        img = GrayImage(np.array([[0.5, 0.9]]))
-        assert np.array_equal(ip.brightness(img, 1.0).pixels, img.pixels)
-        assert ip.brightness(img, 2.0).pixels[0, 1] == 1.0
-        with pytest.raises(ValueError):
-            ip.brightness(img, 0.0)
-
-    def test_zoom_identity_factor(self):
-        img = GrayImage(Rng(4).uniform_array(64).reshape(8, 8))
-        assert np.allclose(ip.zoom(img, 1.0).pixels, img.pixels)
-        with pytest.raises(ValueError):
-            ip.zoom(img, 0.5)
-
-    def test_augment_dispatch(self):
-        img = GrayImage(np.full((4, 4), 0.5))
-        assert np.array_equal(ip.augment(img, "brightness=1.0").pixels, img.pixels)
-        with pytest.raises(ValueError):
-            ip.augment(img, "sharpen=2")
-
-
 class TestBlur:
     def test_constant_unchanged(self):
         img = GrayImage(np.full((10, 10), 0.3))

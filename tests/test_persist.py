@@ -1,5 +1,7 @@
 import base64
 import hashlib
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +218,25 @@ class TestRoundTrip:
         assert np.array_equal(loaded.alpha_y, model.alpha_y)
         # no stray temp files left behind
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
+        path = tmp_path / ("m" + persist.FILE_SUFFIX)
+        old = os.umask(umask)
+        try:
+            persist.save_model_file(path, tiny_svm())
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "taken"
+        path.mkdir()
+        with pytest.raises(OSError):
+            persist.save_model_file(path, tiny_svm())
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def packed_sv(values, shape=None, text=None) -> dict:

@@ -169,12 +169,11 @@ class TestCardioPipeline:
 
 
 class TestSkinPipeline:
-    def test_preprocess_size_and_augments(self):
+    def test_features_are_hog_of_224x224(self):
         img = st.generate_sample(THERMAL_CFG, 0, Rng(3))  # any grayscale image
-        out = pl.skin_preprocess(img, ["flip_h", "brightness=1.1"])
-        assert len(out) == 3
-        assert all(o.pixels.shape == (224, 224) for o in out)
-        assert all(o.pixels.max() <= 1.0 for o in out)
+        assert img.pixels.shape == (128, 128)
+        # 14x14 cells of 16 px, 13x13 blocks of 2x2 cells, 9 bins each
+        assert pl.skin_features(img).shape == (13 * 13 * 4 * 9,) == (6084,)
 
     def test_standin_train_and_classify(self):
         rng = Rng(50)
