@@ -308,10 +308,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except (FormatError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -1,9 +1,9 @@
 """Versioned canonical-JSON model persistence (.pdmodel.json).
 
 Canonical form: fixed field order, reals as decimal text with 17 significant
-digits, so model equality is byte equality and doubles round-trip exactly
-(except that -0.0, written "-0", reads back as 0.0). NaN and infinities are
-not JSON, so writing one is a ValueError.
+digits, so model equality is byte equality and doubles round-trip exactly.
+-0.0 is written "-0.0", since JSON reads "-0" as the integer 0. NaN and
+infinities are not JSON, so writing one is a ValueError.
 
 Format version 2 packs an SVM's support-vector matrix, the bulk of a clot
 model, as {"shape": [m, d], "float64le_base64": "..."}: the standard base64
@@ -55,12 +55,15 @@ def _canon(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
             raise ValueError(f"cannot serialize the non-finite float {obj}")
-        return format(float(obj), ".17g")
+        text = format(float(obj), ".17g")
+        return "-0.0" if text == "-0" else text  # "-0" would read back as the integer 0
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         if not np.all(np.isfinite(obj)):
             raise ValueError("cannot serialize a non-finite float array")
+        if np.any(np.signbit(obj) & (obj == 0)):
+            return "[" + ", ".join(_canon(v) for v in obj.tolist()) + "]"
         # one %-format per 1-D array; "%.17g" % v is format(v, ".17g")
         return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj.tolist()) + "]"
     raise TypeError(f"cannot serialize {type(obj)}")

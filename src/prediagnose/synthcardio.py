@@ -7,9 +7,9 @@ in the same WAV + manifest layout.
 
 from __future__ import annotations
 
-import numpy as np
+import itertools
 
-from scipy.signal import lfilter
+import numpy as np
 
 from .core import AudioSignal, Rng
 from .audioproc import write_wav
@@ -34,6 +34,14 @@ def _bandpass(x: np.ndarray, low_hz: float, high_hz: float, sample_rate: int) ->
     return lo - np.convolve(x, _lowpass_kernel(low_hz, sample_rate), mode="same")
 
 
+def _one_pole(x: np.ndarray, a: float) -> np.ndarray:
+    """Unit-DC-gain one-pole low-pass y[n] = a*y[n-1] + (1-a)*x[n], y[-1] = 0."""
+    b = 1 - a
+    # reproduces SciPy's lfilter([1 - a], [1, -a], x) bit for bit
+    return np.fromiter(itertools.accumulate(x.tolist(), lambda y, v: a * y + b * v, initial=0.0),
+                       float, len(x) + 1)[1:]
+
+
 def _render_heart(duration_s: float, sample_rate: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Returns (base, abnormality): S1/S2 pairs over pink-like noise; the
     abnormality is a band-limited murmur between S1 and S2 of each beat."""
@@ -41,8 +49,7 @@ def _render_heart(duration_s: float, sample_rate: int, rng: Rng) -> tuple[np.nda
 
     # pink-like background: one-pole low-passed white noise
     white = rng.gaussian_array(n)
-    a = 0.95
-    bg = lfilter([1 - a], [1, -a], white)
+    bg = _one_pole(white, 0.95)
     bg *= 0.04 / max(np.abs(bg).max(), 1e-12)
 
     impulses = np.zeros(n)

@@ -1,9 +1,14 @@
 import base64
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prediagnose
 from prediagnose import config as cfgmod
 from prediagnose.cli import main
 from prediagnose.audioproc import write_wav
@@ -370,6 +375,19 @@ MALFORMED = {
     "nested_list_in_v2_file": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
         {}, model(tiny_svm_file({"pipeline": "clot"}, support_vectors=[[0.0] * CLOT_FEATURES])), 2),
+    "synth_thermal_out_is_a_file": (
+        ["synth", "thermal", "--out", "{tmp}/x.pgm", "--n", "2", "--seed", "1"], {}, {}, 2),
+    "synth_cardio_out_is_a_file": (
+        ["synth", "cardio", "--task", "heart", "--out", "{tmp}/x.wav", "--n", "2", "--seed", "1"],
+        {}, {}, 2),
+    "train_out_under_a_file": (
+        ["train", "clot", "--data", "{tmp}/data", "--out", "{tmp}/x.pgm/m.pdmodel.json"],
+        {}, clot_train_data(""), 2),
+    "predict_model_under_a_file": (
+        ["predict", "clot", "--model", "{tmp}/x.pgm/x", "--input", "{tmp}/x.pgm"], {}, {}, 2),
+    "eval_roc_csv_under_a_file": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data", "--roc-csv",
+         "{tmp}/x.pgm/r.csv"], {}, {**clot_train_data(""), **clot_data("a.pgm", "b.pgm")}, 2),
     "report_input_nan": (
         ["report", "--inputs", "{tmp}/r.json", "--out", "{tmp}/d"],
         {}, {"r.json": b'{"auc": NaN}'}, 2),
@@ -391,6 +409,21 @@ def test_malformed_input_exit_code(row, tmp_path, capsys, monkeypatch):
     assert out == ""
     assert {1: "usage error", 2: "data error", 3: "training error"}[expected] in err
     assert not (tmp_path / "d").exists()
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_scipy_signal_and_stats(self):
+        # A fresh interpreter: this test process may already hold scipy.optimize
+        # (and with it scipy.stats) from other tests. Every CLI run pays the
+        # import graph, and scipy.signal alone doubled it.
+        src = str(Path(prediagnose.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        probe = ("import sys, prediagnose.cli; "
+                 "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "[]\n"
 
 
 class TestExitCodes:

@@ -1,5 +1,6 @@
 import base64
 import hashlib
+import math
 import os
 import stat
 from pathlib import Path
@@ -77,12 +78,12 @@ EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
 def svm_bytes_reference(model, created_with=None, packed=False) -> bytes:
-    """An SVM model file, one format(v, ".17g") per float: format version 1,
-    the source of v1 test files, or with packed=True version 2, whose support
-    vectors are the base64 of their little-endian float64 bytes. The
-    reference for save_model's bytes."""
+    """An SVM model file, one format(v, ".17g") per float, except that -0.0 is
+    "-0.0": format version 1, the source of v1 test files, or with packed=True
+    version 2, whose support vectors are the base64 of their little-endian
+    float64 bytes. The reference for save_model's bytes."""
     def num(v):
-        return format(float(v), ".17g")
+        return "-0.0" if v == 0 and math.copysign(1.0, v) < 0 else format(float(v), ".17g")
 
     def row(values):
         return "[" + ", ".join(num(v) for v in values) + "]"
@@ -110,24 +111,18 @@ def svm_models(draw):
                     bias=v[-3], gamma=v[-2], c=v[-1])
 
 
-def bits(values, signed_zero: bool = True) -> np.ndarray:
-    """The IEEE-754 bit patterns of values, so that -0.0 differs from 0.0
-    unless signed_zero is False."""
-    values = np.asarray(values, dtype=np.float64)
-    if not signed_zero:
-        values = values + 0.0  # -0.0 + 0.0 is 0.0
-    return values.view(np.int64)
+def bits(values) -> np.ndarray:
+    """The IEEE-754 bit patterns of values, so that -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
 
 
-def assert_same_svm(loaded, model, packed: bool):
-    """loaded holds model's doubles bit for bit. Decimal text writes -0.0 as
-    "-0", which JSON reads as the integer 0, so only packed support vectors
-    keep the sign of a zero."""
+def assert_same_svm(loaded, model):
+    """loaded holds model's doubles bit for bit, signs of zeros included."""
     assert loaded.support_vectors.shape == model.support_vectors.shape
-    assert np.array_equal(bits(loaded.support_vectors, packed), bits(model.support_vectors, packed))
-    assert np.array_equal(bits(loaded.alpha_y, False), bits(model.alpha_y, False))
-    assert np.array_equal(bits([loaded.bias, loaded.gamma, loaded.c], False),
-                          bits([model.bias, model.gamma, model.c], False))
+    assert np.array_equal(bits(loaded.support_vectors), bits(model.support_vectors))
+    assert np.array_equal(bits(loaded.alpha_y), bits(model.alpha_y))
+    assert np.array_equal(bits([loaded.bias, loaded.gamma, loaded.c]),
+                          bits([model.bias, model.gamma, model.c]))
 
 
 class TestSvmBytes:
@@ -138,14 +133,16 @@ class TestSvmBytes:
     def test_save_model_formats_each_float_with_17_digits(self, model):
         # save_model writes exactly the reference's version 2 bytes. Version 1
         # (17 digits per float) and version 2 (packed support vectors) files
-        # both load back bit for bit; a model load_model refuses is refused
-        # in both forms.
-        assert persist.save_model(model) == svm_bytes_reference(model, packed=True)
+        # both load back bit for bit, and a load followed by a save gives the
+        # same bytes; a model load_model refuses is refused in both forms.
+        saved = persist.save_model(model)
+        assert saved == svm_bytes_reference(model, packed=True)
         loadable = model.support_vectors.size > 0 and model.gamma >= 0 and model.c > 0
-        for data, packed in ((svm_bytes_reference(model), False),
-                             (persist.save_model(model), True)):
+        for data in (svm_bytes_reference(model), saved):
             if loadable:
-                assert_same_svm(persist.load_model(data)[0], model, packed)
+                loaded = persist.load_model(data)[0]
+                assert_same_svm(loaded, model)
+                assert persist.save_model(loaded) == saved
             else:
                 with pytest.raises(persist.PersistError):
                     persist.load_model(data)

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter  # the reference for synthcardio._one_pole
 
 from prediagnose.core import AudioSignal, GrayImage, Rng, TrainingError
 from prediagnose import pipeline as pl
@@ -42,6 +43,14 @@ class TestSynthCardio:
         assert sum(lab for _, lab in ds1) == 3
         for (a, la), (b, lb) in zip(ds1, ds2):
             assert la == lb and np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 12000, 24000])
+    def test_one_pole_is_lfilter_bit_for_bit(self, n, scale):
+        x = Rng(n).gaussian_array(n) * scale
+        a = 0.95
+        got = sc._one_pole(x, a)
+        assert np.array_equal(got.view(np.int64), lfilter([1 - a], [1, -a], x).view(np.int64))
 
     def test_write_dataset_layout(self, tmp_path):
         sc.write_cardio_dataset(tmp_path, "heart", 4, 0.5, 2.0, 4000, seed=9)
