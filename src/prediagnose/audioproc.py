@@ -94,7 +94,7 @@ def read_wav_file(path) -> AudioSignal:
 # Spectral primitives
 
 
-def pre_emphasis(sig: AudioSignal, alpha: float = 0.97) -> AudioSignal:
+def pre_emphasis(sig: AudioSignal, alpha: float) -> AudioSignal:
     if not (0 <= alpha < 1):
         raise ValueError("alpha must be in [0, 1)")
     x = sig.samples
@@ -114,8 +114,8 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
     return rev
 
 
-def fft(x, inverse: bool = False) -> np.ndarray:
-    """Radix-2 Cooley-Tukey DFT along the last axis.  Inverse scales by 1/N.
+def fft(x) -> np.ndarray:
+    """Forward radix-2 Cooley-Tukey DFT along the last axis.
 
     Leading axes are a batch: each row along the last axis is transformed
     with the same butterflies, so a row's result does not depend on the
@@ -129,21 +129,17 @@ def fft(x, inverse: bool = False) -> np.ndarray:
         return a.copy()
     lead = a.shape[:-1]
     a = np.take(a, _bit_reverse_indices(n), axis=-1)  # C-contiguous, so reshapes are views
-    sign = 1j if inverse else -1j
     m = 2
     while m <= n:
         half = m // 2
-        tw = np.exp(sign * 2.0 * np.pi * np.arange(half) / m)
+        tw = np.exp(-1j * 2.0 * np.pi * np.arange(half) / m)
         a = a.reshape(*lead, -1, m)
         odd = a[..., half:] * tw
         even = a[..., :half].copy()
         a[..., :half] = even + odd
         a[..., half:] = even - odd
         m *= 2
-    a = a.reshape(*lead, n)
-    if inverse:
-        a /= n
-    return a
+    return a.reshape(*lead, n)
 
 
 def mel(f_hz: float) -> float:
@@ -160,7 +156,10 @@ def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarra
     """Triangular unit-peak filters, equally spaced in mel over [0, sr/2].
 
     Returns (n_filters, fft_size//2 + 1) weights sampled at FFT bin centers.
+    More than fft_size//2 filters is a ValueError.
     """
+    if n_filters > fft_size // 2:
+        raise ValueError(f"n_filters={n_filters} exceeds {fft_size // 2}, half the FFT size")
     points = mel_inverse(np.linspace(0.0, mel(sample_rate / 2.0), n_filters + 2))
     freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
     bank = np.zeros((n_filters, len(freqs)))
@@ -190,6 +189,9 @@ def mfcc_debug(sig: AudioSignal, cfg: MfccConfig | None = None) -> tuple[np.ndar
     sr = sig.sample_rate
     frame_n = int(round(cfg.frame_len * sr))
     hop_n = int(round(cfg.hop * sr))
+    if frame_n < 2 or hop_n < 1:
+        raise ValueError(f"frame_len={cfg.frame_len} s and hop={cfg.hop} s are {frame_n} and "
+                         f"{hop_n} samples at {sr} Hz; need a frame of >= 2 and a hop of >= 1")
     if len(sig.samples) < frame_n:
         raise ValueError(f"signal ({len(sig.samples)} samples) shorter than one frame ({frame_n})")
     emphasized = pre_emphasis(sig, cfg.pre_emphasis).samples
@@ -283,14 +285,17 @@ def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
-def wavelet_denoise(sig: AudioSignal, levels: int = 4) -> AudioSignal:
+def wavelet_denoise(sig: AudioSignal, levels: int) -> AudioSignal:
     """Soft-threshold detail bands with the universal threshold sigma*sqrt(2 ln N).
 
     sigma is the MAD/0.6745 estimate from the finest detail band; the
     approximation band is untouched.  The signal is zero-padded to the
-    required length multiple and truncated after reconstruction.
+    required length multiple and truncated after reconstruction.  A signal
+    shorter than 2**levels samples is a ValueError.
     """
     x = sig.samples
+    if levels >= len(x).bit_length():  # 2**levels > len(x), without forming 2**levels
+        raise ValueError(f"denoise_levels={levels} needs >= 2^{levels} samples, got {len(x)}")
     block = 1 << levels
     pad = (-len(x)) % block
     padded = np.concatenate([x, np.zeros(pad)]) if pad else x

@@ -25,6 +25,7 @@ from .pipeline import (
     CardioPipelineConfig,
     ClotPipelineConfig,
     SkinPipelineConfig,
+    _feature_matrix,
     cardio_features,
     cardio_predict,
     cardio_train,
@@ -111,9 +112,7 @@ def _model_type(model) -> tuple:
         return (svm_decision_batch, 0.0,
                 lambda data, threads: train_svm_smo(data, c=model.c, gamma=model.gamma), "score")
     return (lambda forest, feats: np.array([forest_predict(forest, x)[0] for x in feats]), 0.5,
-            lambda data, threads: train_random_forest(
-                data, **dataclasses.asdict(model.hyperparams), threads=threads),
-            "prob")
+            lambda data, threads: train_random_forest(data, model.hyperparams, threads), "prob")
 
 
 def _standin_tag(kind: str) -> dict:
@@ -254,7 +253,7 @@ def _cmd_eval(args) -> int:
     read, config, features, _, _ = _pipeline(kind)
     cfg = cfgmod.config_from_snapshot(config, created_with)
     samples = load_dataset(args.data, read)
-    feats = np.array([features(x, cfg) for x, _ in samples])
+    feats = _feature_matrix(features, [x for x, _ in samples], cfg, threads)
     labels = np.array([lab for _, lab in samples])
     del samples  # free the decoded inputs before the k-fold refits allocate
     score, threshold, refit, _ = _model_type(model)

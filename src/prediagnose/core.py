@@ -26,8 +26,8 @@ class Rng:
     Seeded identically it yields identical streams on every platform.  State
     advance is a single 64-bit add, so a block of n outputs can be produced
     vectorized (``uniform_array``/``gaussian_array``) while consuming exactly
-    the same stream as n scalar calls.  Not thread-safe; give each worker its
-    own instance.
+    the same stream as n scalar ``uniform`` calls.  Not thread-safe; give each
+    worker its own instance.
     """
 
     __slots__ = ("state",)
@@ -59,13 +59,8 @@ class Rng:
     def uniform_array(self, n: int) -> np.ndarray:
         return (self.next_u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def gaussian(self) -> float:
-        # Box-Muller, cosine branch only: two uniforms per deviate.
-        u1 = self.uniform()
-        u2 = self.uniform()
-        return float(np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2))
-
     def gaussian_array(self, n: int) -> np.ndarray:
+        # Box-Muller, cosine branch only: two uniforms per deviate.
         u = self.uniform_array(2 * n)
         return np.sqrt(-2.0 * np.log1p(-u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
 

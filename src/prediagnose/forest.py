@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +27,20 @@ class TreeNode:
 
 @dataclass
 class ForestHyperparams:
-    n_trees: int = 100
-    max_depth: int = 12
-    min_samples_leaf: int = 2
-    mtry: int | None = None  # ceil(sqrt(d)) when None
-    seed: int = 0
+    """Defaults live in CardioPipelineConfig."""
+
+    n_trees: int
+    max_depth: int
+    min_samples_leaf: int
+    mtry: int | None  # ceil(sqrt(d)) when None
+    seed: int
 
 
 @dataclass
 class ForestModel:
     trees: list[TreeNode]
     n_features: int
-    hyperparams: ForestHyperparams = field(default_factory=ForestHyperparams)
+    hyperparams: ForestHyperparams
 
 
 def gini_impurity(class_counts) -> float:
@@ -51,7 +53,7 @@ def gini_impurity(class_counts) -> float:
 
 
 def best_split(
-    X: np.ndarray, y: np.ndarray, feature_indices, min_samples_leaf: int = 1
+    X: np.ndarray, y: np.ndarray, feature_indices, min_samples_leaf: int
 ) -> tuple[int, float, float] | None:
     """Exhaustive (feature, midpoint-threshold) search minimizing weighted Gini.
 
@@ -110,30 +112,23 @@ def _train_tree(X, y, hp: ForestHyperparams, mtry: int, tree_index: int) -> Tree
     return _grow(X[idx], y[idx], 0, hp, mtry, rng)
 
 
-def train_random_forest(
-    data: LabeledDataset,
-    n_trees: int = 100,
-    max_depth: int = 12,
-    min_samples_leaf: int = 2,
-    mtry: int | None = None,
-    seed: int = 0,
-    threads: int = 1,
-) -> ForestModel:
+def train_random_forest(data: LabeledDataset, hp: ForestHyperparams, threads: int = 1
+                        ) -> ForestModel:
     """Bootstrap + CART forest; tree t uses its own Rng(seed + t), so results
     are identical for any thread count."""
     if len(data) == 0:
         raise TrainingError("empty dataset")
     X, y = data.features, data.labels
     d = X.shape[1]
-    mtry_eff = mtry if mtry is not None else int(np.ceil(np.sqrt(d)))
+    mtry_eff = hp.mtry if hp.mtry is not None else int(np.ceil(np.sqrt(d)))
     if mtry_eff > d:
         raise TrainingError(f"mtry={mtry_eff} exceeds feature count {d}")
-    hp = ForestHyperparams(n_trees, max_depth, min_samples_leaf, mtry, seed)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(lambda t: _train_tree(X, y, hp, mtry_eff, t), range(n_trees)))
+            trees = list(pool.map(lambda t: _train_tree(X, y, hp, mtry_eff, t),
+                                  range(hp.n_trees)))
     else:
-        trees = [_train_tree(X, y, hp, mtry_eff, t) for t in range(n_trees)]
+        trees = [_train_tree(X, y, hp, mtry_eff, t) for t in range(hp.n_trees)]
     return ForestModel(trees=trees, n_features=d, hyperparams=hp)
 
 

@@ -22,8 +22,8 @@ class HogConfig:
     def __post_init__(self):
         if self.cell_size < 2:
             raise ValueError("cell_size must be >= 2")
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
+        if not 2 <= self.bins <= 180:
+            raise ValueError("bins must be in [2, 180], at most one per degree")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
 
@@ -108,7 +108,7 @@ def _nms(mag: np.ndarray, ang: np.ndarray) -> np.ndarray:
     return keep
 
 
-def canny(img: GrayImage, sigma: float = 1.4, low: float = 0.05, high: float = 0.15) -> GrayImage:
+def canny(img: GrayImage, sigma: float, low: float, high: float) -> GrayImage:
     """Canny edges as a {0,1} image: blur, Sobel, NMS, double threshold,
     8-connected hysteresis."""
     if not (0 < low < high):
@@ -147,7 +147,10 @@ def _cell_histograms(img: GrayImage, cfg: HogConfig) -> np.ndarray:
     return np.bincount(index, weights=weights, minlength=cy * cx * bins).reshape(cy, cx, bins)
 
 
-def _blocks(img: GrayImage, cfg: HogConfig, eps: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
+_EPS = 1e-6  # keeps an all-zero block's normalization finite
+
+
+def _blocks(img: GrayImage, cfg: HogConfig) -> tuple[np.ndarray, np.ndarray]:
     """Return (clipped blocks before final renormalization, final blocks)."""
     h, w = img.pixels.shape
     if h % cfg.cell_size or w % cfg.cell_size:
@@ -161,8 +164,8 @@ def _blocks(img: GrayImage, cfg: HogConfig, eps: float = 1e-6) -> tuple[np.ndarr
     # (by, bx, bins, bs, bs) windows, each flattened in (row, column, bin) order
     v = sliding_window_view(hist, (bs, bs), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
     v = v.reshape(by, bx, bs * bs * bins)
-    clipped = np.minimum(v / np.sqrt(np.vecdot(v, v) + eps * eps)[..., None], 0.2)
-    return clipped, clipped / np.sqrt(np.vecdot(clipped, clipped) + eps * eps)[..., None]
+    clipped = np.minimum(v / np.sqrt(np.vecdot(v, v) + _EPS * _EPS)[..., None], 0.2)
+    return clipped, clipped / np.sqrt(np.vecdot(clipped, clipped) + _EPS * _EPS)[..., None]
 
 
 def hog(img: GrayImage, cfg: HogConfig | None = None) -> np.ndarray:
@@ -206,8 +209,14 @@ def _read_pnm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
         raise FormatError(f"only maxval 255 supported, got {maxval}")
     if w < 1 or h < 1:
         raise FormatError("non-positive image dimensions")
+    # One whitespace byte ends the header.  As in libnetpbm, a comment right
+    # after maxval runs through its newline, and that newline is the byte.
+    if data[i : i + 1] == b"#":
+        i = data.find(b"\n", i)
+        if i < 0:
+            raise FormatError("truncated header")
     size = w * h * channels
-    raster = data[i + 1 : i + 1 + size]  # +1 skips the single whitespace after maxval
+    raster = data[i + 1 : i + 1 + size]
     if len(raster) < size:
         raise FormatError(f"truncated {magic.decode()} raster")
     return np.frombuffer(raster, dtype=np.uint8).astype(np.float64).reshape(h, w, channels)

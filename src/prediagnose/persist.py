@@ -19,6 +19,7 @@ still load.
 from __future__ import annotations
 
 import binascii
+import dataclasses
 import json
 import math
 import os
@@ -176,16 +177,9 @@ def save_model(model, created_with: dict | None = None) -> bytes:
             "support_vectors": {"shape": list(sv.shape), "float64le_base64": ""},
         }
     else:
-        hp = model.hyperparams
         payload = {
             "n_features": int(model.n_features),
-            "hyperparams": {
-                "n_trees": int(hp.n_trees),
-                "max_depth": int(hp.max_depth),
-                "min_samples_leaf": int(hp.min_samples_leaf),
-                "mtry": None if hp.mtry is None else int(hp.mtry),
-                "seed": int(hp.seed),
-            },
+            "hyperparams": dataclasses.asdict(model.hyperparams),
             "trees": [_tree_to_dict(t) for t in model.trees],
         }
     envelope = {

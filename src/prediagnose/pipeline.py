@@ -9,7 +9,7 @@ import numpy as np
 
 from .audioproc import MfccConfig, aggregate_features, mfcc, wavelet_denoise
 from .core import AudioSignal, GrayImage, LabeledDataset, TrainingError
-from .forest import ForestModel, forest_predict, train_random_forest
+from .forest import ForestHyperparams, ForestModel, forest_predict, train_random_forest
 from .imageproc import HogConfig, canny, gaussian_blur, hog, resize_bilinear
 from .svm import SvmModel, svm_predict, train_svm_smo
 from .voting import sequence_vote
@@ -116,15 +116,8 @@ def cardio_train(recordings: list[tuple[AudioSignal, int]],
     if too_short:
         raise TrainingError(f"recordings shorter than one MFCC frame at indices {too_short}")
     data = _training_set(cardio_features, recordings, cfg, threads)
-    return train_random_forest(
-        data,
-        n_trees=cfg.n_trees,
-        max_depth=cfg.max_depth,
-        min_samples_leaf=cfg.min_samples_leaf,
-        mtry=cfg.mtry,
-        seed=cfg.seed,
-        threads=threads,
-    )
+    hp = ForestHyperparams(cfg.n_trees, cfg.max_depth, cfg.min_samples_leaf, cfg.mtry, cfg.seed)
+    return train_random_forest(data, hp, threads)
 
 
 def cardio_predict(model: ForestModel, recording: AudioSignal,

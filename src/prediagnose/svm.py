@@ -9,6 +9,9 @@ import numpy as np
 
 from .core import LabeledDataset, TrainingError
 
+_TOL = 1e-3  # KKT tolerance
+_MAX_PASSES = 10  # consecutive sweeps without an alpha change before stopping
+
 
 @dataclass
 class SvmModel:
@@ -40,20 +43,15 @@ def gamma_scale(features: np.ndarray) -> float:
     return 1.0 / (d * var) if var > 0 else 1.0 / d
 
 
-def train_svm_smo(
-    data: LabeledDataset,
-    c: float = 10.0,
-    gamma: float | None = None,
-    tol: float = 1e-3,
-    max_passes: int = 10,
-) -> SvmModel:
-    """Simplified SMO: sweep examples violating KKT within tol, pair each with
+def train_svm_smo(data: LabeledDataset, c: float, gamma: float | None) -> SvmModel:
+    """Simplified SMO: sweep examples violating KKT within _TOL, pair each with
     the index maximizing |E1 - E2| (lowest index on ties), optimize the pair
     analytically with box clipping, update the bias by the b1/b2 rule.  When
     the max-gap partner makes no progress, fall back to the remaining partners
     in decreasing-gap order (deterministic), as in Platt's second-choice
     hierarchy; without the fallback, isolated KKT violations can persist.
-    Terminates after max_passes consecutive full sweeps with no alpha change.
+    Terminates after _MAX_PASSES consecutive full sweeps with no alpha change.
+    gamma None uses gamma_scale.
     """
     if not 0 < c < math.inf:
         raise TrainingError(f"c must be positive and finite, got {c}")
@@ -110,11 +108,11 @@ def train_svm_smo(
         return True
 
     passes = 0
-    while passes < max_passes:
+    while passes < _MAX_PASSES:
         changed = 0
         for i in range(n):
             r = y[i] * (f[i] - y[i])
-            if not ((r < -tol and alpha[i] < c) or (r > tol and alpha[i] > 0)):
+            if not ((r < -_TOL and alpha[i] < c) or (r > _TOL and alpha[i] > 0)):
                 continue
             gap = np.abs((f[i] - y[i]) - (f - y))
             gap[i] = -1.0

@@ -18,14 +18,15 @@ from .synththermal import shuffled_labels, write_dataset
 PEAK = 0.9
 SAMPLE_RATES = (4000, 8000)
 MIN_DURATION_S = 2.0
+_TAPS = 101
 
 
-def _lowpass_kernel(cutoff_hz: float, sample_rate: int, taps: int = 101) -> np.ndarray:
-    """Windowed-sinc FIR low-pass, unit DC gain."""
-    t = np.arange(taps) - (taps - 1) / 2.0
+def _lowpass_kernel(cutoff_hz: float, sample_rate: int) -> np.ndarray:
+    """Windowed-sinc FIR low-pass of _TAPS taps, unit DC gain."""
+    t = np.arange(_TAPS) - (_TAPS - 1) / 2.0
     fc = cutoff_hz / sample_rate
     k = 2 * fc * np.sinc(2 * fc * t)
-    k *= np.hamming(taps)
+    k *= np.hamming(_TAPS)
     return k / k.sum()
 
 

@@ -138,7 +138,7 @@ def write_dataset(out_dir, n: int, positive_fraction: float, seed: int, render) 
 
 
 def write_thermal_dataset(out_dir, cfg: ThermalConfig, n: int, positive_fraction: float, seed: int,
-                          frames: int = 0) -> None:
+                          frames: int) -> None:
     """Write PGMs and a manifest.  frames > 0 writes per-sample sequence subdirs."""
     def render(i: int, label: int, rng: Rng) -> dict[str, bytes]:
         names = [f"seq{i:04d}/frame{j:02d}.pgm" for j in range(frames)] or [f"sample{i:04d}.pgm"]

@@ -6,15 +6,12 @@ from prediagnose.core import AudioSignal, FormatError, Rng
 from prediagnose import audioproc as ap
 
 
-def naive_dft(x, inverse=False):
+def naive_dft(x):
     """O(n^2) reference DFT, written independently of the fast path."""
     x = np.asarray(x, dtype=np.complex128)
     n = len(x)
     k = np.arange(n)
-    sign = 2j if inverse else -2j
-    mat = np.exp(sign * np.pi * np.outer(k, k) / n)
-    out = mat @ x
-    return out / n if inverse else out
+    return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
 
 
 def tone(freq, sr=8000, seconds=1.0, amp=0.5):
@@ -28,11 +25,6 @@ class TestFft:
         rng = Rng(n)
         x = rng.gaussian_array(n) + 1j * rng.gaussian_array(n)
         assert np.max(np.abs(ap.fft(x) - naive_dft(x))) < 1e-9
-
-    def test_inverse_roundtrip(self):
-        x = Rng(2).gaussian_array(128)
-        back = ap.fft(ap.fft(x), inverse=True)
-        assert np.max(np.abs(back - x)) < 1e-12
 
     def test_parseval(self):
         x = Rng(3).gaussian_array(1024)
@@ -52,23 +44,20 @@ class TestFft:
         assert np.allclose(ap.fft(x), np.ones(16))
 
     @pytest.mark.parametrize("shape", [(7, 1), (5, 2), (9, 64), (3, 256), (2, 3, 32)])
-    @pytest.mark.parametrize("inverse", [False, True])
-    def test_batch_equals_rows_bit_for_bit(self, shape, inverse):
-        rng = Rng(shape[-1] + 3 * inverse)
+    # real input is what mfcc passes: a float64 matrix of zero-padded frames
+    @pytest.mark.parametrize("real", [False, True])
+    def test_batch_equals_rows_bit_for_bit(self, shape, real):
+        rng = Rng(shape[-1] + 3 * real)
         size = int(np.prod(shape))
-        x = (rng.gaussian_array(size) + 1j * rng.gaussian_array(size)).reshape(shape)
-        batch = ap.fft(x, inverse=inverse)
+        x = rng.gaussian_array(size) + (0 if real else 1j * rng.gaussian_array(size))
+        x = x.reshape(shape)
+        batch = ap.fft(x)
         assert batch.shape == shape
         rows = x.reshape(-1, shape[-1])
-        per_row = np.array([ap.fft(row, inverse=inverse) for row in rows]).reshape(shape)
+        per_row = np.array([ap.fft(row) for row in rows]).reshape(shape)
         assert np.array_equal(batch.view(np.uint64), per_row.view(np.uint64))
         for got, row in zip(batch.reshape(-1, shape[-1]), rows):
-            assert np.max(np.abs(got - naive_dft(row, inverse=inverse))) < 1e-9
-
-    def test_batch_inverse_roundtrip(self):
-        x = Rng(4).gaussian_array(6 * 128).reshape(6, 128)
-        back = ap.fft(ap.fft(x), inverse=True)
-        assert np.max(np.abs(back - x)) < 1e-12
+            assert np.max(np.abs(got - naive_dft(row))) < 1e-9
 
     def test_batch_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +220,7 @@ class TestWavelet:
         # tone well inside the 4-level approximation band (0-250 Hz)
         clean = 0.6 * np.sin(2 * np.pi * 100 * t)
         noisy = clean + 0.1 * Rng(42).gaussian_array(sr)
-        out = ap.wavelet_denoise(AudioSignal(noisy, sr)).samples
+        out = ap.wavelet_denoise(AudioSignal(noisy, sr), 4).samples
         mse_before = np.mean((noisy - clean) ** 2)
         mse_after = np.mean((out - clean) ** 2)
         assert mse_after < 0.5 * mse_before
@@ -240,15 +229,15 @@ class TestWavelet:
         sr = 4096
         t = np.arange(sr) / sr
         noisy = np.sin(2 * np.pi * 110 * t) + 0.05 * Rng(43).gaussian_array(sr)
-        once = ap.wavelet_denoise(AudioSignal(noisy, sr))
-        twice = ap.wavelet_denoise(once)
+        once = ap.wavelet_denoise(AudioSignal(noisy, sr), 4)
+        twice = ap.wavelet_denoise(once, 4)
         delta1 = np.mean((once.samples - noisy) ** 2)
         delta2 = np.mean((twice.samples - once.samples) ** 2)
         assert delta2 < delta1
 
     def test_denoise_preserves_length_with_padding(self):
         sig = AudioSignal(Rng(44).gaussian_array(1000), 8000)
-        assert len(ap.wavelet_denoise(sig).samples) == 1000
+        assert len(ap.wavelet_denoise(sig, 4).samples) == 1000
 
 
 class TestWav:

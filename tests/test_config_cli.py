@@ -1,6 +1,10 @@
 import base64
+import dataclasses
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +17,7 @@ from prediagnose import config as cfgmod
 from prediagnose.cli import main
 from prediagnose.audioproc import write_wav
 from prediagnose.core import AudioSignal, FormatError, GrayImage
-from prediagnose.forest import ForestModel, TreeNode
+from prediagnose.forest import ForestHyperparams, ForestModel, TreeNode
 from prediagnose.imageproc import write_pgm
 from prediagnose.persist import PersistError, save_model
 from prediagnose.pipeline import CardioPipelineConfig, ClotPipelineConfig
@@ -157,7 +161,8 @@ def tiny_forest_file(feature: int = 0, **payload) -> bytes:
     payload items replace its fields."""
     root = TreeNode(feature=feature, threshold=0.0, left=TreeNode(counts=(1, 0)),
                     right=TreeNode(counts=(0, 1)))
-    doc = json.loads(save_model(ForestModel([root], 26), {"pipeline": "cardio"}))
+    hp = ForestHyperparams(n_trees=1, max_depth=1, min_samples_leaf=1, mtry=None, seed=0)
+    doc = json.loads(save_model(ForestModel([root], 26, hp), {"pipeline": "cardio"}))
     doc["payload"].update(payload)
     return json.dumps(doc).encode()
 
@@ -172,6 +177,19 @@ def clot_train_data(ini: str) -> dict:
               for i, name in enumerate("ab")}
     return {**images, "data/manifest.csv": b"filename,label\na.pgm,0\nb.pgm,1\n",
             "c.ini": ini.encode()}
+
+
+def cardio_train_data(ini: str) -> dict:
+    """A two-recording cardio training set in data/ and the config file c.ini."""
+    wavs = {f"data/{name}.wav": write_wav(AudioSignal(np.full(2000, 0.1 * i), 4000))
+            for i, name in enumerate("ab")}
+    return {**wavs, "data/manifest.csv": b"filename,label\na.wav,0\nb.wav,1\n",
+            "c.ini": ini.encode()}
+
+
+def cardio_created_with(item: bytes) -> bytes:
+    """tiny_forest_file with item (JSON text such as b'"hop": 0.5') added to created_with."""
+    return tiny_forest_file(0).replace(b'"pipeline": "cardio"', b'"pipeline": "cardio", ' + item)
 
 
 def clot_data(*names: str) -> dict:
@@ -388,6 +406,30 @@ MALFORMED = {
     "eval_roc_csv_under_a_file": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data", "--roc-csv",
          "{tmp}/x.pgm/r.csv"], {}, {**clot_train_data(""), **clot_data("a.pgm", "b.pgm")}, 2),
+    "config_denoise_levels_beyond_signal": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, cardio_train_data("[audioproc]\ndenoise_levels = 40\n"), 2),
+    "config_n_filters_beyond_fft": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, cardio_train_data("[audioproc]\nn_filters = 100000000\n"), 2),
+    "config_hop_under_one_sample": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, cardio_train_data("[audioproc]\nhop = 0.00001\n"), 2),
+    "config_frame_len_under_two_samples": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, cardio_train_data("[audioproc]\nframe_len = 0.0001\nhop = 0.0001\n"), 2),
+    "config_bins_finer_than_a_degree": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, clot_train_data("[imageproc]\nbins = 4000000000\n"), 2),
+    "created_with_denoise_levels_beyond_signal": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        {}, model(cardio_created_with(b'"denoise_levels": 40')), 2),
+    "created_with_hop_under_one_sample": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
+        {}, {**cardio_train_data(""), **model(cardio_created_with(b'"hop": 0.00001'))}, 2),
+    "created_with_bins_finer_than_a_degree": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        {}, model(tiny_svm_file({"pipeline": "clot", "bins": 4000000000})), 2),
     "report_input_nan": (
         ["report", "--inputs", "{tmp}/r.json", "--out", "{tmp}/d"],
         {}, {"r.json": b'{"auc": NaN}'}, 2),
@@ -424,6 +466,46 @@ class TestStartup:
         out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out == "[]\n"
+
+
+CONFIG_CLASSES = {"ThermalConfig", "ClotPipelineConfig", "HogConfig", "CardioPipelineConfig",
+                  "MfccConfig"}
+
+
+def own_members():
+    """Every function and class defined in a prediagnose module, each once."""
+    for info in pkgutil.iter_modules(prediagnose.__path__):
+        module = importlib.import_module(f"prediagnose.{info.name}")
+        yield from (obj for obj in vars(module).values()
+                    if getattr(obj, "__module__", None) == module.__name__)
+
+
+class TestOneOwnerPerDefault:
+    """Config values have their defaults in the config dataclasses only, and a
+    value that no caller varies is a module constant, not a parameter."""
+
+    def test_numeric_parameter_defaults_are_threads_only(self):
+        found = []
+        for obj in own_members():
+            if inspect.isfunction(obj):
+                funcs = [obj]
+            elif inspect.isclass(obj) and not dataclasses.is_dataclass(obj):
+                funcs = [getattr(f, "__func__", f) for f in vars(obj).values()]
+                funcs = [f for f in funcs if inspect.isfunction(f)]
+            else:
+                continue
+            for f in funcs:
+                for p in inspect.signature(f).parameters.values():
+                    if (isinstance(p.default, (int, float))
+                            and (p.name, p.default) != ("threads", 1)):
+                        found.append(f"{f.__module__}.{f.__qualname__}({p.name}={p.default!r})")
+        assert found == []
+
+    def test_only_config_classes_have_numeric_field_defaults(self):
+        owners = {obj.__name__ for obj in own_members()
+                  if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                  and any(isinstance(f.default, (int, float)) for f in dataclasses.fields(obj))}
+        assert owners == CONFIG_CLASSES
 
 
 class TestExitCodes:

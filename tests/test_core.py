@@ -57,13 +57,18 @@ class TestRng:
         assert 0.97 <= draws.var() <= 1.03
 
     def test_gaussian_deterministic(self):
-        assert Rng(5).gaussian() == Rng(5).gaussian()
+        assert np.array_equal(Rng(5).gaussian_array(8), Rng(5).gaussian_array(8))
 
     def test_gaussian_array_matches_scalar(self):
+        # Box-Muller, cosine branch, over consecutive pairs of scalar uniforms
         a, b = Rng(11), Rng(11)
         arr = a.gaussian_array(64)
-        scalars = np.array([b.gaussian() for _ in range(64)])
+        scalars = []
+        for _ in range(64):
+            u1, u2 = b.uniform(), b.uniform()
+            scalars.append(np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2))
         assert np.array_equal(arr, scalars)
+        assert a.state == b.state
 
     def test_shuffle_deterministic(self):
         xs, ys = list(range(20)), list(range(20))

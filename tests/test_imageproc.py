@@ -96,7 +96,7 @@ class TestSobel:
 
 class TestCanny:
     def test_constant_empty(self):
-        assert ip.canny(GrayImage(np.full((16, 16), 0.5))).pixels.sum() == 0
+        assert ip.canny(GrayImage(np.full((16, 16), 0.5)), 1.4, 0.05, 0.15).pixels.sum() == 0
 
     def test_vertical_step_single_line(self):
         edges = ip.canny(vertical_step(), 1.4, 0.05, 0.15).pixels
@@ -187,7 +187,8 @@ class TestHogMatchesLoopReference:
         rng = np.random.default_rng(7)
         thermal = GrayImage(np.clip(rng.normal(0.5, 0.2, (128, 128)), 0, 1))
         return ([GrayImage(rng.random(shape)) for shape in ((128, 128), (64, 96), (40, 24))]
-                + [ip.canny(thermal), ip.gaussian_blur(thermal, 3.0), vertical_step(64)])
+                + [ip.canny(thermal, 1.4, 0.05, 0.15), ip.gaussian_blur(thermal, 3.0),
+                   vertical_step(64)])
 
     @pytest.mark.parametrize("cfg", [ip.HogConfig(),
                                      ip.HogConfig(cell_size=4, block_size=3, bins=7),
@@ -211,6 +212,20 @@ class TestPnmIO:
         data = b"P5\n# a comment\n2 1\n255\n\x00\xff"
         img = ip.read_pgm(data)
         assert img.pixels.tolist() == [[0.0, 1.0]]
+
+    @pytest.mark.parametrize("read, magic, raster", [
+        (ip.read_pgm, b"P5", bytes([10, 20, 30, 40])),
+        (ip.read_ppm, b"P6", bytes(range(10, 130, 10))),
+    ], ids=["pgm", "ppm"])
+    def test_comment_right_after_maxval(self, read, magic, raster):
+        # As in libnetpbm: the comment runs through its newline, and that
+        # newline is the one whitespace byte that ends the header.
+        want = read(magic + b"\n2 2\n255\n" + raster).pixels
+        assert np.array_equal(read(magic + b"\n2 2\n255#hi\n" + raster).pixels, want)
+        if magic == b"P5":
+            assert want.tolist() == (np.array([[10, 20], [30, 40]]) / 255.0).tolist()
+        with pytest.raises(FormatError, match="truncated header"):
+            read(magic + b"\n2 2\n255#no newline")
 
     def test_pgm_samples_divided_by_255(self):
         img = ip.read_pgm(b"P5\n3 1\n255\n\xff\x00\x33")

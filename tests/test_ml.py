@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -6,6 +8,14 @@ from prediagnose.core import LabeledDataset, Rng, TrainingError
 from prediagnose import forest as rf
 from prediagnose import svm as sv
 from prediagnose import voting
+from prediagnose.pipeline import CardioPipelineConfig
+
+
+def forest_hp(**overrides) -> rf.ForestHyperparams:
+    """The cardio pipeline's default forest hyperparameters, with overrides."""
+    cfg = dataclasses.replace(CardioPipelineConfig(), **overrides)
+    return rf.ForestHyperparams(cfg.n_trees, cfg.max_depth, cfg.min_samples_leaf, cfg.mtry,
+                                cfg.seed)
 
 
 def kernel_rbf(x, y, gamma: float) -> float:
@@ -142,10 +152,11 @@ class TestSmo:
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
-            sv.train_svm_smo(LabeledDataset(np.zeros((3, 2)), np.zeros(3, dtype=int)))
+            sv.train_svm_smo(LabeledDataset(np.zeros((3, 2)), np.zeros(3, dtype=int)), c=10.0,
+                             gamma=None)
         with pytest.raises(TrainingError):
             sv.train_svm_smo(
-                LabeledDataset(np.zeros((2, 2)), np.array([0, 1])), c=0.0
+                LabeledDataset(np.zeros((2, 2)), np.array([0, 1])), c=0.0, gamma=None
             )
 
     @pytest.mark.parametrize("c, gamma", [(-1.0, None), (float("nan"), None), (float("inf"), None),
@@ -159,7 +170,7 @@ class TestSmo:
 
     def test_decision_shape_check(self):
         model = sv.train_svm_smo(
-            LabeledDataset(np.array([[0.0], [1.0]]), np.array([0, 1])), gamma=1.0
+            LabeledDataset(np.array([[0.0], [1.0]]), np.array([0, 1])), c=10.0, gamma=1.0
         )
         with pytest.raises(ValueError):
             sv.svm_decision(model, [0.0, 1.0])
@@ -199,7 +210,7 @@ class TestForest:
     def test_best_split_simple(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        f, thr, g = rf.best_split(X, y, [0])
+        f, thr, g = rf.best_split(X, y, [0], min_samples_leaf=1)
         assert (f, thr, g) == (0, 1.5, 0.0)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -221,7 +232,8 @@ class TestForest:
         X = rng.gaussian_array(40).reshape(20, 2)
         y = (X[:, 0] > 0).astype(int)
         data = LabeledDataset(X, y)
-        model = rf.train_random_forest(data, n_trees=25, max_depth=8, min_samples_leaf=1, seed=0)
+        hp = forest_hp(n_trees=25, max_depth=8, min_samples_leaf=1)
+        model = rf.train_random_forest(data, hp)
         preds = [rf.forest_predict(model, x)[1] for x in X]
         assert np.mean(np.array(preds) == y) >= 0.95
 
@@ -230,22 +242,23 @@ class TestForest:
         X = rng.gaussian_array(60).reshape(30, 2)
         y = (X[:, 1] > 0).astype(int)
         data = LabeledDataset(X, y)
-        m1 = rf.train_random_forest(data, n_trees=10, seed=7, threads=1)
-        m4 = rf.train_random_forest(data, n_trees=10, seed=7, threads=4)
+        m1 = rf.train_random_forest(data, forest_hp(n_trees=10, seed=7), threads=1)
+        m4 = rf.train_random_forest(data, forest_hp(n_trees=10, seed=7), threads=4)
         probe = rng.gaussian_array(20).reshape(10, 2)
         for x in probe:
             assert rf.forest_predict(m1, x) == rf.forest_predict(m4, x)
 
     def test_forest_validation(self):
         with pytest.raises(TrainingError):
-            rf.train_random_forest(LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int)))
+            rf.train_random_forest(LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int)),
+                                   forest_hp())
         data = LabeledDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
         with pytest.raises(TrainingError):
-            rf.train_random_forest(data, mtry=5)
+            rf.train_random_forest(data, forest_hp(mtry=5))
 
     def test_predict_shape_check(self):
         data = LabeledDataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
-        model = rf.train_random_forest(data, n_trees=3, min_samples_leaf=1)
+        model = rf.train_random_forest(data, forest_hp(n_trees=3, min_samples_leaf=1))
         with pytest.raises(ValueError):
             rf.forest_predict(model, np.zeros(3))
 

@@ -15,7 +15,7 @@ from prediagnose import persist
 from prediagnose import pipeline as pl
 from prediagnose import synththermal
 from prediagnose.config import config_snapshot
-from prediagnose.forest import forest_predict, train_random_forest
+from prediagnose.forest import ForestHyperparams, forest_predict, train_random_forest
 from prediagnose.svm import SvmModel, svm_decision, train_svm_smo
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -35,9 +35,8 @@ def tiny_forest():
     rng = Rng(77)
     X = np.round(rng.uniform_array(36).reshape(12, 3), 6)
     y = (X[:, 0] + X[:, 2] > 1.0).astype(int)
-    return train_random_forest(
-        LabeledDataset(X, y), n_trees=5, max_depth=4, min_samples_leaf=1, seed=3
-    )
+    hp = ForestHyperparams(n_trees=5, max_depth=4, min_samples_leaf=1, mtry=None, seed=3)
+    return train_random_forest(LabeledDataset(X, y), hp)
 
 
 class TestCanonicalJson:

@@ -107,7 +107,7 @@ class TestGenerate:
 
 class TestDatasetIO:
     def test_write_load_round_trip(self, tmp_path):
-        st.write_thermal_dataset(tmp_path, CFG, 6, 0.5, seed=21)
+        st.write_thermal_dataset(tmp_path, CFG, 6, 0.5, seed=21, frames=0)
         samples = st.load_dataset(tmp_path, read_image_file)
         assert len(samples) == 6
         assert sum(lab for _, lab in samples) == 3
@@ -116,7 +116,7 @@ class TestDatasetIO:
     def test_manifest_seed_column_regenerates_sample(self, tmp_path):
         import csv
 
-        st.write_thermal_dataset(tmp_path, CFG, 4, 0.5, seed=33)
+        st.write_thermal_dataset(tmp_path, CFG, 4, 0.5, seed=33, frames=0)
         with open(tmp_path / "manifest.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         rec = rows[2]
@@ -141,7 +141,7 @@ class TestDatasetIO:
 
         for frac in (1.5, -0.5):
             with pytest.raises(ValueError, match="positive_fraction"):
-                st.write_thermal_dataset(tmp_path / "t", CFG, 4, frac, seed=1)
+                st.write_thermal_dataset(tmp_path / "t", CFG, 4, frac, seed=1, frames=0)
             with pytest.raises(ValueError, match="positive_fraction"):
                 write_cardio_dataset(tmp_path / "c", "lung", 4, frac, 2.0, 4000, seed=1)
         assert not (tmp_path / "t").exists() and not (tmp_path / "c").exists()
