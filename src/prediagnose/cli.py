@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -38,7 +38,7 @@ from .pipeline import (
     skin_standin_train,
 )
 from .svm import SvmModel, svm_decision_batch, train_svm_smo
-from .synthcardio import MIN_DURATION_S, SAMPLE_RATES, write_cardio_dataset
+from .synthcardio import MAX_DURATION_S, MIN_DURATION_S, SAMPLE_RATES, write_cardio_dataset
 from .synththermal import ThermalConfig, load_dataset, write_thermal_dataset
 
 EXIT_OK = 0
@@ -85,8 +85,8 @@ def _arg(parse, ok, what: str):
 _count = _arg(int, lambda v: v >= 1, "an integer >= 1")
 _fraction = _arg(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _window = _arg(int, lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
-_duration = _arg(float, lambda v: math.isfinite(v) and v >= MIN_DURATION_S,
-                 f"a number of seconds >= {MIN_DURATION_S}")
+_duration = _arg(float, lambda v: MIN_DURATION_S <= v <= MAX_DURATION_S,
+                 f"a number of seconds in [{MIN_DURATION_S}, {MAX_DURATION_S}]")
 
 
 def _pipeline(kind: str) -> tuple:
@@ -113,6 +113,14 @@ def _model_type(model) -> tuple:
                 lambda data, threads: train_svm_smo(data, c=model.c, gamma=model.gamma), "score")
     return (lambda forest, feats: np.array([forest_predict(forest, x)[0] for x in feats]), 0.5,
             lambda data, threads: train_random_forest(data, model.hyperparams, threads), "prob")
+
+
+def _frame_order(path: Path) -> tuple:
+    """Sort key of a sequence frame: digit runs in the name compare as
+    integers (frame2 before frame10), and the name itself breaks ties."""
+    parts = re.split(r"(\d+)", path.name)
+    parts[1::2] = map(int, parts[1::2])
+    return parts, path.name
 
 
 def _standin_tag(kind: str) -> dict:
@@ -223,7 +231,7 @@ def _cmd_predict(args) -> int:
     start = time.perf_counter()
     cfg = cfgmod.config_from_snapshot(config, created_with)
     if args.sequence:
-        frames = sorted(Path(args.sequence).glob("*.pgm"))
+        frames = sorted(Path(args.sequence).glob("*.pgm"), key=_frame_order)
         if not frames:
             raise FormatError(f"no PGM frames in {args.sequence}")
         if args.window is not None:

@@ -90,8 +90,7 @@ class GrayImage:
     """2-D grid of real intensities in [0,1], row-major.
 
     The PGM/PPM readers return [0,1] and write_pgm takes it; the Canny
-    thresholds assume it.  Derived maps (Sobel magnitude and angle, blurred or
-    rescaled copies) reuse the type unbounded.
+    thresholds assume it.
     """
 
     pixels: np.ndarray

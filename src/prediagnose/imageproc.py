@@ -84,14 +84,6 @@ def _sobel(px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.sqrt(gx * gx + gy * gy), _mod180(np.degrees(np.arctan2(gy, gx)))
 
 
-def sobel_gradients(img: GrayImage) -> tuple[GrayImage, GrayImage]:
-    """3x3 Sobel magnitude and angle (degrees in [0,180), borders replicated)."""
-    if img.width < 3 or img.height < 3:
-        raise ValueError("image must be at least 3x3")
-    mag, ang = _sobel(img.pixels)
-    return GrayImage(mag), GrayImage(ang)
-
-
 def _nms(mag: np.ndarray, ang: np.ndarray) -> np.ndarray:
     """Non-maximum suppression with angles quantized to 0/45/90/135 degrees."""
     h, w = mag.shape
@@ -113,9 +105,9 @@ def canny(img: GrayImage, sigma: float, low: float, high: float) -> GrayImage:
     8-connected hysteresis."""
     if not (0 < low < high):
         raise ValueError("thresholds must satisfy 0 < low < high")
-    blurred = gaussian_blur(img, sigma)
-    mag_img, ang_img = sobel_gradients(blurred)
-    mag, ang = mag_img.pixels, ang_img.pixels
+    if img.width < 3 or img.height < 3:
+        raise ValueError("image must be at least 3x3")
+    mag, ang = _sobel(gaussian_blur(img, sigma).pixels)
     keep = _nms(mag, ang)
     strong = keep & (mag >= high)
     weak = keep & (mag >= low)

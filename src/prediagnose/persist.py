@@ -60,13 +60,6 @@ def _canon(obj) -> str:
         return "-0.0" if text == "-0" else text  # "-0" would read back as the integer 0
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        if not np.all(np.isfinite(obj)):
-            raise ValueError("cannot serialize a non-finite float array")
-        if np.any(np.signbit(obj) & (obj == 0)):
-            return "[" + ", ".join(_canon(v) for v in obj.tolist()) + "]"
-        # one %-format per 1-D array; "%.17g" % v is format(v, ".17g")
-        return "[" + ", ".join(["%.17g"] * len(obj)) % tuple(obj.tolist()) + "]"
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -153,18 +146,10 @@ def _tree_from_dict(obj, path, n_features: int) -> TreeNode:
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
-def model_kind(model) -> str:
-    if isinstance(model, SvmModel):
-        return "svm"
-    if isinstance(model, ForestModel):
-        return "forest"
-    raise PersistError(f"unknown model type {type(model).__name__}")
-
-
 def save_model(model, created_with: dict | None = None) -> bytes:
-    kind = model_kind(model)
     packed = None
-    if kind == "svm":
+    if isinstance(model, SvmModel):
+        kind = "svm"
         sv = np.ascontiguousarray(model.support_vectors, dtype="<f8")
         if not np.all(np.isfinite(sv)):
             raise ValueError("cannot serialize a non-finite float array")
@@ -173,15 +158,18 @@ def save_model(model, created_with: dict | None = None) -> bytes:
             "gamma": float(model.gamma),
             "c": float(model.c),
             "bias": float(model.bias),
-            "alpha_y": np.asarray(model.alpha_y, dtype=np.float64),
+            "alpha_y": np.asarray(model.alpha_y, dtype=np.float64).tolist(),
             "support_vectors": {"shape": list(sv.shape), "float64le_base64": ""},
         }
-    else:
+    elif isinstance(model, ForestModel):
+        kind = "forest"
         payload = {
             "n_features": int(model.n_features),
             "hyperparams": dataclasses.asdict(model.hyperparams),
             "trees": [_tree_to_dict(t) for t in model.trees],
         }
+    else:
+        raise PersistError(f"unknown model type {type(model).__name__}")
     envelope = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -246,6 +234,9 @@ def load_model(data: bytes):
         if not trees_obj or hp.n_trees < 1:
             raise PersistError("a forest needs at least one tree in $.payload.trees and "
                                "$.payload.hyperparams.n_trees")
+        if hp.n_trees != len(trees_obj):
+            raise PersistError(f"field $.payload.hyperparams.n_trees = {hp.n_trees} disagrees "
+                               f"with the {len(trees_obj)} trees in $.payload.trees")
         try:
             trees = [_tree_from_dict(t, f"$.payload.trees[{i}]", n_features)
                      for i, t in enumerate(trees_obj)]

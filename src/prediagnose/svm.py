@@ -140,11 +140,8 @@ def train_svm_smo(data: LabeledDataset, c: float, gamma: float | None) -> SvmMod
 
 
 def svm_decision(model: SvmModel, x: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise ValueError(f"expected {model.n_features} features, got {x.shape}")
-    k = rbf_gram(model.support_vectors, x[None, :], model.gamma)[:, 0]
-    return float(model.alpha_y @ k + model.bias)
+    """Decision score of one feature vector: svm_decision_batch of one row."""
+    return float(svm_decision_batch(model, [x])[0])
 
 
 def svm_predict(model: SvmModel, x: np.ndarray) -> tuple[float, int]:
@@ -155,6 +152,6 @@ def svm_predict(model: SvmModel, x: np.ndarray) -> tuple[float, int]:
 
 def svm_decision_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != model.n_features:
-        raise ValueError(f"expected {model.n_features} features, got {X.shape[1]}")
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise ValueError(f"expected rows of {model.n_features} features, got shape {X.shape}")
     return rbf_gram(X, model.support_vectors, model.gamma) @ model.alpha_y + model.bias

@@ -18,6 +18,7 @@ from .synththermal import shuffled_labels, write_dataset
 PEAK = 0.9
 SAMPLE_RATES = (4000, 8000)
 MIN_DURATION_S = 2.0
+MAX_DURATION_S = 600.0  # ten minutes: 4.8M samples at 8 kHz, each buffer 38 MB
 _TAPS = 101
 
 
@@ -116,8 +117,8 @@ def synth_cardio_sample(
     normalization scale comes from the base signal alone (the base peak
     dominates by construction), so the peak amplitude is PEAK for both labels.
     """
-    if not duration_s >= MIN_DURATION_S:  # also rejects NaN
-        raise ValueError(f"duration must be >= {MIN_DURATION_S} s")
+    if not MIN_DURATION_S <= duration_s <= MAX_DURATION_S:  # also rejects NaN
+        raise ValueError(f"duration must be in [{MIN_DURATION_S}, {MAX_DURATION_S}] s")
     if sample_rate not in SAMPLE_RATES:
         raise ValueError(f"sample_rate must be one of {SAMPLE_RATES}")
     if task == "heart":

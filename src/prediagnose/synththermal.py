@@ -13,6 +13,7 @@ from .core import FormatError, GrayImage, Rng
 from .imageproc import write_pgm
 
 BACKGROUND = 0.2
+MAX_SIDE = 4096  # pixels; a 4096 x 4096 float64 image is 128 MiB
 
 
 @dataclass
@@ -30,6 +31,8 @@ class ThermalConfig:
     def __post_init__(self):
         if min(self.width, self.height, self.vessel_width, self.clot_margin) <= 0:
             raise ValueError("dimensions, vessel_width and clot_margin must be positive")
+        if max(self.width, self.height) > MAX_SIDE:
+            raise ValueError(f"width and height must be at most {MAX_SIDE}")
         if self.base_temp <= 0 or self.clot_sigma <= 0 or self.noise_sigma < 0:
             raise ValueError("base_temp and clot_sigma must be positive, noise_sigma >= 0")
         if self.clot_sigma >= min(self.width, self.height) / 4:

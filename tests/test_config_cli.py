@@ -301,6 +301,12 @@ MALFORMED = {
     "synth_duration_too_short": (
         ["synth", "cardio", "--task", "heart", "--out", "{tmp}/d", "--n", "2", "--seed", "1",
          "--duration", "1"], {}, {}, 1),
+    "synth_duration_too_long": (
+        ["synth", "cardio", "--task", "heart", "--out", "{tmp}/d", "--n", "2", "--seed", "1",
+         "--duration", "1e7"], {}, {}, 1),
+    "config_thermal_width_huge": (
+        ["synth", "thermal", "--out", "{tmp}/d", "--n", "2", "--seed", "1", "--config",
+         "{tmp}/c.ini"], {}, {"c.ini": b"[synththermal]\nwidth = 4000000000\n"}, 2),
     "svm_gamma_negative": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
         {}, model(tiny_svm_file({"pipeline": "clot"}, gamma=-1)), 2),
@@ -310,6 +316,11 @@ MALFORMED = {
     "forest_without_trees": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
         {}, model(tiny_forest_file(trees=[])), 2),
+    "forest_n_trees_disagrees": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        {}, model(tiny_forest_file(hyperparams={"n_trees": 100, "max_depth": 1,
+                                                "min_samples_leaf": 1, "mtry": None, "seed": 0})),
+        2),
     "model_nested_too_deeply": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
         {}, model(b"[" * 100_000 + b"]" * 100_000), 2),
@@ -451,6 +462,28 @@ def test_malformed_input_exit_code(row, tmp_path, capsys, monkeypatch):
     assert out == ""
     assert {1: "usage error", 2: "data error", 3: "training error"}[expected] in err
     assert not (tmp_path / "d").exists()
+
+
+class TestSequenceOrder:
+    def test_frames_reach_the_vote_in_numeric_order(self, tmp_path, capsys, monkeypatch):
+        # Digit runs compare as numbers; frame01 and frame1 tie and go by name.
+        names = ["frame01", "frame1", "frame2", "frame10", "frame11", "frame100"]
+        (tmp_path / "seq").mkdir()
+        for i, name in enumerate(names):
+            (tmp_path / "seq" / f"{name}.pgm").write_bytes(
+                write_pgm(GrayImage(np.full((8, 8), i / 255))))
+        (tmp_path / "m.pdmodel.json").write_bytes(tiny_svm_file({"pipeline": "clot"}))
+        voted = []
+
+        def vote(model, frames, cfg):
+            voted.extend(round(frame.pixels[0, 0] * 255) for frame in frames)
+            return 0
+
+        monkeypatch.setattr("prediagnose.cli.clot_predict_sequence", vote)
+        code, out, _ = run(capsys, "predict", "clot", "--model", str(tmp_path / "m.pdmodel.json"),
+                           "--sequence", str(tmp_path / "seq"))
+        assert code == 0 and json.loads(out)["n_frames"] == len(names)
+        assert voted == list(range(len(names)))
 
 
 class TestStartup:

@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import prediagnose
 from prediagnose.core import LabeledDataset, Rng, TrainingError
 from prediagnose import forest as rf
 from prediagnose import svm as sv
@@ -83,6 +88,28 @@ class TestKernel:
         X = np.array([[0.0, 0.0], [2.0, 2.0]])
         assert sv.gamma_scale(X) == pytest.approx(1.0 / (2 * X.var()))
         assert sv.gamma_scale(np.ones((3, 4))) == pytest.approx(0.25)
+
+
+# sha256 of the decision scores of a seeded clot model on 40 test images, one
+# svm_decision call per row, then one svm_decision_batch call over the matrix.
+# The two paths sum the Gram products in different orders and differ in the
+# last bits, so each has its own digest, and a one-ulp change to either fails.
+# A fresh interpreter pins OpenBLAS to one thread, whose summation order does
+# not depend on the core count. argv[1] is svm_gamma, or "scale" for gamma_scale.
+DECISION_SCORES = """
+import hashlib, sys
+import numpy as np
+from prediagnose import pipeline as pl, svm as sv, synththermal
+from prediagnose.core import Rng
+cfg = pl.ClotPipelineConfig(svm_gamma=None if sys.argv[1] == "scale" else float(sys.argv[1]))
+thermal = synththermal.ThermalConfig()
+model = pl.clot_train(synththermal.generate_dataset(thermal, 6, 0.5, Rng(31)), cfg)
+test = synththermal.generate_dataset(thermal, 40, 0.5, Rng(32))
+X = np.array([pl.clot_features(img, cfg) for img, _ in test])
+rows = np.array([sv.svm_decision(model, x) for x in X])
+print(hashlib.sha256(rows.tobytes()).hexdigest())
+print(hashlib.sha256(sv.svm_decision_batch(model, X).tobytes()).hexdigest())
+"""
 
 
 class TestSmo:
@@ -174,6 +201,23 @@ class TestSmo:
         )
         with pytest.raises(ValueError):
             sv.svm_decision(model, [0.0, 1.0])
+        for x in ([0.0], [[[0.0]]]):
+            with pytest.raises(ValueError, match="expected rows of 1 features"):
+                sv.svm_decision_batch(model, x)
+
+    @pytest.mark.parametrize("gamma, row_digest, batch_digest", [
+        ("0.15", "4e07ddb6029fd9b79e36684eaa01f0f5e4dd30cc4c42a4df5be1c00debc662af",
+         "2030b2e1ecda343e658ca83c077870a7598a9111e4aae8e6bd46820c32c3e795"),
+        ("scale", "2108e93866e5e8da59c4f6e2ac592c62125c971e4097af8f16b231844500fefb",
+         "7bcb623c1a3d43f23628b777e492aa24eaad60403bad88b6a8dcdf95fa6b74ec"),
+    ], ids=["gamma_0.15", "gamma_scale"])
+    def test_decision_scores_pinned(self, gamma, row_digest, batch_digest):
+        src = str(Path(prediagnose.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = subprocess.run([sys.executable, "-c", DECISION_SCORES, gamma], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == [row_digest, batch_digest]
 
 
 def brute_force_split(X, y, features, min_leaf):

@@ -32,6 +32,8 @@ class TestSynthCardio:
     def test_validation(self):
         with pytest.raises(ValueError):
             sc.synth_cardio_sample("heart", 1, 1.0, 4000, Rng(0))
+        with pytest.raises(ValueError, match="600"):
+            sc.synth_cardio_sample("lung", 1, 600.5, 4000, Rng(0))
         with pytest.raises(ValueError):
             sc.synth_cardio_sample("heart", 1, 3.0, 44100, Rng(0))
         with pytest.raises(ValueError):

@@ -42,6 +42,10 @@ class TestRenderScene:
             st.ThermalConfig(clot_sigma=64.0)
         with pytest.raises(ValueError):
             st.ThermalConfig(clot_margin=64)
+        st.ThermalConfig(width=st.MAX_SIDE, height=st.MAX_SIDE)
+        for side in ({"width": st.MAX_SIDE + 1}, {"height": st.MAX_SIDE + 1}):
+            with pytest.raises(ValueError, match="at most 4096"):
+                st.ThermalConfig(**side)
 
 
 class TestGenerate:
