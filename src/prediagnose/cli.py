@@ -39,7 +39,7 @@ from .pipeline import (
 )
 from .svm import SvmModel, svm_decision_batch, train_svm_smo
 from .synthcardio import MAX_DURATION_S, MIN_DURATION_S, SAMPLE_RATES, write_cardio_dataset
-from .synththermal import ThermalConfig, load_dataset, write_thermal_dataset
+from .synththermal import MAX_FRAMES, ThermalConfig, load_dataset, write_thermal_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -139,7 +139,8 @@ def build_parser() -> _Parser:
     p_st.add_argument("--n", type=_count, required=True)
     p_st.add_argument("--positive-frac", type=_fraction, default=0.5)
     p_st.add_argument("--seed", type=int, required=True)
-    p_st.add_argument("--frames", type=_arg(int, lambda v: v >= 0, "an integer >= 0"), default=0)
+    p_st.add_argument("--frames", type=_arg(int, lambda v: 0 <= v <= MAX_FRAMES,
+                                            f"an integer in [0, {MAX_FRAMES}]"), default=0)
     p_st.add_argument("--config", default=None)
 
     p_sc = synth_sub.add_parser("cardio")
@@ -236,7 +237,7 @@ def _cmd_predict(args) -> int:
             raise FormatError(f"no PGM frames in {args.sequence}")
         if args.window is not None:
             cfg = dataclasses.replace(cfg, window=args.window)
-        doc = {"label": clot_predict_sequence(model, [read(f) for f in frames], cfg),
+        doc = {"label": clot_predict_sequence(model, (read(f) for f in frames), cfg),
                "n_frames": len(frames)}
     elif not args.input:
         raise _UsageError("predict requires --input (or --sequence for clot)")

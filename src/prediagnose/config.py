@@ -38,7 +38,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
         "svm_c": float, "svm_gamma": float, "n_trees": int, "max_depth": int,
         "min_samples_leaf": int, "mtry": int, "seed": int, "window": int,
     },
-    "pipeline": {"task": str},
 }
 # Keys are unique across sections, so one flat table types every value.
 _TYPES = {key: typ for keys in _SCHEMA.values() for key, typ in keys.items()}

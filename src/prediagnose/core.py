@@ -76,7 +76,7 @@ class Rng:
 
     def sample_indices(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), via partial Fisher-Yates."""
-        if k > n:
+        if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct indices from {n}")
         pool = list(range(n))
         for i in range(k):

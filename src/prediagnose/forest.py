@@ -84,6 +84,15 @@ def best_split(
     return best
 
 
+def check_hyperparams(hp: ForestHyperparams) -> None:
+    """TrainingError unless n_trees, max_depth and min_samples_leaf are >= 1
+    and mtry is None or >= 1."""
+    for name in ("n_trees", "max_depth", "min_samples_leaf", "mtry"):
+        value = getattr(hp, name)
+        if value is not None and value < 1:
+            raise TrainingError(f"{name} must be >= 1, got {value}")
+
+
 def _grow(X, y, depth, hp: ForestHyperparams, mtry: int, rng: Rng) -> TreeNode:
     n1 = int(y.sum())
     n0 = len(y) - n1
@@ -118,6 +127,7 @@ def train_random_forest(data: LabeledDataset, hp: ForestHyperparams, threads: in
     are identical for any thread count."""
     if len(data) == 0:
         raise TrainingError("empty dataset")
+    check_hyperparams(hp)
     X, y = data.features, data.labels
     d = X.shape[1]
     mtry_eff = hp.mtry if hp.mtry is not None else int(np.ceil(np.sqrt(d)))

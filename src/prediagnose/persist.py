@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FormatError
-from .forest import ForestHyperparams, ForestModel, TreeNode
+from .core import FormatError, TrainingError
+from .forest import ForestHyperparams, ForestModel, TreeNode, check_hyperparams
 from .svm import SvmModel
 
 FORMAT_VERSION = 2
@@ -237,6 +237,10 @@ def load_model(data: bytes):
         if hp.n_trees != len(trees_obj):
             raise PersistError(f"field $.payload.hyperparams.n_trees = {hp.n_trees} disagrees "
                                f"with the {len(trees_obj)} trees in $.payload.trees")
+        try:
+            check_hyperparams(hp)
+        except TrainingError as exc:
+            raise PersistError(f"field $.payload.hyperparams: {exc}") from None
         try:
             trees = [_tree_from_dict(t, f"$.payload.trees[{i}]", n_features)
                      for i, t in enumerate(trees_obj)]

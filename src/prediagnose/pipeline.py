@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -50,7 +51,6 @@ class CardioPipelineConfig:
     min_samples_leaf: int = 2
     mtry: int | None = None
     seed: int = 0
-    task: str = "lung"
 
 
 def clot_features(img: GrayImage, cfg: ClotPipelineConfig) -> np.ndarray:
@@ -94,8 +94,9 @@ def clot_predict_frame(model: SvmModel, img: GrayImage, cfg: ClotPipelineConfig 
     return svm_predict(model, clot_features(img, cfg))
 
 
-def clot_predict_sequence(model: SvmModel, frames: list[GrayImage],
+def clot_predict_sequence(model: SvmModel, frames: Iterable[GrayImage],
                           cfg: ClotPipelineConfig | None = None) -> int:
+    """Sequence vote of the frames' labels; each frame is scored as it is taken."""
     cfg = cfg or ClotPipelineConfig()
     labels = [clot_predict_frame(model, f, cfg)[1] for f in frames]
     return sequence_vote(labels, cfg.window)

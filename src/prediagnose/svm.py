@@ -1,4 +1,4 @@
-"""RBF-kernel SVM trained with simplified (Platt-style) SMO."""
+"""RBF-kernel SVM trained by SMO with second-order working-set selection."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import numpy as np
 
 from .core import LabeledDataset, TrainingError
 
-_TOL = 1e-3  # KKT tolerance
-_MAX_PASSES = 10  # consecutive sweeps without an alpha change before stopping
+_TOL = 1e-3  # SMO stops once the KKT gap is below this
+_TAU = 1e-12  # curvature used for a pair whose kernel curvature is not positive
+_MAX_STEPS = 100  # SMO pair steps allowed per training sample
 
 
 @dataclass
@@ -44,14 +45,21 @@ def gamma_scale(features: np.ndarray) -> float:
 
 
 def train_svm_smo(data: LabeledDataset, c: float, gamma: float | None) -> SvmModel:
-    """Simplified SMO: sweep examples violating KKT within _TOL, pair each with
-    the index maximizing |E1 - E2| (lowest index on ties), optimize the pair
-    analytically with box clipping, update the bias by the b1/b2 rule.  When
-    the max-gap partner makes no progress, fall back to the remaining partners
-    in decreasing-gap order (deterministic), as in Platt's second-choice
-    hierarchy; without the fallback, isolated KKT violations can persist.
-    Terminates after _MAX_PASSES consecutive full sweeps with no alpha change.
-    gamma None uses gamma_scale.
+    """SMO (Platt, 1998) with second-order working-set selection (WSS2; Fan,
+    Chen & Lin, JMLR 2005).
+
+    The dual is solved in beta = alpha * y: beta_t lies in [0, C] for y = +1
+    and in [-C, 0] for y = -1, and sum(beta) = 0. v = y - K beta, which is -y
+    times the dual gradient, is kept up to date. Each step pairs i, the index
+    of largest v among those whose beta can grow, with j, the index of largest
+    gain (v_i - v_j)^2 / (K_ii + K_jj - 2 K_ij) among those whose beta can
+    shrink and whose v is smaller, and moves beta_i up and beta_j down by the
+    pair's optimal step clipped to the box. It stops when the KKT gap, v_i less
+    the smallest v whose beta can shrink, is below _TOL, and raises
+    TrainingError after _MAX_STEPS * n steps. The bias is the mean of v over
+    the free multipliers (0 < alpha < C); with none free, the KKT conditions
+    leave it between the gap's two ends, and it is their midpoint. Ties go to
+    the lowest index. gamma None uses gamma_scale.
     """
     if not 0 < c < math.inf:
         raise TrainingError(f"c must be positive and finite, got {c}")
@@ -66,73 +74,39 @@ def train_svm_smo(data: LabeledDataset, c: float, gamma: float | None) -> SvmMod
     if gamma is None:
         gamma = gamma_scale(X)
     K = rbf_gram(X, X, gamma)
+    diag = K.diagonal()
+    hi = np.where(y > 0, c, 0.0)
+    lo = hi - c
+    beta = np.zeros(n)
+    v = y.copy()
+    for _ in range(_MAX_STEPS * n):
+        grow, shrink = beta < hi, beta > lo
+        i = int(np.argmax(np.where(grow, v, -np.inf)))
+        v_low = v[shrink].min()
+        if v[i] - v_low < _TOL:
+            break
+        diff = v[i] - v
+        curv = diag[i] + diag - 2.0 * K[i]
+        curv[curv <= 0] = _TAU
+        j = int(np.argmax(np.where(shrink & (diff > 0), diff * diff / curv, -np.inf)))
+        room_i, room_j = hi[i] - beta[i], beta[j] - lo[j]
+        t = min(diff[j] / curv[j], room_i, room_j)
+        beta[i] = hi[i] if t == room_i else beta[i] + t
+        beta[j] = lo[j] if t == room_j else beta[j] - t
+        v -= t * (K[i] - K[j])
+    else:
+        raise TrainingError(f"SMO did not converge in {_MAX_STEPS * n} steps")
+    free = grow & shrink
+    b = v[free].mean() if free.any() else (v[i] + v_low) / 2.0
 
-    alpha = np.zeros(n)
-    b = 0.0
-    f = np.zeros(n)  # decision values, kept incrementally up to date
-
-    def take_step(i: int, j: int) -> bool:
-        nonlocal b, f
-        e_i = f[i] - y[i]
-        e_j = f[j] - y[j]
-        a_i_old, a_j_old = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            lo = max(0.0, a_j_old - a_i_old)
-            hi = min(c, c + a_j_old - a_i_old)
-        else:
-            lo = max(0.0, a_i_old + a_j_old - c)
-            hi = min(c, a_i_old + a_j_old)
-        if lo >= hi:
-            return False
-        eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-        if eta >= 0:
-            return False
-        a_j = a_j_old - y[j] * (e_i - e_j) / eta
-        a_j = min(hi, max(lo, a_j))
-        if abs(a_j - a_j_old) < 1e-5:
-            return False
-        a_i = a_i_old + y[i] * y[j] * (a_j_old - a_j)
-        d_i = a_i - a_i_old
-        d_j = a_j - a_j_old
-        b1 = b - e_i - y[i] * d_i * K[i, i] - y[j] * d_j * K[i, j]
-        b2 = b - e_j - y[i] * d_i * K[i, j] - y[j] * d_j * K[j, j]
-        if 0 < a_i < c:
-            b_new = b1
-        elif 0 < a_j < c:
-            b_new = b2
-        else:
-            b_new = (b1 + b2) / 2.0
-        alpha[i], alpha[j] = a_i, a_j
-        f += y[i] * d_i * K[i] + y[j] * d_j * K[j] + (b_new - b)
-        b = b_new
-        return True
-
-    passes = 0
-    while passes < _MAX_PASSES:
-        changed = 0
-        for i in range(n):
-            r = y[i] * (f[i] - y[i])
-            if not ((r < -_TOL and alpha[i] < c) or (r > _TOL and alpha[i] > 0)):
-                continue
-            gap = np.abs((f[i] - y[i]) - (f - y))
-            gap[i] = -1.0
-            # try partners in decreasing |E_i - E_j| order (stable sort keeps
-            # the lowest index first on ties)
-            for j in np.argsort(-gap, kind="stable"):
-                if j == i:
-                    break  # i itself sorts last; everything after is i only
-                if take_step(i, int(j)):
-                    changed += 1
-                    break
-        passes = passes + 1 if changed == 0 else 0
-
+    alpha = beta * y
     keep = alpha > 1e-8
     if not np.any(keep):
         # Degenerate but possible on pathological data; keep the largest alpha.
         keep = alpha == alpha.max()
     return SvmModel(
-        support_vectors=X[keep].copy(),
-        alpha_y=(alpha * y)[keep].copy(),
+        support_vectors=X[keep],
+        alpha_y=beta[keep],
         bias=float(b),
         gamma=float(gamma),
         c=float(c),

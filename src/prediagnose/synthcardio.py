@@ -149,5 +149,6 @@ def write_cardio_dataset(
     sample_rate: int, seed: int
 ) -> None:
     """WAV files plus manifest.csv (see synththermal.write_dataset)."""
-    write_dataset(out_dir, n, positive_fraction, seed, lambda i, label, rng: {
-        f"rec{i:04d}.wav": write_wav(synth_cardio_sample(task, label, duration_s, sample_rate, rng))})
+    write_dataset(out_dir, n, positive_fraction, seed, lambda i, label, rng: [
+        (f"rec{i:04d}.wav",
+         write_wav(synth_cardio_sample(task, label, duration_s, sample_rate, rng)))])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from .imageproc import write_pgm
 
 BACKGROUND = 0.2
 MAX_SIDE = 4096  # pixels; a 4096 x 4096 float64 image is 128 MiB
+MAX_FRAMES = 10_000  # frames per sequence; 10,000 default 128 x 128 PGMs take 164 MB
 
 
 @dataclass
@@ -82,19 +84,24 @@ def generate_sample(cfg: ThermalConfig, label: int, rng: Rng) -> GrayImage:
 
 def generate_frame_sequence(cfg: ThermalConfig, label: int, n_frames: int, rng: Rng) -> list[GrayImage]:
     """Static-camera sequence: one scene, independent per-frame noise."""
+    return list(iter_frame_sequence(cfg, label, n_frames, rng))
+
+
+def iter_frame_sequence(cfg: ThermalConfig, label: int, n_frames: int, rng: Rng
+                        ) -> Iterator[GrayImage]:
+    """generate_frame_sequence one frame at a time: each frame's noise is drawn
+    as the frame is taken, so the stream of draws is the same."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     col, center = _draw_scene_params(cfg, rng)
     field = render_scene(cfg, col, center if label == 1 else None)
-    frames = []
     for _ in range(n_frames):
         noisy = field
         if cfg.noise_sigma > 0:
             noisy = field + cfg.noise_sigma * rng.gaussian_array(cfg.width * cfg.height).reshape(
                 cfg.height, cfg.width
             )
-        frames.append(GrayImage(np.clip(noisy, 0.0, 1.0)))
-    return frames
+        yield GrayImage(np.clip(noisy, 0.0, 1.0))
 
 
 def shuffled_labels(n: int, positive_fraction: float, rng: Rng) -> list[int]:
@@ -123,9 +130,9 @@ def generate_dataset(
 
 def write_dataset(out_dir, n: int, positive_fraction: float, seed: int, render) -> None:
     """Write n samples and manifest.csv (filename,label,seed).  render(i, label,
-    rng) returns sample i's {filename: bytes}.  The seed column records the
-    generator state just before each sample so any row can be regenerated
-    independently."""
+    rng) gives sample i's (filename, bytes) pairs, each written before the next
+    is taken.  The seed column records the generator state just before each
+    sample so any row can be regenerated independently."""
     rng = Rng(seed)
     labels = shuffled_labels(n, positive_fraction, rng)
     out = Path(out_dir)
@@ -133,7 +140,7 @@ def write_dataset(out_dir, n: int, positive_fraction: float, seed: int, render) 
     rows = []
     for i, lab in enumerate(labels):
         state = rng.state
-        for name, data in render(i, lab, rng).items():
+        for name, data in render(i, lab, rng):
             (out / name).parent.mkdir(exist_ok=True)
             (out / name).write_bytes(data)
             rows.append((name, lab, state))
@@ -142,11 +149,15 @@ def write_dataset(out_dir, n: int, positive_fraction: float, seed: int, render) 
 
 def write_thermal_dataset(out_dir, cfg: ThermalConfig, n: int, positive_fraction: float, seed: int,
                           frames: int) -> None:
-    """Write PGMs and a manifest.  frames > 0 writes per-sample sequence subdirs."""
-    def render(i: int, label: int, rng: Rng) -> dict[str, bytes]:
+    """Write PGMs and a manifest.  frames in [1, MAX_FRAMES] writes per-sample
+    sequence subdirs, one frame drawn and written at a time."""
+    if not 0 <= frames <= MAX_FRAMES:
+        raise ValueError(f"frames must be in [0, {MAX_FRAMES}], got {frames}")
+
+    def render(i: int, label: int, rng: Rng) -> Iterator[tuple[str, bytes]]:
         names = [f"seq{i:04d}/frame{j:02d}.pgm" for j in range(frames)] or [f"sample{i:04d}.pgm"]
-        images = generate_frame_sequence(cfg, label, len(names), rng)
-        return {name: write_pgm(image) for name, image in zip(names, images)}
+        images = iter_frame_sequence(cfg, label, len(names), rng)
+        return ((name, write_pgm(image)) for name, image in zip(names, images))
 
     write_dataset(out_dir, n, positive_fraction, seed, render)
 

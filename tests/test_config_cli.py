@@ -35,20 +35,19 @@ class TestConfigFiles:
         clot = cfgmod.load_config(ClotPipelineConfig)
         assert clot.svm_c == 10.0 and clot.window == 5
         cardio = cfgmod.load_config(CardioPipelineConfig)
-        assert cardio.mfcc.n_coeffs == 13 and cardio.task == "lung"
+        assert cardio.mfcc.n_coeffs == 13 and cardio.n_trees == 100
 
     def test_overrides(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text(
             "[imageproc]\ncanny_sigma = 2.0\nhog_view = edge\n"
-            "[ml]\nsvm_c = 3.5\nwindow = 7\n"
-            "[pipeline]\ntask = heart\n"
+            "[ml]\nsvm_c = 3.5\nwindow = 7\nn_trees = 20\n"
         )
         clot = cfgmod.load_config(ClotPipelineConfig, path)
         assert clot.canny_sigma == 2.0 and clot.svm_c == 3.5
         assert clot.window == 7 and clot.hog_view == "edge"
         cardio = cfgmod.load_config(CardioPipelineConfig, path)
-        assert cardio.task == "heart"
+        assert cardio.n_trees == 20
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -102,7 +101,6 @@ class TestConfigFiles:
             ("pre_emphasis", 0.97), ("n_filters", 26), ("n_coeffs", 13),
             ("log_floor", 1e-10), ("denoise_levels", 4), ("n_trees", 100),
             ("max_depth", 12), ("min_samples_leaf", 2), ("mtry", None), ("seed", 0),
-            ("task", "lung"),
         ]
 
     @pytest.mark.parametrize("cls, snap", [
@@ -295,6 +293,9 @@ MALFORMED = {
     "synth_frames_negative": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "2", "--seed", "1", "--frames", "-2"],
         {}, {}, 1),
+    "synth_frames_above_cap": (
+        ["synth", "thermal", "--out", "{tmp}/d", "--n", "2", "--seed", "1", "--frames", "10001"],
+        {}, {}, 1),
     "synth_rate_unsupported": (
         ["synth", "cardio", "--task", "lung", "--out", "{tmp}/d", "--n", "2", "--seed", "1",
          "--rate", "5000"], {}, {}, 1),
@@ -432,6 +433,27 @@ MALFORMED = {
     "config_bins_finer_than_a_degree": (
         ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
         {}, clot_train_data("[imageproc]\nbins = 4000000000\n"), 2),
+    "config_n_trees_zero": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, cardio_train_data("[ml]\nn_trees = 0\n"), 3),
+    "config_n_trees_negative": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, cardio_train_data("[ml]\nn_trees = -3\n"), 3),
+    "config_mtry_zero": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, cardio_train_data("[ml]\nmtry = 0\n"), 3),
+    "config_mtry_negative": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, cardio_train_data("[ml]\nmtry = -1\n"), 3),
+    "config_max_depth_negative": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, cardio_train_data("[ml]\nmax_depth = -1\n"), 3),
+    "config_min_samples_leaf_negative": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, cardio_train_data("[ml]\nmin_samples_leaf = -2\n"), 3),
+    "config_pipeline_section": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {}, cardio_train_data("[pipeline]\ntask = heart\n"), 2),
     "created_with_denoise_levels_beyond_signal": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
         {}, model(cardio_created_with(b'"denoise_levels": 40')), 2),
@@ -554,6 +576,19 @@ class TestExitCodes:
         )
         assert code == 2
         assert "data error" in err
+
+    def test_smo_step_bound_is_3(self, capsys, tmp_path, monkeypatch):
+        # At gamma 0.001 these eight images need more than one SMO step each.
+        data = tmp_path / "data"
+        code, _, _ = run(capsys, "synth", "thermal", "--out", str(data), "--n", "8", "--seed", "1")
+        assert code == 0
+        (tmp_path / "c.ini").write_text("[ml]\nsvm_gamma = 0.001\n")
+        monkeypatch.setattr("prediagnose.svm._MAX_STEPS", 1)
+        code, out, err = run(capsys, "train", "clot", "--data", str(data), "--config",
+                             str(tmp_path / "c.ini"), "--out", str(tmp_path / "m.pdmodel.json"))
+        assert (code, out) == (3, "")
+        assert "training error: SMO did not converge in 8 steps" in err
+        assert not (tmp_path / "m.pdmodel.json").exists()
 
     def test_single_class_training_is_3(self, capsys, tmp_path):
         data = tmp_path / "data"
@@ -694,7 +729,7 @@ class TestCardioFlow:
     def test_train_predict_eval_kfold(self, cardio_ws, capsys):
         workspace = cardio_ws
         cfg = workspace / "cfg.ini"
-        cfg.write_text("[ml]\nn_trees = 20\n[pipeline]\ntask = heart\n")
+        cfg.write_text("[ml]\nn_trees = 20\n")
         model = workspace / "cardio.pdmodel.json"
         code, out, _ = run(capsys, "train", "cardio", "--data", str(workspace / "train"),
                            "--config", str(cfg), "--out", str(model))
@@ -713,6 +748,16 @@ class TestCardioFlow:
         assert code == 0
         report = json.loads(out)
         assert report["confusion"]["tp"] + report["confusion"]["fn"] == 5
+
+    def test_model_recording_task_loads_and_predicts(self, tmp_path, capsys):
+        # Cardio models once recorded a "task" in created_with; the key is now ignored.
+        path = tmp_path / "m.pdmodel.json"
+        path.write_bytes(cardio_created_with(b'"task": "heart"'))
+        (tmp_path / "x.wav").write_bytes(write_wav(AudioSignal(np.zeros(2000), 4000)))
+        code, out, _ = run(capsys, "predict", "cardio", "--model", str(path),
+                           "--input", str(tmp_path / "x.wav"))
+        assert code == 0
+        assert json.loads(out)["label"] in (0, 1)
 
 
 class TestReport:

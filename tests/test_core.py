@@ -81,6 +81,8 @@ class TestRng:
         assert len(set(idx)) == 6 and all(0 <= i < 10 for i in idx)
         with pytest.raises(ValueError):
             Rng(8).sample_indices(3, 4)
+        with pytest.raises(ValueError):  # pool[:-1] would give n - 1 indices
+            Rng(8).sample_indices(3, -1)
 
 
 class TestTypes:

@@ -65,6 +65,14 @@ def model_alphas(model, X, y_pm):
     return alpha
 
 
+def overlapping_clusters(seed):
+    """Two overlapping 20-point Gaussian clusters, their centres 1.6 apart."""
+    rng = Rng(seed)
+    X = np.vstack([rng.gaussian_array(40).reshape(20, 2) + [0.8, 0.0],
+                   rng.gaussian_array(40).reshape(20, 2) - [0.8, 0.0]])
+    return X, np.array([1] * 20 + [0] * 20)
+
+
 class TestKernel:
     def test_examples(self):
         assert kernel_rbf([0.0], [0.0], 1.0) == 1.0
@@ -170,12 +178,52 @@ class TestSmo:
         # KKT margins: support vectors strictly inside (0, C) lie on the margin
         alpha = model_alphas(model, X, y_pm)
         margins = y_pm * scores
-        # the analytic pair step skips updates smaller than 1e-5, so allow a
-        # band slightly wider than tol
+        # SMO stops once its KKT gap is below 1e-3, so allow a band wider
+        # than that rather than machine precision
         free = (alpha > 1e-6) & (alpha < c - 1e-6)
         assert np.all(np.abs(margins[free] - 1.0) < 0.01)
         assert np.all(margins[alpha <= 1e-6] >= 1.0 - 0.01)
         assert np.all(margins[alpha >= c - 1e-6] <= 1.0 + 0.01)
+
+    @pytest.mark.parametrize("seed", [20, 23])
+    def test_non_separable_set_matches_qp_oracle(self, seed):
+        # C = 1 on overlapping clusters: some multipliers are free, some sit at C.
+        X, y01 = overlapping_clusters(seed)
+        y_pm = 2.0 * y01 - 1.0
+        model = sv.train_svm_smo(LabeledDataset(X, y01), c=1.0, gamma=0.5)
+        alpha = model_alphas(model, X, y_pm)
+        _, obj_qp, K = solve_dual_qp(X, y_pm, 1.0, 0.5)
+        assert dual_objective(alpha, y_pm, K) == pytest.approx(obj_qp, abs=1e-3)
+        free = (alpha > 1e-6) & (alpha < 1.0 - 1e-6)
+        at_c = alpha >= 1.0 - 1e-6
+        assert free.any() and at_c.any()
+        margins = y_pm * sv.svm_decision_batch(model, X)
+        assert np.all(np.abs(margins[free] - 1.0) < 0.01)
+        assert np.all(margins[alpha <= 1e-6] >= 1.0 - 0.01)
+        assert np.all(margins[at_c] <= 1.0 + 0.01)
+
+    @pytest.mark.parametrize("seed", [20, 23])
+    def test_bias_without_free_multipliers_meets_kkt(self, seed):
+        # At C = 1e-3 every multiplier sits at C, so no free one fixes the bias.
+        # Each +1 point at C needs y*f <= 1, that is b <= 1 - (K alpha_y)_i,
+        # and each -1 point at C needs b >= -1 - (K alpha_y)_i.
+        X, y01 = overlapping_clusters(seed)
+        y_pm = 2.0 * y01 - 1.0
+        c = 1e-3
+        model = sv.train_svm_smo(LabeledDataset(X, y01), c=c, gamma=0.5)
+        alpha = model_alphas(model, X, y_pm)
+        assert np.all(alpha >= c * (1 - 1e-9))
+        _, obj_qp, K = solve_dual_qp(X, y_pm, c, 0.5)
+        assert dual_objective(alpha, y_pm, K) == pytest.approx(obj_qp, abs=1e-3)
+        v = y_pm - K @ (alpha * y_pm)
+        assert v[y01 == 0].max() <= model.bias <= v[y01 == 1].min()
+
+    def test_step_bound_raises(self, monkeypatch):
+        # Seed 20's C = 1 problem needs more than one step per sample.
+        X, y01 = overlapping_clusters(20)
+        monkeypatch.setattr(sv, "_MAX_STEPS", 1)
+        with pytest.raises(TrainingError, match="did not converge in 40 steps"):
+            sv.train_svm_smo(LabeledDataset(X, y01), c=1.0, gamma=0.5)
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
@@ -206,10 +254,10 @@ class TestSmo:
                 sv.svm_decision_batch(model, x)
 
     @pytest.mark.parametrize("gamma, row_digest, batch_digest", [
-        ("0.15", "4e07ddb6029fd9b79e36684eaa01f0f5e4dd30cc4c42a4df5be1c00debc662af",
-         "2030b2e1ecda343e658ca83c077870a7598a9111e4aae8e6bd46820c32c3e795"),
-        ("scale", "2108e93866e5e8da59c4f6e2ac592c62125c971e4097af8f16b231844500fefb",
-         "7bcb623c1a3d43f23628b777e492aa24eaad60403bad88b6a8dcdf95fa6b74ec"),
+        ("0.15", "ea9c206f7ed8bbe49ade02432886780e77fd32fbe3157052566c4c104c753572",
+         "5c6e50348c1bd0841a58eab7da195a581634eed109e5ad899cc2d4c595a4b900"),
+        ("scale", "51f9ea782c7de5d820f736b214979fcb95f706100be9d3b276bab9328ab230fd",
+         "6626b0fb0f4b04503b4ad00cefe48cfe4cd56966158597fa009e4b8bc8a95eb8"),
     ], ids=["gamma_0.15", "gamma_scale"])
     def test_decision_scores_pinned(self, gamma, row_digest, batch_digest):
         src = str(Path(prediagnose.__file__).parents[1])

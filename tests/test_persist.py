@@ -16,18 +16,22 @@ from prediagnose import pipeline as pl
 from prediagnose import synththermal
 from prediagnose.config import config_snapshot
 from prediagnose.forest import ForestHyperparams, forest_predict, train_random_forest
-from prediagnose.svm import SvmModel, svm_decision, train_svm_smo
+from prediagnose.svm import SvmModel, svm_decision
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def tiny_svm():
-    """Deterministic reference SVM used for the frozen golden file."""
-    rng = Rng(2024)
-    X = np.round(rng.gaussian_array(16).reshape(8, 2), 6)
-    y = np.array([0, 0, 0, 0, 1, 1, 1, 1])
-    X[y == 1] += 2.0
-    return train_svm_smo(LabeledDataset(X, y), c=4.0, gamma=0.5)
+    """The SVM of the frozen golden file, from its literal values, so that the
+    golden tests check the file format and not the solver. (It was trained
+    once on eight 2-D points drawn from Rng(2024), with c=4 and gamma=0.5.)"""
+    support_vectors = np.array([
+        [1.143769, 0.627566], [-1.783045, -0.445951], [-0.545086, 0.57832],
+        [0.3561859999999999, 0.2845500000000001], [1.382414, 1.2649240000000002],
+        [3.401956, 2.8527050000000003]])
+    alpha_y = np.array([-4.0, -0.6554958221634319, -2.9484457596870364, 4.0,
+                        2.867080497134917, 0.7368610847155519])
+    return SvmModel(support_vectors, alpha_y, bias=0.18225650455783593, gamma=0.5, c=4.0)
 
 
 def tiny_forest():
@@ -153,17 +157,17 @@ class TestSvmBytes:
     def test_seeded_clot_model_pinned(self):
         # Several 16,200-feature support vectors and the default created_with
         # record. The version 1 digest is of the per-float writer that wrote
-        # models before the packed format, so it shows training is unchanged.
+        # models before the packed format, so it pins training on its own.
         cfg = pl.ClotPipelineConfig()
         train = synththermal.generate_dataset(synththermal.ThermalConfig(), 6, 0.5, Rng(31))
         model = pl.clot_train(train, cfg)
         assert len(model.alpha_y) > 1
         v1 = svm_bytes_reference(model, config_snapshot("clot", cfg))
         assert hashlib.sha256(v1).hexdigest() == (
-            "6acfc0d00a7a414cae4a15c8fae786dcd4ca8651789c4b94513dcf778544139b")
+            "cbd973675d372335fa1f1ebbfff65c231256f40db30c28e98b21f86d30509694")
         v2 = persist.save_model(model, config_snapshot("clot", cfg))
         assert hashlib.sha256(v2).hexdigest() == (
-            "25c0b84c65a792b5693706020a6257fdcb8eda54d5a2966f2a7f82c9084e3d64")
+            "10f2bd9d7f461a2b09f9e55fb5f17db9cd570f12355f9f4f9ae4490f0d54f091")
 
 
 def assert_writes_golden(model, created_with, name):
@@ -410,6 +414,20 @@ class TestSchemaErrors:
         assert "threshold" in obj["payload"]["trees"][0]
         mutate(obj["payload"])
         with pytest.raises(persist.PersistError, match=r"\$\.payload\.(trees|n_features)"):
+            persist.load_model(json.dumps(obj).encode())
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_depth", 0), ("max_depth", -1), ("min_samples_leaf", 0), ("min_samples_leaf", -2),
+        ("mtry", 0), ("mtry", -1),
+    ])
+    def test_forest_hyperparams_below_one_rejected(self, field, value):
+        # train_random_forest refuses these values, so no saved forest holds them.
+        import json
+
+        obj = json.loads(persist.save_model(tiny_forest()))
+        obj["payload"]["hyperparams"][field] = value
+        with pytest.raises(persist.PersistError,
+                           match=rf"\$\.payload\.hyperparams: {field} must be >= 1"):
             persist.load_model(json.dumps(obj).encode())
 
     @pytest.mark.parametrize("data", [

@@ -142,7 +142,7 @@ class TestCardioPipeline:
         assert feats.shape == (26,)  # 13 means + 13 stds
 
     def test_train_predict_smoke(self):
-        cfg = pl.CardioPipelineConfig(n_trees=30, task="heart")
+        cfg = pl.CardioPipelineConfig(n_trees=30)
         train = sc.generate_cardio_dataset("heart", 16, 0.5, 2.0, 4000, Rng(40))
         test = sc.generate_cardio_dataset("heart", 8, 0.5, 2.0, 4000, Rng(41))
         model = pl.cardio_train(train, cfg)

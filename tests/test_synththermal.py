@@ -140,6 +140,28 @@ class TestDatasetIO:
         samples = st.load_dataset(tmp_path, read_image_file)
         assert len(samples) == 6
 
+    def test_sequence_written_one_frame_at_a_time(self, tmp_path):
+        # One 128 x 128 float64 frame is 128 KiB, and drawing its noise (two
+        # uniforms per pixel) peaks near 8 such frames. Holding all 200 frames
+        # before writing the first would peak above 200.
+        import tracemalloc
+
+        frame_bytes = CFG.width * CFG.height * 8
+        tracemalloc.start()
+        try:
+            st.write_thermal_dataset(tmp_path, CFG, 1, 1.0, seed=5, frames=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(st.load_manifest(tmp_path)) == 200
+        assert peak < 16 * frame_bytes
+
+    @pytest.mark.parametrize("frames", [-1, st.MAX_FRAMES + 1])
+    def test_frames_out_of_range_write_nothing(self, tmp_path, frames):
+        with pytest.raises(ValueError, match="frames must be in"):
+            st.write_thermal_dataset(tmp_path / "t", CFG, 2, 0.5, seed=1, frames=frames)
+        assert not (tmp_path / "t").exists()
+
     def test_out_of_range_fraction_writes_nothing(self, tmp_path):
         from prediagnose.synthcardio import write_cardio_dataset
 
