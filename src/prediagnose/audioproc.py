@@ -25,6 +25,8 @@ class MfccConfig:
             raise ValueError("need 0 < hop <= frame_len")
         if not (1 <= self.n_coeffs <= self.n_filters):
             raise ValueError("need 1 <= n_coeffs <= n_filters")
+        if not self.log_floor > 0:  # log(0) of a silent frame would be -inf
+            raise ValueError("log_floor must be > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +179,14 @@ def _frame_signal(x: np.ndarray, frame_n: int, hop_n: int) -> np.ndarray:
     return x[idx]
 
 
-def mfcc(sig: AudioSignal, cfg: MfccConfig | None = None) -> np.ndarray:
+def mfcc(sig: AudioSignal, cfg: MfccConfig) -> np.ndarray:
     """MFCC frame matrix of shape (n_frames, n_coeffs)."""
     frames, _ = mfcc_debug(sig, cfg)
     return frames
 
 
-def mfcc_debug(sig: AudioSignal, cfg: MfccConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def mfcc_debug(sig: AudioSignal, cfg: MfccConfig) -> tuple[np.ndarray, np.ndarray]:
     """Like :func:`mfcc` but also returns pre-DCT filterbank energies."""
-    cfg = cfg or MfccConfig()
     sr = sig.sample_rate
     frame_n = int(round(cfg.frame_len * sr))
     hop_n = int(round(cfg.hop * sr))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import re
 import sys
 import time
@@ -17,7 +16,7 @@ from . import config as cfgmod
 from .audioproc import read_wav_file
 from .core import FormatError, LabeledDataset, Rng, TrainingError
 from .evaluation import evaluate, report_table, report_to_dict, roc_to_csv, stratified_kfold
-from .forest import forest_predict, train_random_forest
+from .forest import ForestModel, forest_predict, train_random_forest
 from .imageproc import read_image_file
 from .persist import PersistError, _canon, load_model_file, save_model_file
 from .pipeline import (
@@ -59,16 +58,6 @@ class _Parser(argparse.ArgumentParser):
 def _emit(doc: dict) -> None:
     """Single-line canonical JSON on stdout (deterministic float formatting)."""
     sys.stdout.write(_canon(doc) + "\n")
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("PREDIAGNOSE_THREADS")
-    try:
-        return _count(env) if env else 1
-    except (ValueError, argparse.ArgumentTypeError):
-        raise _UsageError(f"PREDIAGNOSE_THREADS must be an integer >= 1, got {env!r}") from None
 
 
 def _arg(parse, ok, what: str):
@@ -157,7 +146,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--config", default=None)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--threads", type=_count, default=None)
+    p_train.add_argument("--threads", type=_count, default=1)
 
     p_pred = sub.add_parser("predict", help="single-sample prediction")
     p_pred.add_argument("pipeline", choices=["clot", "cardio", "skin"])
@@ -174,7 +163,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--kfold", type=_arg(int, lambda v: v >= 2, "an integer >= 2"), default=None)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--roc-csv", default=None)
-    p_eval.add_argument("--threads", type=_count, default=None)
+    p_eval.add_argument("--threads", type=_count, default=1)
 
     p_rep = sub.add_parser("report", help="concatenate per-modality reports")
     p_rep.add_argument("--inputs", nargs="+", required=True)
@@ -196,11 +185,10 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    threads = _threads(args)
     read, config, _, train, predict = _pipeline(args.pipeline)
     cfg = cfgmod.load_config(config, args.config)
     samples = load_dataset(args.data, read)
-    model = train(samples, cfg, threads)
+    model = train(samples, cfg, args.threads)
     preds = [predict(model, x, cfg)[1] for x, _ in samples]
     labels = [lab for _, lab in samples]
     accuracy = float(np.mean(np.array(preds) == np.array(labels)))
@@ -211,12 +199,19 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+_MODEL_CLASS = {"clot": SvmModel, "cardio": ForestModel, "skin": SvmModel}
+
+
 def _load_model(path):
-    """(model, created_with, pipeline kind) of a model file."""
+    """(model, created_with, pipeline kind) of a model file whose model type
+    is the one its pipeline tag trains."""
     model, created_with = load_model_file(path)
     kind = created_with.get("pipeline")
-    if kind not in ("clot", "cardio", "skin"):
+    if kind not in _MODEL_CLASS:
         raise PersistError("model is missing its pipeline tag")
+    if not isinstance(model, _MODEL_CLASS[kind]):
+        raise PersistError(f"a {kind} model must be a {_MODEL_CLASS[kind].__name__}, "
+                           f"not a {type(model).__name__}")
     return model, created_with, kind
 
 
@@ -225,6 +220,8 @@ def _cmd_predict(args) -> int:
         raise _UsageError(f"--sequence and --window are for clot, not {args.pipeline}")
     if args.window is not None and args.sequence is None:
         raise _UsageError("--window requires --sequence")
+    if not args.sequence and not args.input:
+        raise _UsageError("predict requires --input (or --sequence for clot)")
     model, created_with, kind = _load_model(args.model)
     if kind != args.pipeline:
         raise FormatError(f"model was trained for the {kind} pipeline, not {args.pipeline}")
@@ -239,8 +236,6 @@ def _cmd_predict(args) -> int:
             cfg = dataclasses.replace(cfg, window=args.window)
         doc = {"label": clot_predict_sequence(model, (read(f) for f in frames), cfg),
                "n_frames": len(frames)}
-    elif not args.input:
-        raise _UsageError("predict requires --input (or --sequence for clot)")
     else:
         score, label = predict(model, read(args.input), cfg)
         *_, score_name = _model_type(model)
@@ -257,12 +252,11 @@ _TITLES = {"clot": "Blood Clot Detection (thermal)", "cardio": "Cardiopulmonary 
 
 
 def _cmd_eval(args) -> int:
-    threads = _threads(args)
     model, created_with, kind = _load_model(args.model)
     read, config, features, _, _ = _pipeline(kind)
     cfg = cfgmod.config_from_snapshot(config, created_with)
     samples = load_dataset(args.data, read)
-    feats = _feature_matrix(features, [x for x, _ in samples], cfg, threads)
+    feats = _feature_matrix(features, [x for x, _ in samples], cfg, args.threads)
     labels = np.array([lab for _, lab in samples])
     del samples  # free the decoded inputs before the k-fold refits allocate
     score, threshold, refit, _ = _model_type(model)
@@ -271,7 +265,7 @@ def _cmd_eval(args) -> int:
         # held-out predictions into one report.
         scores = np.zeros(len(labels))
         for train_idx, test_idx in stratified_kfold(labels, args.kfold, Rng(args.seed)):
-            fold_model = refit(LabeledDataset(feats[train_idx], labels[train_idx]), threads)
+            fold_model = refit(LabeledDataset(feats[train_idx], labels[train_idx]), args.threads)
             scores[test_idx] = score(fold_model, feats[test_idx])
     else:
         scores = score(model, feats)
@@ -291,9 +285,14 @@ def _cmd_report(args) -> int:
                 modules.append(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             raise FormatError(f"cannot read report input {path}: {exc}") from exc
-    doc = {"report_version": 1, "modules": modules}
-    Path(args.out).write_text(_canon(doc) + "\n")
-    _emit(doc)
+        except RecursionError:
+            raise FormatError(f"cannot read report input {path}: nested too deeply") from None
+    try:
+        text = _canon({"report_version": 1, "modules": modules}) + "\n"
+    except RecursionError:
+        raise FormatError("cannot write the report: its inputs are nested too deeply") from None
+    Path(args.out).write_text(text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

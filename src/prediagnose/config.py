@@ -44,8 +44,9 @@ _TYPES = {key: typ for keys in _SCHEMA.values() for key, typ in keys.items()}
 
 
 def _parse_file(path) -> dict[str, object]:
-    """Typed values of every key in the file, all sections merged."""
-    parser = configparser.ConfigParser()
+    """Typed values of every key in the file, all sections merged.  Values are
+    read literally: "%" is a character, not the start of an interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -96,8 +97,8 @@ def _checked(key: str, value, nullable: bool):
     return value
 
 
-def load_config(cls, path=None):
-    """Config dataclass cls with the values of the INI file at path (defaults without one)."""
+def load_config(cls, path):
+    """Config dataclass cls with the values of the INI file at path (defaults when path is None)."""
     return config_from_snapshot(cls, _parse_file(path) if path else {})
 
 

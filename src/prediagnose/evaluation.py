@@ -142,7 +142,7 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def report_table(report: EvalReport, title: str = "Results") -> str:
+def report_table(report: EvalReport, title: str) -> str:
     """Human-readable metric table for terminal output."""
     m = report.metrics
     rows = [

@@ -121,7 +121,7 @@ def _train_tree(X, y, hp: ForestHyperparams, mtry: int, tree_index: int) -> Tree
     return _grow(X[idx], y[idx], 0, hp, mtry, rng)
 
 
-def train_random_forest(data: LabeledDataset, hp: ForestHyperparams, threads: int = 1
+def train_random_forest(data: LabeledDataset, hp: ForestHyperparams, threads: int
                         ) -> ForestModel:
     """Bootstrap + CART forest; tree t uses its own Rng(seed + t), so results
     are identical for any thread count."""
@@ -133,7 +133,7 @@ def train_random_forest(data: LabeledDataset, hp: ForestHyperparams, threads: in
     mtry_eff = hp.mtry if hp.mtry is not None else int(np.ceil(np.sqrt(d)))
     if mtry_eff > d:
         raise TrainingError(f"mtry={mtry_eff} exceeds feature count {d}")
-    if threads > 1:
+    if threads > 1:  # one thread runs serially: a pool costs time even at one worker
         with ThreadPoolExecutor(max_workers=threads) as pool:
             trees = list(pool.map(lambda t: _train_tree(X, y, hp, mtry_eff, t),
                                   range(hp.n_trees)))

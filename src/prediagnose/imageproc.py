@@ -160,9 +160,8 @@ def _blocks(img: GrayImage, cfg: HogConfig) -> tuple[np.ndarray, np.ndarray]:
     return clipped, clipped / np.sqrt(np.vecdot(clipped, clipped) + _EPS * _EPS)[..., None]
 
 
-def hog(img: GrayImage, cfg: HogConfig | None = None) -> np.ndarray:
+def hog(img: GrayImage, cfg: HogConfig) -> np.ndarray:
     """HOG descriptor: cell histograms, overlapping blocks, L2-Hys normalization."""
-    cfg = cfg or HogConfig()
     _, final = _blocks(img, cfg)
     return final.ravel()
 

@@ -32,7 +32,6 @@ from .forest import ForestHyperparams, ForestModel, TreeNode, check_hyperparams
 from .svm import SvmModel
 
 FORMAT_VERSION = 2
-FILE_SUFFIX = ".pdmodel.json"
 
 
 class PersistError(FormatError):
@@ -146,7 +145,7 @@ def _tree_from_dict(obj, path, n_features: int) -> TreeNode:
     return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
 
 
-def save_model(model, created_with: dict | None = None) -> bytes:
+def save_model(model, created_with: dict) -> bytes:
     packed = None
     if isinstance(model, SvmModel):
         kind = "svm"
@@ -173,7 +172,7 @@ def save_model(model, created_with: dict | None = None) -> bytes:
     envelope = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "created_with": created_with or {},
+        "created_with": created_with,
         "payload": payload,
     }
     text = _canon(envelope) + "\n"
@@ -250,7 +249,7 @@ def load_model(data: bytes):
     raise PersistError(f"unknown model kind {kind!r}")
 
 
-def save_model_file(path, model, created_with: dict | None = None) -> None:
+def save_model_file(path, model, created_with: dict) -> None:
     """Atomic write: temp file in the target directory, then rename.
 
     The temp file is created with mode 0o666 less the umask, as open() would.

@@ -65,8 +65,8 @@ def clot_features(img: GrayImage, cfg: ClotPipelineConfig) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _feature_matrix(features, xs: list, cfg, threads: int = 1) -> np.ndarray:
-    if threads > 1:
+def _feature_matrix(features, xs: list, cfg, threads: int) -> np.ndarray:
+    if threads > 1:  # one thread runs serially: a pool costs time even at one worker
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return np.array(list(pool.map(lambda x: features(x, cfg), xs)))
     return np.array([features(x, cfg) for x in xs])
@@ -81,23 +81,20 @@ def _training_set(features, train: list, cfg, threads: int) -> LabeledDataset:
                           np.array(labels))
 
 
-def clot_train(train: list[tuple[GrayImage, int]], cfg: ClotPipelineConfig | None = None,
-               threads: int = 1) -> SvmModel:
-    cfg = cfg or ClotPipelineConfig()
+def clot_train(train: list[tuple[GrayImage, int]], cfg: ClotPipelineConfig,
+               threads: int) -> SvmModel:
     data = _training_set(clot_features, train, cfg, threads)
     return train_svm_smo(data, c=cfg.svm_c, gamma=cfg.svm_gamma)
 
 
-def clot_predict_frame(model: SvmModel, img: GrayImage, cfg: ClotPipelineConfig | None = None
+def clot_predict_frame(model: SvmModel, img: GrayImage, cfg: ClotPipelineConfig
                        ) -> tuple[float, int]:
-    cfg = cfg or ClotPipelineConfig()
     return svm_predict(model, clot_features(img, cfg))
 
 
 def clot_predict_sequence(model: SvmModel, frames: Iterable[GrayImage],
-                          cfg: ClotPipelineConfig | None = None) -> int:
+                          cfg: ClotPipelineConfig) -> int:
     """Sequence vote of the frames' labels; each frame is scored as it is taken."""
-    cfg = cfg or ClotPipelineConfig()
     labels = [clot_predict_frame(model, f, cfg)[1] for f in frames]
     return sequence_vote(labels, cfg.window)
 
@@ -108,8 +105,7 @@ def cardio_features(sig: AudioSignal, cfg: CardioPipelineConfig) -> np.ndarray:
 
 
 def cardio_train(recordings: list[tuple[AudioSignal, int]],
-                 cfg: CardioPipelineConfig | None = None, threads: int = 1) -> ForestModel:
-    cfg = cfg or CardioPipelineConfig()
+                 cfg: CardioPipelineConfig, threads: int) -> ForestModel:
     too_short = [
         i for i, (sig, _) in enumerate(recordings)
         if len(sig.samples) < int(round(cfg.mfcc.frame_len * sig.sample_rate))
@@ -122,8 +118,7 @@ def cardio_train(recordings: list[tuple[AudioSignal, int]],
 
 
 def cardio_predict(model: ForestModel, recording: AudioSignal,
-                   cfg: CardioPipelineConfig | None = None) -> tuple[float, int]:
-    cfg = cfg or CardioPipelineConfig()
+                   cfg: CardioPipelineConfig) -> tuple[float, int]:
     return forest_predict(model, cardio_features(recording, cfg))
 
 
@@ -141,17 +136,17 @@ class SkinPipelineConfig:
     (sample, cfg) arguments as the other pipelines."""
 
 
-def skin_features(img: GrayImage, cfg: SkinPipelineConfig | None = None) -> np.ndarray:
+def skin_features(img: GrayImage, cfg: SkinPipelineConfig) -> np.ndarray:
     """Resize a [0,1] image to 224x224, then HOG at cell size 16."""
     return hog(resize_bilinear(img, SKIN_IMAGE_SIZE, SKIN_IMAGE_SIZE), _SKIN_HOG)
 
 
 def skin_standin_train(train: list[tuple[GrayImage, int]],
-                       cfg: SkinPipelineConfig | None = None, threads: int = 1) -> SvmModel:
+                       cfg: SkinPipelineConfig, threads: int) -> SvmModel:
     data = _training_set(skin_features, train, cfg, threads)
     return train_svm_smo(data, c=10.0, gamma=None)
 
 
 def skin_standin_classify(model: SvmModel, img: GrayImage,
-                          cfg: SkinPipelineConfig | None = None) -> tuple[float, int]:
+                          cfg: SkinPipelineConfig) -> tuple[float, int]:
     return svm_predict(model, skin_features(img, cfg))

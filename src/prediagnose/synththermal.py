@@ -79,18 +79,13 @@ def _draw_scene_params(cfg: ThermalConfig, rng: Rng) -> tuple[int, tuple[int, in
 
 def generate_sample(cfg: ThermalConfig, label: int, rng: Rng) -> GrayImage:
     """One synthetic thermal frame; label=1 adds the clot hotspot."""
-    return generate_frame_sequence(cfg, label, 1, rng)[0]
-
-
-def generate_frame_sequence(cfg: ThermalConfig, label: int, n_frames: int, rng: Rng) -> list[GrayImage]:
-    """Static-camera sequence: one scene, independent per-frame noise."""
-    return list(iter_frame_sequence(cfg, label, n_frames, rng))
+    return next(iter_frame_sequence(cfg, label, 1, rng))
 
 
 def iter_frame_sequence(cfg: ThermalConfig, label: int, n_frames: int, rng: Rng
                         ) -> Iterator[GrayImage]:
-    """generate_frame_sequence one frame at a time: each frame's noise is drawn
-    as the frame is taken, so the stream of draws is the same."""
+    """Static-camera sequence: one scene, independent per-frame noise, each
+    frame's noise drawn as the frame is taken."""
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     col, center = _draw_scene_params(cfg, rng)

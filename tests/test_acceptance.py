@@ -154,8 +154,8 @@ def test_07_clot_benchmark_500_200():
     cfg = st.ThermalConfig()
     train = st.generate_dataset(cfg, 500, 0.5, Rng(7))
     test = st.generate_dataset(cfg, 200, 0.5, Rng(8))
-    model = pl.clot_train(train, threads=4)
     pcfg = pl.ClotPipelineConfig()
+    model = pl.clot_train(train, pcfg, threads=4)
     feats = pl._feature_matrix(pl.clot_features, [im for im, _ in test], pcfg, threads=4)
     scores = svm_decision_batch(model, feats)
     labels = np.array([lab for _, lab in test])
@@ -183,14 +183,14 @@ def test_08_cardio_benchmark(task):
 def test_09_temporal_voting_never_hurts():
     cfg = st.ThermalConfig()
     train = st.generate_dataset(cfg, 200, 0.5, Rng(7))
-    model = pl.clot_train(train, threads=4)
     pcfg = pl.ClotPipelineConfig()
+    model = pl.clot_train(train, pcfg, threads=4)
     rng = Rng(13)
     frame_correct = frame_total = 0
     seq_correct = seq_total = 0
     for label in (0, 1):
         for _ in range(50):
-            frames = st.generate_frame_sequence(cfg, label, 10, rng)
+            frames = list(st.iter_frame_sequence(cfg, label, 10, rng))
             frame_labels = [pl.clot_predict_frame(model, f, pcfg)[1] for f in frames]
             frame_correct += sum(fl == label for fl in frame_labels)
             frame_total += len(frame_labels)
@@ -204,15 +204,16 @@ def test_09_temporal_voting_never_hurts():
 
 def test_10_single_sample_latency():
     cfg = st.ThermalConfig()
-    clot_model = pl.clot_train(st.generate_dataset(cfg, 24, 0.5, Rng(60)))
+    pcfg = pl.ClotPipelineConfig()
+    clot_model = pl.clot_train(st.generate_dataset(cfg, 24, 0.5, Rng(60)), pcfg, threads=1)
     img = st.generate_sample(cfg, 1, Rng(61))
     start = time.perf_counter()
-    pl.clot_predict_frame(clot_model, img)
+    pl.clot_predict_frame(clot_model, img, pcfg)
     clot_ms = (time.perf_counter() - start) * 1000.0
 
     ccfg = pl.CardioPipelineConfig(n_trees=100)
     cardio_model = pl.cardio_train(
-        sc.generate_cardio_dataset("heart", 10, 0.5, 2.0, 4000, Rng(62)), ccfg
+        sc.generate_cardio_dataset("heart", 10, 0.5, 2.0, 4000, Rng(62)), ccfg, threads=1
     )
     sig = sc.synth_cardio_sample("heart", 1, 3.0, 8000, Rng(63))
     start = time.perf_counter()
@@ -252,14 +253,14 @@ def test_11_determinism_across_runs_and_threads(tmp_path, capsys, monkeypatch):
 
 def test_12_persistence_round_trip_predictions():
     svm_model = tiny_svm()
-    loaded_svm, _ = persist.load_model(persist.save_model(svm_model))
+    loaded_svm, _ = persist.load_model(persist.save_model(svm_model, {}))
     rng = Rng(1012)
     for _ in range(100):
         x = rng.gaussian_array(2)
         assert svm_decision(loaded_svm, x) == svm_decision(svm_model, x)
 
     forest_model = tiny_forest()
-    loaded_forest, _ = persist.load_model(persist.save_model(forest_model))
+    loaded_forest, _ = persist.load_model(persist.save_model(forest_model, {}))
     for _ in range(100):
         x = rng.uniform_array(3)
         assert forest_predict(loaded_forest, x) == forest_predict(forest_model, x)

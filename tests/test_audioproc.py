@@ -96,7 +96,7 @@ class TestMelScale:
 class TestMfcc:
     def test_silence_closed_form(self):
         sig = AudioSignal(np.zeros(8000), 8000)
-        coeffs = ap.mfcc(sig)
+        coeffs = ap.mfcc(sig, ap.MfccConfig())
         # all filter energies hit the floor; only c0 of the orthonormal DCT
         # survives: sqrt(26) * ln(1e-10)
         expected_c0 = np.sqrt(26.0) * np.log(1e-10)
@@ -105,16 +105,16 @@ class TestMfcc:
 
     def test_frame_count(self):
         # 1 s at 8 kHz, 200-sample frames, 80-sample hop -> 1 + (8000-200)//80
-        coeffs = ap.mfcc(AudioSignal(np.zeros(8000), 8000))
+        coeffs = ap.mfcc(AudioSignal(np.zeros(8000), 8000), ap.MfccConfig())
         assert coeffs.shape == (98, 13)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
-            ap.mfcc(AudioSignal(np.zeros(100), 8000))
+            ap.mfcc(AudioSignal(np.zeros(100), 8000), ap.MfccConfig())
 
     def test_tone_energy_in_nearest_filter(self):
         sig = tone(1000.0)
-        _, energies = ap.mfcc_debug(sig)
+        _, energies = ap.mfcc_debug(sig, ap.MfccConfig())
         centers = ap.mel_inverse(
             np.linspace(0.0, ap.mel(4000.0), 26 + 2)
         )[1:-1]
@@ -122,8 +122,8 @@ class TestMfcc:
         assert np.all(energies.argmax(axis=1) == nearest)
 
     def test_amplitude_doubling_shifts_only_c0(self):
-        c1 = ap.mfcc(tone(1000.0, amp=0.25))
-        c2 = ap.mfcc(tone(1000.0, amp=0.5))
+        c1 = ap.mfcc(tone(1000.0, amp=0.25), ap.MfccConfig())
+        c2 = ap.mfcc(tone(1000.0, amp=0.5), ap.MfccConfig())
         d = c2 - c1
         # doubling amplitude multiplies every energy by 4, adding ln 4 to each
         # log energy; the orthonormal DCT maps that to sqrt(26)*ln(4) on c0

@@ -1,3 +1,4 @@
+import ast
 import base64
 import dataclasses
 import importlib
@@ -16,7 +17,7 @@ import prediagnose
 from prediagnose import config as cfgmod
 from prediagnose.cli import main
 from prediagnose.audioproc import write_wav
-from prediagnose.core import AudioSignal, FormatError, GrayImage
+from prediagnose.core import AudioSignal, FormatError, GrayImage, Rng
 from prediagnose.forest import ForestHyperparams, ForestModel, TreeNode
 from prediagnose.imageproc import write_pgm
 from prediagnose.persist import PersistError, save_model
@@ -32,9 +33,9 @@ def run(capsys, *argv):
 
 class TestConfigFiles:
     def test_defaults_without_file(self):
-        clot = cfgmod.load_config(ClotPipelineConfig)
+        clot = cfgmod.load_config(ClotPipelineConfig, None)
         assert clot.svm_c == 10.0 and clot.window == 5
-        cardio = cfgmod.load_config(CardioPipelineConfig)
+        cardio = cfgmod.load_config(CardioPipelineConfig, None)
         assert cardio.mfcc.n_coeffs == 13 and cardio.n_trees == 100
 
     def test_overrides(self, tmp_path):
@@ -78,10 +79,10 @@ class TestConfigFiles:
             cfgmod.load_config(ClotPipelineConfig, path)
 
     def test_snapshot_round_trip(self):
-        cfg = cfgmod.load_config(ClotPipelineConfig)
+        cfg = cfgmod.load_config(ClotPipelineConfig, None)
         snap = cfgmod.config_snapshot("clot", cfg)
         assert cfgmod.config_from_snapshot(ClotPipelineConfig, snap) == cfg
-        ccfg = cfgmod.load_config(CardioPipelineConfig)
+        ccfg = cfgmod.load_config(CardioPipelineConfig, None)
         snap = cfgmod.config_snapshot("cardio", ccfg)
         assert cfgmod.config_from_snapshot(CardioPipelineConfig, snap) == ccfg
 
@@ -190,6 +191,20 @@ def cardio_created_with(item: bytes) -> bytes:
     return tiny_forest_file(0).replace(b'"pipeline": "cardio"', b'"pipeline": "cardio", ' + item)
 
 
+def four_samples(kind: str) -> dict:
+    """Four samples of kind in data/, two of each label: enough for eval
+    --kfold 2.  The recordings are noise, so no filterbank energy is zero."""
+    if kind == "clot":
+        samples = {f"{i}.pgm": write_pgm(GrayImage(np.full((8, 8), 0.1 + 0.2 * i)))
+                   for i in range(4)}
+    else:
+        samples = {f"{i}.wav": write_wav(AudioSignal(0.1 * Rng(i).gaussian_array(2000), 4000))
+                   for i in range(4)}
+    rows = "".join(f"{name},{i % 2}\n" for i, name in enumerate(samples))
+    return {"data/manifest.csv": f"filename,label\n{rows}".encode(),
+            **{f"data/{name}": data for name, data in samples.items()}}
+
+
 def clot_data(*names: str) -> dict:
     """A clot model, and a data directory whose manifest lists names with
     alternating labels."""
@@ -199,281 +214,304 @@ def clot_data(*names: str) -> dict:
 
 
 # One row per malformed input: argv ("{tmp}" is the test's directory, which
-# also holds a valid recording x.wav and a valid image x.pgm), extra
-# environment, the files to write under {tmp} as {relative path: bytes}
+# also holds a valid recording x.wav and a valid image x.pgm), the files to
+# write under {tmp} as {relative path: bytes}
 # ("{tmp}" in the bytes is replaced too), and the exit code.  Nothing may be
 # written to {tmp}/d, so commands that write name it as their output.
 MALFORMED = {
     "positive_frac_above_1": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "4", "--positive-frac", "1.5",
-         "--seed", "1"], {}, {}, 1),
+         "--seed", "1"], {}, 1),
     "positive_frac_below_0": (
         ["synth", "cardio", "--task", "lung", "--out", "{tmp}/d", "--n", "4",
-         "--positive-frac", "-0.5", "--seed", "1"], {}, {}, 1),
+         "--positive-frac", "-0.5", "--seed", "1"], {}, 1),
     "positive_frac_not_a_number": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "4", "--positive-frac", "half",
-         "--seed", "1"], {}, {}, 1),
+         "--seed", "1"], {}, 1),
     "synth_n_zero": (
-        ["synth", "thermal", "--out", "{tmp}/d", "--n", "0", "--seed", "1"], {}, {}, 1),
+        ["synth", "thermal", "--out", "{tmp}/d", "--n", "0", "--seed", "1"], {}, 1),
     "synth_n_negative": (
         ["synth", "cardio", "--task", "heart", "--out", "{tmp}/d", "--n", "-3", "--seed", "1"],
-        {}, {}, 1),
-    "threads_env_not_an_integer": (
-        ["train", "clot", "--data", "{tmp}/d", "--out", "{tmp}/o.pdmodel.json"],
-        {"PREDIAGNOSE_THREADS": "abc"}, {}, 1),
-    "threads_env_zero": (
-        ["train", "clot", "--data", "{tmp}/d", "--out", "{tmp}/o.pdmodel.json"],
-        {"PREDIAGNOSE_THREADS": "0"}, {}, 1),
-    "threads_env_negative": (
-        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d"],
-        {"PREDIAGNOSE_THREADS": "-2"}, model(tiny_svm_file({"pipeline": "clot"})), 1),
+        {}, 1),
     "threads_flag_zero": (
         ["train", "cardio", "--data", "{tmp}/d", "--out", "{tmp}/o.pdmodel.json",
-         "--threads", "0"], {}, {}, 1),
+         "--threads", "0"], {}, 1),
     "threads_flag_negative": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d", "--threads", "-1"],
-        {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
+        model(tiny_svm_file({"pipeline": "clot"})), 1),
     "kfold_one": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d", "--kfold", "1"],
-        {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
+        model(tiny_svm_file({"pipeline": "clot"})), 1),
     "kfold_zero": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d", "--kfold", "0"],
-        {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
+        model(tiny_svm_file({"pipeline": "clot"})), 1),
     "window_even": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d",
-         "--window", "4"], {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
+         "--window", "4"], model(tiny_svm_file({"pipeline": "clot"})), 1),
     "window_zero": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d",
-         "--window", "0"], {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
+         "--window", "0"], model(tiny_svm_file({"pipeline": "clot"})), 1),
     "window_negative": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d",
-         "--window", "-1"], {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
+         "--window", "-1"], model(tiny_svm_file({"pipeline": "clot"})), 1),
     "created_with_window_not_an_int": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(tiny_svm_file({"pipeline": "clot", "window": "x"})), 2),
+        model(tiny_svm_file({"pipeline": "clot", "window": "x"})), 2),
     "created_with_none_not_allowed": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d"],
-        {}, model(tiny_svm_file({"pipeline": "clot", "window": None})), 2),
+        model(tiny_svm_file({"pipeline": "clot", "window": None})), 2),
     "created_with_cardio_value_not_an_int": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
-        {}, model(tiny_svm_file({"pipeline": "cardio", "n_filters": "x"})), 2),
+        model(cardio_created_with(b'"n_filters": "x"')), 2),
     "forest_feature_negative": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
-        {}, model(tiny_forest_file(-1)), 2),
+        model(tiny_forest_file(-1)), 2),
     "forest_feature_too_large": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
-        {}, model(tiny_forest_file(26)), 2),
+        model(tiny_forest_file(26)), 2),
     "predict_clot_without_input": (
-        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json"], {},
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json"],
         model(tiny_svm_file({"pipeline": "clot"})), 1),
     "predict_cardio_without_input": (
-        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json"], {},
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json"],
         model(tiny_svm_file({"pipeline": "cardio"})), 1),
     "predict_skin_without_input": (
-        ["predict", "skin", "--model", "{tmp}/m.pdmodel.json"], {},
+        ["predict", "skin", "--model", "{tmp}/m.pdmodel.json"],
         model(tiny_svm_file({"pipeline": "skin"})), 1),
     "predict_input_and_sequence": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm",
-         "--sequence", "{tmp}/d"], {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
+         "--sequence", "{tmp}/d"], model(tiny_svm_file({"pipeline": "clot"})), 1),
     "predict_window_without_sequence": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm",
-         "--window", "3"], {}, model(tiny_svm_file({"pipeline": "clot"})), 1),
+         "--window", "3"], model(tiny_svm_file({"pipeline": "clot"})), 1),
     "predict_cardio_sequence": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d"],
-        {}, model(tiny_forest_file(0)), 1),
+        model(tiny_forest_file(0)), 1),
     "predict_cardio_window": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav",
-         "--window", "3"], {}, model(tiny_forest_file(0)), 1),
+         "--window", "3"], model(tiny_forest_file(0)), 1),
     "predict_skin_sequence": (
         ["predict", "skin", "--model", "{tmp}/m.pdmodel.json", "--sequence", "{tmp}/d"],
-        {}, model(tiny_svm_file({"pipeline": "skin"})), 1),
+        model(tiny_svm_file({"pipeline": "skin"})), 1),
     "predict_skin_window": (
         ["predict", "skin", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm",
-         "--window", "3"], {}, model(tiny_svm_file({"pipeline": "skin"})), 1),
+         "--window", "3"], model(tiny_svm_file({"pipeline": "skin"})), 1),
     "synth_frames_negative": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "2", "--seed", "1", "--frames", "-2"],
-        {}, {}, 1),
+        {}, 1),
     "synth_frames_above_cap": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "2", "--seed", "1", "--frames", "10001"],
-        {}, {}, 1),
+        {}, 1),
     "synth_rate_unsupported": (
         ["synth", "cardio", "--task", "lung", "--out", "{tmp}/d", "--n", "2", "--seed", "1",
-         "--rate", "5000"], {}, {}, 1),
+         "--rate", "5000"], {}, 1),
     "synth_duration_too_short": (
         ["synth", "cardio", "--task", "heart", "--out", "{tmp}/d", "--n", "2", "--seed", "1",
-         "--duration", "1"], {}, {}, 1),
+         "--duration", "1"], {}, 1),
     "synth_duration_too_long": (
         ["synth", "cardio", "--task", "heart", "--out", "{tmp}/d", "--n", "2", "--seed", "1",
-         "--duration", "1e7"], {}, {}, 1),
+         "--duration", "1e7"], {}, 1),
     "config_thermal_width_huge": (
         ["synth", "thermal", "--out", "{tmp}/d", "--n", "2", "--seed", "1", "--config",
-         "{tmp}/c.ini"], {}, {"c.ini": b"[synththermal]\nwidth = 4000000000\n"}, 2),
+         "{tmp}/c.ini"], {"c.ini": b"[synththermal]\nwidth = 4000000000\n"}, 2),
     "svm_gamma_negative": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(tiny_svm_file({"pipeline": "clot"}, gamma=-1)), 2),
+        model(tiny_svm_file({"pipeline": "clot"}, gamma=-1)), 2),
     "svm_bias_nan": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(tiny_svm_file({"pipeline": "clot"}, bias=float("nan"))), 2),
+        model(tiny_svm_file({"pipeline": "clot"}, bias=float("nan"))), 2),
     "forest_without_trees": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
-        {}, model(tiny_forest_file(trees=[])), 2),
+        model(tiny_forest_file(trees=[])), 2),
     "forest_n_trees_disagrees": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
-        {}, model(tiny_forest_file(hyperparams={"n_trees": 100, "max_depth": 1,
+        model(tiny_forest_file(hyperparams={"n_trees": 100, "max_depth": 1,
                                                 "min_samples_leaf": 1, "mtry": None, "seed": 0})),
         2),
     "model_nested_too_deeply": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
-        {}, model(b"[" * 100_000 + b"]" * 100_000), 2),
+        model(b"[" * 100_000 + b"]" * 100_000), 2),
     "manifest_name_leaves_data_dir": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
-        {}, clot_data("../x.pgm", "../x.pgm"), 2),
+        clot_data("../x.pgm", "../x.pgm"), 2),
     "manifest_name_absolute": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
-        {}, clot_data("{tmp}/x.pgm", "{tmp}/x.pgm"), 2),
+        clot_data("{tmp}/x.pgm", "{tmp}/x.pgm"), 2),
     "manifest_not_utf8": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
-        {}, {**clot_data(), "data/manifest.csv": b"filename,label\n\xff.pgm,1\n"}, 2),
+        {**clot_data(), "data/manifest.csv": b"filename,label\n\xff.pgm,1\n"}, 2),
     "config_svm_c_nan": (
         ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, clot_train_data("[ml]\nsvm_c = nan\n"), 2),
+        clot_train_data("[ml]\nsvm_c = nan\n"), 2),
     "config_canny_sigma_inf": (
         ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, clot_train_data("[imageproc]\ncanny_sigma = inf\n"), 2),
+        clot_train_data("[imageproc]\ncanny_sigma = inf\n"), 2),
     "config_svm_gamma_negative": (
         ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, clot_train_data("[ml]\nsvm_gamma = -1\n"), 3),
+        clot_train_data("[ml]\nsvm_gamma = -1\n"), 3),
     "created_with_canny_sigma_infinite": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(tiny_svm_file({"pipeline": "clot"}).replace(
+        model(tiny_svm_file({"pipeline": "clot"}).replace(
             b'"pipeline": "clot"', b'"pipeline": "clot", "canny_sigma": Infinity')), 2),
     "packed_not_base64_char": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(text=lambda t: t[:9] + "*" + t[10:])), 2),
+        model(packed_svm_file(text=lambda t: t[:9] + "*" + t[10:])), 2),
     "packed_bad_padding": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(text=lambda t: t[:9] + "=" + t[10:])), 2),
+        model(packed_svm_file(text=lambda t: t[:9] + "=" + t[10:])), 2),
     "packed_space": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(text=lambda t: t[:9] + " " + t[10:])), 2),
+        model(packed_svm_file(text=lambda t: t[:9] + " " + t[10:])), 2),
     "packed_newline": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(text=lambda t: t[:9] + "\n" + t[10:])), 2),
+        model(packed_svm_file(text=lambda t: t[:9] + "\n" + t[10:])), 2),
     "packed_line_breaks": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(text=lambda t: base64.encodebytes(base64.b64decode(t)).decode())),
-        2),
+        model(packed_svm_file(text=lambda t: base64.encodebytes(base64.b64decode(t)).decode())), 2),
     "packed_byte_count": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(np.zeros(CLOT_FEATURES - 1), shape=[1, CLOT_FEATURES])), 2),
+        model(packed_svm_file(np.zeros(CLOT_FEATURES - 1), shape=[1, CLOT_FEATURES])), 2),
     "packed_byte_count_padded": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(text=lambda t: t[:-4] + "AA==")), 2),
+        model(packed_svm_file(text=lambda t: t[:-4] + "AA==")), 2),
     "packed_nan": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(zeros_but(np.nan))), 2),
+        model(packed_svm_file(zeros_but(np.nan))), 2),
     "packed_inf": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(zeros_but(np.inf))), 2),
+        model(packed_svm_file(zeros_but(np.inf))), 2),
     "packed_minus_inf": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(zeros_but(-np.inf))), 2),
+        model(packed_svm_file(zeros_but(-np.inf))), 2),
     "packed_empty": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(np.zeros((1, 0)))), 2),
+        model(packed_svm_file(np.zeros((1, 0)))), 2),
     "packed_shape_one_entry": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(shape=[CLOT_FEATURES])), 2),
+        model(packed_svm_file(shape=[CLOT_FEATURES])), 2),
     "packed_shape_three_entries": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(shape=[1, CLOT_FEATURES, 1])), 2),
+        model(packed_svm_file(shape=[1, CLOT_FEATURES, 1])), 2),
     "packed_shape_negative": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(shape=[-1, -CLOT_FEATURES])), 2),
+        model(packed_svm_file(shape=[-1, -CLOT_FEATURES])), 2),
     "packed_shape_bool": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(shape=[True, CLOT_FEATURES])), 2),
+        model(packed_svm_file(shape=[True, CLOT_FEATURES])), 2),
     "packed_shape_float": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(shape=[1.0, CLOT_FEATURES])), 2),
+        model(packed_svm_file(shape=[1.0, CLOT_FEATURES])), 2),
     "packed_shape_huge": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file(shape=[2**40, 2**40])), 2),
+        model(packed_svm_file(shape=[2**40, 2**40])), 2),
     "packed_in_v1_file": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(packed_svm_file().replace(b'"format_version": 2', b'"format_version": 1')), 2),
+        model(packed_svm_file().replace(b'"format_version": 2', b'"format_version": 1')), 2),
     "nested_list_in_v2_file": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(tiny_svm_file({"pipeline": "clot"}, support_vectors=[[0.0] * CLOT_FEATURES])), 2),
+        model(tiny_svm_file({"pipeline": "clot"}, support_vectors=[[0.0] * CLOT_FEATURES])), 2),
     "synth_thermal_out_is_a_file": (
-        ["synth", "thermal", "--out", "{tmp}/x.pgm", "--n", "2", "--seed", "1"], {}, {}, 2),
+        ["synth", "thermal", "--out", "{tmp}/x.pgm", "--n", "2", "--seed", "1"], {}, 2),
     "synth_cardio_out_is_a_file": (
         ["synth", "cardio", "--task", "heart", "--out", "{tmp}/x.wav", "--n", "2", "--seed", "1"],
-        {}, {}, 2),
+        {}, 2),
     "train_out_under_a_file": (
         ["train", "clot", "--data", "{tmp}/data", "--out", "{tmp}/x.pgm/m.pdmodel.json"],
-        {}, clot_train_data(""), 2),
+        clot_train_data(""), 2),
     "predict_model_under_a_file": (
-        ["predict", "clot", "--model", "{tmp}/x.pgm/x", "--input", "{tmp}/x.pgm"], {}, {}, 2),
+        ["predict", "clot", "--model", "{tmp}/x.pgm/x", "--input", "{tmp}/x.pgm"], {}, 2),
     "eval_roc_csv_under_a_file": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data", "--roc-csv",
-         "{tmp}/x.pgm/r.csv"], {}, {**clot_train_data(""), **clot_data("a.pgm", "b.pgm")}, 2),
+         "{tmp}/x.pgm/r.csv"], {**clot_train_data(""), **clot_data("a.pgm", "b.pgm")}, 2),
     "config_denoise_levels_beyond_signal": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, cardio_train_data("[audioproc]\ndenoise_levels = 40\n"), 2),
+        cardio_train_data("[audioproc]\ndenoise_levels = 40\n"), 2),
     "config_n_filters_beyond_fft": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, cardio_train_data("[audioproc]\nn_filters = 100000000\n"), 2),
+        cardio_train_data("[audioproc]\nn_filters = 100000000\n"), 2),
     "config_hop_under_one_sample": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, cardio_train_data("[audioproc]\nhop = 0.00001\n"), 2),
+        cardio_train_data("[audioproc]\nhop = 0.00001\n"), 2),
     "config_frame_len_under_two_samples": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, cardio_train_data("[audioproc]\nframe_len = 0.0001\nhop = 0.0001\n"), 2),
+        cardio_train_data("[audioproc]\nframe_len = 0.0001\nhop = 0.0001\n"), 2),
     "config_bins_finer_than_a_degree": (
         ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, clot_train_data("[imageproc]\nbins = 4000000000\n"), 2),
+        clot_train_data("[imageproc]\nbins = 4000000000\n"), 2),
     "config_n_trees_zero": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, cardio_train_data("[ml]\nn_trees = 0\n"), 3),
+        cardio_train_data("[ml]\nn_trees = 0\n"), 3),
     "config_n_trees_negative": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, cardio_train_data("[ml]\nn_trees = -3\n"), 3),
+        cardio_train_data("[ml]\nn_trees = -3\n"), 3),
     "config_mtry_zero": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, cardio_train_data("[ml]\nmtry = 0\n"), 3),
+        cardio_train_data("[ml]\nmtry = 0\n"), 3),
     "config_mtry_negative": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, cardio_train_data("[ml]\nmtry = -1\n"), 3),
+        cardio_train_data("[ml]\nmtry = -1\n"), 3),
     "config_max_depth_negative": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, cardio_train_data("[ml]\nmax_depth = -1\n"), 3),
+        cardio_train_data("[ml]\nmax_depth = -1\n"), 3),
     "config_min_samples_leaf_negative": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, cardio_train_data("[ml]\nmin_samples_leaf = -2\n"), 3),
+        cardio_train_data("[ml]\nmin_samples_leaf = -2\n"), 3),
     "config_pipeline_section": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
-        {}, cardio_train_data("[pipeline]\ntask = heart\n"), 2),
+        cardio_train_data("[pipeline]\ntask = heart\n"), 2),
     "created_with_denoise_levels_beyond_signal": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
-        {}, model(cardio_created_with(b'"denoise_levels": 40')), 2),
+        model(cardio_created_with(b'"denoise_levels": 40')), 2),
     "created_with_hop_under_one_sample": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
-        {}, {**cardio_train_data(""), **model(cardio_created_with(b'"hop": 0.00001'))}, 2),
+        {**cardio_train_data(""), **model(cardio_created_with(b'"hop": 0.00001'))}, 2),
     "created_with_bins_finer_than_a_degree": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
-        {}, model(tiny_svm_file({"pipeline": "clot", "bins": 4000000000})), 2),
+        model(tiny_svm_file({"pipeline": "clot", "bins": 4000000000})), 2),
+    "config_percent_sign": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        clot_train_data("[ml]\nsvm_c = 10%\n"), 2),
+    "config_interpolation_of_missing_key": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        clot_train_data("[ml]\nsvm_c = %(foo)s\n"), 2),
+    "config_interpolation_of_other_key": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        clot_train_data("[ml]\nseed = 3\nsvm_c = %(seed)s\n"), 2),
+    "config_log_floor_zero": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        {**four_samples("cardio"), "c.ini": b"[audioproc]\nlog_floor = 0\n"}, 2),
+    "created_with_log_floor_negative": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        model(cardio_created_with(b'"log_floor": -1e-10')), 2),
+    "kfold_forest_tagged_clot": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data", "--kfold", "2"],
+        {**four_samples("clot"), **model(tiny_forest_file(0).replace(b'"cardio"', b'"clot"'))},
+        2),
+    "kfold_svm_tagged_cardio": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data", "--kfold", "2"],
+        {**four_samples("cardio"), **model(tiny_svm_file({"pipeline": "cardio"}))}, 2),
+    "predict_svm_tagged_cardio": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        model(save_model(SvmModel(np.zeros((1, 26)), np.ones(1), 0.0, 1.0, 1.0),
+                         {"pipeline": "cardio"})), 2),
+    "report_nested_100000_deep": (
+        ["report", "--inputs", "{tmp}/r.json", "--out", "{tmp}/d"],
+        {"r.json": b"[" * 100_000 + b"]" * 100_000}, 2),
+    "report_nested_980_deep": (
+        ["report", "--inputs", "{tmp}/r.json", "--out", "{tmp}/d"],
+        {"r.json": b"[" * 980 + b"]" * 980}, 2),
+    "report_nested_900_deep": (
+        ["report", "--inputs", "{tmp}/r.json", "--out", "{tmp}/d"],
+        {"r.json": b"[" * 900 + b"]" * 900}, 2),
     "report_input_nan": (
         ["report", "--inputs", "{tmp}/r.json", "--out", "{tmp}/d"],
-        {}, {"r.json": b'{"auc": NaN}'}, 2),
+        {"r.json": b'{"auc": NaN}'}, 2),
 }
 
 
 @pytest.mark.parametrize("row", sorted(MALFORMED))
-def test_malformed_input_exit_code(row, tmp_path, capsys, monkeypatch):
-    argv, env, files, expected = MALFORMED[row]
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_malformed_input_exit_code(row, tmp_path, capsys):
+    argv, files, expected = MALFORMED[row]
     for name, data in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
         (tmp_path / name).write_bytes(data.replace(b"{tmp}", str(tmp_path).encode()))
@@ -539,22 +577,22 @@ class TestOneOwnerPerDefault:
     """Config values have their defaults in the config dataclasses only, and a
     value that no caller varies is a module constant, not a parameter."""
 
-    def test_numeric_parameter_defaults_are_threads_only(self):
+    def test_only_parameter_default_is_main_argv(self):
+        # Every function, method, nested function and lambda in the package:
+        # callers pass what they use, and only the console script relies on a
+        # default (main reads sys.argv when argv is None).
         found = []
-        for obj in own_members():
-            if inspect.isfunction(obj):
-                funcs = [obj]
-            elif inspect.isclass(obj) and not dataclasses.is_dataclass(obj):
-                funcs = [getattr(f, "__func__", f) for f in vars(obj).values()]
-                funcs = [f for f in funcs if inspect.isfunction(f)]
-            else:
-                continue
-            for f in funcs:
-                for p in inspect.signature(f).parameters.values():
-                    if (isinstance(p.default, (int, float))
-                            and (p.name, p.default) != ("threads", 1)):
-                        found.append(f"{f.__module__}.{f.__qualname__}({p.name}={p.default!r})")
-        assert found == []
+        for path in sorted(Path(prediagnose.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    args = node.args
+                    positional = args.posonlyargs + args.args
+                    defaulted = positional[len(positional) - len(args.defaults):]
+                    pairs = list(zip(defaulted, args.defaults))
+                    pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                    name = getattr(node, "name", "<lambda>")
+                    found += [f"{path.stem}.{name}({a.arg}={ast.unparse(d)})" for a, d in pairs]
+        assert found == ["cli.main(argv=None)"]
 
     def test_only_config_classes_have_numeric_field_defaults(self):
         owners = {obj.__name__ for obj in own_members()

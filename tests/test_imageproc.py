@@ -121,25 +121,25 @@ class TestCanny:
 class TestHog:
     def test_length_formula(self):
         img = GrayImage(np.zeros((128, 128)))
-        assert len(ip.hog(img)) == 15 * 15 * 4 * 9 == 8100
+        assert len(ip.hog(img, ip.HogConfig())) == 15 * 15 * 4 * 9 == 8100
 
     def test_constant_all_zero(self):
-        assert np.all(ip.hog(GrayImage(np.full((64, 64), 0.5))) == 0.0)
+        assert np.all(ip.hog(GrayImage(np.full((64, 64), 0.5)), ip.HogConfig()) == 0.0)
 
     def test_vertical_step_mass_in_zero_bin(self):
-        desc = ip.hog(vertical_step(64))
+        desc = ip.hog(vertical_step(64), ip.HogConfig())
         per_bin = desc.reshape(-1, 9).sum(axis=0)
         assert per_bin.argmax() == 0
 
     def test_indivisible_dims_error(self):
         with pytest.raises(ValueError):
-            ip.hog(GrayImage(np.zeros((30, 30))))
+            ip.hog(GrayImage(np.zeros((30, 30))), ip.HogConfig())
 
     def test_intensity_scale_invariance(self):
         img = GrayImage(Rng(12).uniform_array(64 * 64).reshape(64, 64))
-        base = ip.hog(img)
+        base = ip.hog(img, ip.HogConfig())
         for c in (0.5, 0.7, 2.0):
-            scaled = ip.hog(GrayImage(img.pixels * c))
+            scaled = ip.hog(GrayImage(img.pixels * c), ip.HogConfig())
             assert np.max(np.abs(scaled - base)) < 1e-6
 
     def test_block_norm_bounds_instrumented(self):

@@ -111,7 +111,7 @@ from prediagnose import pipeline as pl, svm as sv, synththermal
 from prediagnose.core import Rng
 cfg = pl.ClotPipelineConfig(svm_gamma=None if sys.argv[1] == "scale" else float(sys.argv[1]))
 thermal = synththermal.ThermalConfig()
-model = pl.clot_train(synththermal.generate_dataset(thermal, 6, 0.5, Rng(31)), cfg)
+model = pl.clot_train(synththermal.generate_dataset(thermal, 6, 0.5, Rng(31)), cfg, 1)
 test = synththermal.generate_dataset(thermal, 40, 0.5, Rng(32))
 X = np.array([pl.clot_features(img, cfg) for img, _ in test])
 rows = np.array([sv.svm_decision(model, x) for x in X])
@@ -325,7 +325,7 @@ class TestForest:
         y = (X[:, 0] > 0).astype(int)
         data = LabeledDataset(X, y)
         hp = forest_hp(n_trees=25, max_depth=8, min_samples_leaf=1)
-        model = rf.train_random_forest(data, hp)
+        model = rf.train_random_forest(data, hp, threads=1)
         preds = [rf.forest_predict(model, x)[1] for x in X]
         assert np.mean(np.array(preds) == y) >= 0.95
 
@@ -343,14 +343,14 @@ class TestForest:
     def test_forest_validation(self):
         with pytest.raises(TrainingError):
             rf.train_random_forest(LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int)),
-                                   forest_hp())
+                                   forest_hp(), threads=1)
         data = LabeledDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
         with pytest.raises(TrainingError):
-            rf.train_random_forest(data, forest_hp(mtry=5))
+            rf.train_random_forest(data, forest_hp(mtry=5), threads=1)
 
     def test_predict_shape_check(self):
         data = LabeledDataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
-        model = rf.train_random_forest(data, forest_hp(n_trees=3, min_samples_leaf=1))
+        model = rf.train_random_forest(data, forest_hp(n_trees=3, min_samples_leaf=1), threads=1)
         with pytest.raises(ValueError):
             rf.forest_predict(model, np.zeros(3))
 

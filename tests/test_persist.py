@@ -40,7 +40,7 @@ def tiny_forest():
     X = np.round(rng.uniform_array(36).reshape(12, 3), 6)
     y = (X[:, 0] + X[:, 2] > 1.0).astype(int)
     hp = ForestHyperparams(n_trees=5, max_depth=4, min_samples_leaf=1, mtry=None, seed=3)
-    return train_random_forest(LabeledDataset(X, y), hp)
+    return train_random_forest(LabeledDataset(X, y), hp, threads=1)
 
 
 class TestCanonicalJson:
@@ -71,13 +71,14 @@ class TestCanonicalJson:
         sv = np.zeros((2, 3))
         sv[1, 2] = value
         with pytest.raises(ValueError, match="non-finite"):
-            persist.save_model(SvmModel(sv, np.ones(2), 0.0, 1.0, 1.0))
+            persist.save_model(SvmModel(sv, np.ones(2), 0.0, 1.0, 1.0), {})
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_alpha_y_refused(self, value):
         with pytest.raises(ValueError, match="non-finite"):
-            persist.save_model(SvmModel(np.zeros((2, 3)), np.array([1.0, value]), 0.0, 1.0, 1.0))
+            persist.save_model(SvmModel(np.zeros((2, 3)), np.array([1.0, value]), 0.0, 1.0, 1.0),
+                               {})
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -142,14 +143,14 @@ class TestSvmBytes:
         # (17 digits per float) and version 2 (packed support vectors) files
         # both load back bit for bit, and a load followed by a save gives the
         # same bytes; a model load_model refuses is refused in both forms.
-        saved = persist.save_model(model)
+        saved = persist.save_model(model, {})
         assert saved == svm_bytes_reference(model, packed=True)
         loadable = model.support_vectors.size > 0 and model.gamma >= 0 and model.c > 0
         for data in (svm_bytes_reference(model), saved):
             if loadable:
                 loaded = persist.load_model(data)[0]
                 assert_same_svm(loaded, model)
-                assert persist.save_model(loaded) == saved
+                assert persist.save_model(loaded, {}) == saved
             else:
                 with pytest.raises(persist.PersistError):
                     persist.load_model(data)
@@ -160,7 +161,7 @@ class TestSvmBytes:
         # models before the packed format, so it pins training on its own.
         cfg = pl.ClotPipelineConfig()
         train = synththermal.generate_dataset(synththermal.ThermalConfig(), 6, 0.5, Rng(31))
-        model = pl.clot_train(train, cfg)
+        model = pl.clot_train(train, cfg, threads=1)
         assert len(model.alpha_y) > 1
         v1 = svm_bytes_reference(model, config_snapshot("clot", cfg))
         assert hashlib.sha256(v1).hexdigest() == (
@@ -215,7 +216,7 @@ class TestRoundTrip:
 
     def test_file_round_trip_atomic(self, tmp_path):
         model = tiny_svm()
-        path = tmp_path / ("m" + persist.FILE_SUFFIX)
+        path = tmp_path / "m.pdmodel.json"
         persist.save_model_file(path, model, {"run": 1})
         loaded, meta = persist.load_model_file(path)
         assert meta == {"run": 1}
@@ -226,10 +227,10 @@ class TestRoundTrip:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask022", "umask077"])
     def test_file_mode_follows_umask(self, tmp_path, umask, mode):
-        path = tmp_path / ("m" + persist.FILE_SUFFIX)
+        path = tmp_path / "m.pdmodel.json"
         old = os.umask(umask)
         try:
-            persist.save_model_file(path, tiny_svm())
+            persist.save_model_file(path, tiny_svm(), {})
         finally:
             os.umask(old)
         assert stat.S_IMODE(path.stat().st_mode) == mode
@@ -239,7 +240,7 @@ class TestRoundTrip:
         path = tmp_path / "taken"
         path.mkdir()
         with pytest.raises(OSError):
-            persist.save_model_file(path, tiny_svm())
+            persist.save_model_file(path, tiny_svm(), {})
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
@@ -255,7 +256,7 @@ def packed_sv(values, shape=None, text=None) -> dict:
 class TestSchemaErrors:
     def test_unsupported_version(self):
         for version in (b"0", b"3"):
-            data = persist.save_model(tiny_svm()).replace(
+            data = persist.save_model(tiny_svm(), {}).replace(
                 b'"format_version": 2', b'"format_version": ' + version
             )
             with pytest.raises(persist.PersistError, match="format_version"):
@@ -266,24 +267,24 @@ class TestSchemaErrors:
             persist.load_model(b"{nope")
 
     def test_missing_payload_field_path(self):
-        data = persist.save_model(tiny_svm()).replace(b'"bias"', b'"bias_x"')
+        data = persist.save_model(tiny_svm(), {}).replace(b'"bias"', b'"bias_x"')
         with pytest.raises(persist.PersistError, match=r"\$\.payload\.bias"):
             persist.load_model(data)
 
     def test_wrong_type_field_path(self):
-        data = persist.save_model(tiny_svm())
+        data = persist.save_model(tiny_svm(), {})
         data = data.replace(b'"kind": "svm"', b'"kind": 3')
         with pytest.raises(persist.PersistError, match=r"\$\.kind"):
             persist.load_model(data)
 
     def test_unknown_kind(self):
-        data = persist.save_model(tiny_svm()).replace(b'"kind": "svm"', b'"kind": "mlp"')
+        data = persist.save_model(tiny_svm(), {}).replace(b'"kind": "svm"', b'"kind": "mlp"')
         with pytest.raises(persist.PersistError, match="unknown model kind"):
             persist.load_model(data)
 
     def test_sv_alpha_length_mismatch(self):
         model = tiny_svm()
-        broken = persist.save_model(model)
+        broken = persist.save_model(model, {})
         import json
 
         obj = json.loads(broken)
@@ -292,7 +293,7 @@ class TestSchemaErrors:
             persist.load_model(persist._canon(obj).encode())
 
     def test_bad_tree_leaf(self):
-        data = persist.save_model(tiny_forest())
+        data = persist.save_model(tiny_forest(), {})
         import json
 
         obj = json.loads(data)
@@ -306,7 +307,7 @@ class TestSchemaErrors:
         # index past the end.
         import json
 
-        obj = json.loads(persist.save_model(tiny_forest()))
+        obj = json.loads(persist.save_model(tiny_forest(), {}))
         node = obj["payload"]["trees"][0]
         while "leaf" not in node["left"]:
             node = node["left"]
@@ -326,7 +327,7 @@ class TestSchemaErrors:
         # refuses support vectors as nested lists whatever they hold.
         import json
 
-        for data in (svm_bytes_reference(tiny_svm()), persist.save_model(tiny_svm())):
+        for data in (svm_bytes_reference(tiny_svm()), persist.save_model(tiny_svm(), {})):
             obj = json.loads(data)
             obj["payload"][field] = value
             with pytest.raises(persist.PersistError, match=rf"\$\.payload\.{field}|gamma|c ="):
@@ -365,7 +366,7 @@ class TestSchemaErrors:
         # tiny_svm has 6 support vectors of 2 features: 96 bytes.
         import json
 
-        obj = json.loads(persist.save_model(tiny_svm()))
+        obj = json.loads(persist.save_model(tiny_svm(), {}))
         obj["payload"]["support_vectors"] = packed
         with pytest.raises(persist.PersistError,
                            match=rf"(?=.*\$\.payload\.support_vectors)(?=.*{message})"):
@@ -386,7 +387,7 @@ class TestSchemaErrors:
         import json
         import tracemalloc
 
-        obj = json.loads(persist.save_model(tiny_svm()))
+        obj = json.loads(persist.save_model(tiny_svm(), {}))
         obj["payload"]["support_vectors"]["shape"] = shape
         data = json.dumps(obj).encode()
         tracemalloc.start()
@@ -410,7 +411,7 @@ class TestSchemaErrors:
     def test_forest_payload_rejected(self, mutate):
         import json
 
-        obj = json.loads(persist.save_model(tiny_forest()))
+        obj = json.loads(persist.save_model(tiny_forest(), {}))
         assert "threshold" in obj["payload"]["trees"][0]
         mutate(obj["payload"])
         with pytest.raises(persist.PersistError, match=r"\$\.payload\.(trees|n_features)"):
@@ -424,7 +425,7 @@ class TestSchemaErrors:
         # train_random_forest refuses these values, so no saved forest holds them.
         import json
 
-        obj = json.loads(persist.save_model(tiny_forest()))
+        obj = json.loads(persist.save_model(tiny_forest(), {}))
         obj["payload"]["hyperparams"][field] = value
         with pytest.raises(persist.PersistError,
                            match=rf"\$\.payload\.hyperparams: {field} must be >= 1"):

@@ -83,8 +83,9 @@ class TestClotPipeline:
     def test_train_predict_smoke(self):
         train = st.generate_dataset(THERMAL_CFG, 40, 0.5, Rng(20))
         test = st.generate_dataset(THERMAL_CFG, 20, 0.5, Rng(21))
-        model = pl.clot_train(train)
-        preds = [pl.clot_predict_frame(model, img)[1] for img, _ in test]
+        cfg = pl.ClotPipelineConfig()
+        model = pl.clot_train(train, cfg, threads=1)
+        preds = [pl.clot_predict_frame(model, img, cfg)[1] for img, _ in test]
         acc = np.mean([p == lab for p, (_, lab) in zip(preds, test)])
         # tiny training set, so only a weak bound; full-scale accuracy is
         # gated by the acceptance suite
@@ -92,18 +93,19 @@ class TestClotPipeline:
 
     def test_sequence_voting_path(self):
         train = st.generate_dataset(THERMAL_CFG, 16, 0.5, Rng(22))
-        model = pl.clot_train(train)
-        frames = st.generate_frame_sequence(THERMAL_CFG, 1, 5, Rng(23))
-        assert pl.clot_predict_sequence(model, frames) in (0, 1)
+        cfg = pl.ClotPipelineConfig()
+        model = pl.clot_train(train, cfg, threads=1)
+        frames = list(st.iter_frame_sequence(THERMAL_CFG, 1, 5, Rng(23)))
+        assert pl.clot_predict_sequence(model, frames, cfg) in (0, 1)
         with pytest.raises(ValueError):
-            pl.clot_predict_sequence(model, [])
+            pl.clot_predict_sequence(model, [], cfg)
 
     def test_training_errors(self):
         img = st.generate_sample(THERMAL_CFG, 1, Rng(1))
         with pytest.raises(TrainingError):
-            pl.clot_train([(img, 1)])
+            pl.clot_train([(img, 1)], pl.ClotPipelineConfig(), threads=1)
         with pytest.raises(TrainingError):
-            pl.clot_train([(img, 1), (img, 1)])
+            pl.clot_train([(img, 1), (img, 1)], pl.ClotPipelineConfig(), threads=1)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -145,7 +147,7 @@ class TestCardioPipeline:
         cfg = pl.CardioPipelineConfig(n_trees=30)
         train = sc.generate_cardio_dataset("heart", 16, 0.5, 2.0, 4000, Rng(40))
         test = sc.generate_cardio_dataset("heart", 8, 0.5, 2.0, 4000, Rng(41))
-        model = pl.cardio_train(train, cfg)
+        model = pl.cardio_train(train, cfg, threads=1)
         preds = [pl.cardio_predict(model, sig, cfg)[1] for sig, _ in test]
         acc = np.mean([p == lab for p, (_, lab) in zip(preds, test)])
         assert acc >= 0.75
@@ -154,12 +156,12 @@ class TestCardioPipeline:
         good = sc.synth_cardio_sample("lung", 0, 2.0, 4000, Rng(1))
         bad = AudioSignal(np.zeros(10), 4000)
         with pytest.raises(TrainingError, match=r"indices \[1\]"):
-            pl.cardio_train([(good, 0), (bad, 1)])
+            pl.cardio_train([(good, 0), (bad, 1)], pl.CardioPipelineConfig(), threads=1)
 
     def test_single_class_rejected(self):
         sig = sc.synth_cardio_sample("lung", 0, 2.0, 4000, Rng(1))
         with pytest.raises(TrainingError):
-            pl.cardio_train([(sig, 0), (sig, 0)])
+            pl.cardio_train([(sig, 0), (sig, 0)], pl.CardioPipelineConfig(), threads=1)
 
     def test_features_pinned_bit_for_bit(self):
         # Guards every later speed-up of the audio path: a change of even one
@@ -184,19 +186,20 @@ class TestSkinPipeline:
         img = st.generate_sample(THERMAL_CFG, 0, Rng(3))  # any grayscale image
         assert img.pixels.shape == (128, 128)
         # 14x14 cells of 16 px, 13x13 blocks of 2x2 cells, 9 bins each
-        assert pl.skin_features(img).shape == (13 * 13 * 4 * 9,) == (6084,)
+        assert pl.skin_features(img, pl.SkinPipelineConfig()).shape == (13 * 13 * 4 * 9,) == (6084,)
 
     def test_standin_train_and_classify(self):
         rng = Rng(50)
         dark = [st.GrayImage(0.2 + 0.02 * rng.uniform_array(32 * 32).reshape(32, 32)) for _ in range(4)]
         light = [st.GrayImage(0.7 + 0.02 * rng.uniform_array(32 * 32).reshape(32, 32)) for _ in range(4)]
         train = [(im, 0) for im in dark] + [(im, 1) for im in light]
-        model = pl.skin_standin_train(train)
-        score, label = pl.skin_standin_classify(model, dark[0])
+        cfg = pl.SkinPipelineConfig()
+        model = pl.skin_standin_train(train, cfg, threads=1)
+        score, label = pl.skin_standin_classify(model, dark[0], cfg)
         assert label in (0, 1)
         assert pl.SKIN_STANDIN_NAME == "skin-standin-hog-svm"
 
     def test_standin_single_class_rejected(self):
         img = st.generate_sample(THERMAL_CFG, 0, Rng(4))
         with pytest.raises(TrainingError):
-            pl.skin_standin_train([(img, 1), (img, 1)])
+            pl.skin_standin_train([(img, 1), (img, 1)], pl.SkinPipelineConfig(), threads=1)

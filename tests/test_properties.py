@@ -187,12 +187,12 @@ FINITE_MATRICES = arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_si
 @given(FINITE_MATRICES)
 def test_packed_support_vectors_round_trip(sv):
     model = SvmModel(sv, np.ones(len(sv)), 0.5, 0.25, 2.0)
-    data = persist.save_model(model)
-    assert persist.save_model(model) == data
+    data = persist.save_model(model, {})
+    assert persist.save_model(model, {}) == data
     loaded, _ = persist.load_model(data)
     assert loaded.support_vectors.shape == sv.shape
     assert np.array_equal(loaded.support_vectors.view(np.int64), sv.view(np.int64))
-    assert persist.save_model(loaded) == data
+    assert persist.save_model(loaded, {}) == data
 
 
 MANIFEST_CELL = st.one_of(st.sampled_from(["0", "1", "2", "-1", " 1", "a.pgm", '"q,x"', ""]),

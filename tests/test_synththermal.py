@@ -98,7 +98,7 @@ class TestGenerate:
             st.generate_dataset(CFG, 5, 1.5, Rng(0))
 
     def test_frame_sequence_shares_scene(self):
-        frames = st.generate_frame_sequence(CFG, 1, 5, Rng(9))
+        frames = list(st.iter_frame_sequence(CFG, 1, 5, Rng(9)))
         assert len(frames) == 5
         # independent noise but identical underlying scene: frame means agree
         means = [f.pixels.mean() for f in frames]
@@ -106,7 +106,7 @@ class TestGenerate:
         # frames are not identical
         assert not np.array_equal(frames[0].pixels, frames[1].pixels)
         with pytest.raises(ValueError):
-            st.generate_frame_sequence(CFG, 1, 0, Rng(9))
+            list(st.iter_frame_sequence(CFG, 1, 0, Rng(9)))
 
 
 class TestDatasetIO:
