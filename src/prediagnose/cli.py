@@ -16,7 +16,7 @@ from . import config as cfgmod
 from .audioproc import read_wav_file
 from .core import FormatError, LabeledDataset, Rng, TrainingError
 from .evaluation import evaluate, report_table, report_to_dict, roc_to_csv, stratified_kfold
-from .forest import ForestModel, forest_predict, train_random_forest
+from .forest import ForestModel, forest_predict_batch, train_random_forest
 from .imageproc import read_image_file
 from .persist import PersistError, _canon, load_model_file, save_model_file
 from .pipeline import (
@@ -100,7 +100,7 @@ def _model_type(model) -> tuple:
     if isinstance(model, SvmModel):
         return (svm_decision_batch, 0.0,
                 lambda data, threads: train_svm_smo(data, c=model.c, gamma=model.gamma), "score")
-    return (lambda forest, feats: np.array([forest_predict(forest, x)[0] for x in feats]), 0.5,
+    return (forest_predict_batch, 0.5,
             lambda data, threads: train_random_forest(data, model.hyperparams, threads), "prob")
 
 

@@ -98,8 +98,18 @@ def _checked(key: str, value, nullable: bool):
 
 
 def load_config(cls, path):
-    """Config dataclass cls with the values of the INI file at path (defaults when path is None)."""
-    return config_from_snapshot(cls, _parse_file(path) if path else {})
+    """Config dataclass cls with the values of the INI file at path (defaults when path is None).
+
+    One file may serve every pipeline, so keys that cls lacks are ignored, with
+    one stderr line naming them.
+    """
+    values = _parse_file(path) if path else {}
+    cfg = config_from_snapshot(cls, values)
+    unused = sorted(values.keys() - config_snapshot("", cfg).keys())
+    if unused:
+        print(f"config {path}: {cls.__name__} does not use {', '.join(unused)}; ignored",
+              file=sys.stderr)
+    return cfg
 
 
 def config_snapshot(kind: str, cfg) -> dict:

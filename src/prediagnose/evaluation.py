@@ -86,18 +86,11 @@ def roc_auc(labels, scores) -> tuple[float, list[tuple[float, float]]]:
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_labels = labels[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = len(labels)
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        tp += int(np.sum(sorted_labels[i:j] == 1))
-        fp += int(np.sum(sorted_labels[i:j] == 0))
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
+    # One point per run of tied scores, at the run's last index.
+    last = np.flatnonzero(np.append(sorted_scores[1:] != sorted_scores[:-1], True))
+    tps = np.cumsum(sorted_labels == 1)[last].tolist()
+    fps = np.cumsum(sorted_labels == 0)[last].tolist()
+    points = [(0.0, 0.0)] + [(fp / n_neg, tp / n_pos) for tp, fp in zip(tps, fps)]
     if points[-1] != (1.0, 1.0):
         points.append((1.0, 1.0))
     auc = 0.0

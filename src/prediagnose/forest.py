@@ -11,21 +11,6 @@ from .core import LabeledDataset, Rng, TrainingError
 
 
 @dataclass
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (class counts)."""
-
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    counts: tuple[int, int] | None = None  # (n0, n1) at leaves
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.counts is not None
-
-
-@dataclass
 class ForestHyperparams:
     """Defaults live in CardioPipelineConfig."""
 
@@ -38,7 +23,10 @@ class ForestHyperparams:
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    """Each tree is the node object its model file holds: a leaf {"leaf": [n0, n1]},
+    or a split {"feature": f, "threshold": t, "left": ..., "right": ...} (x[f] <= t goes left)."""
+
+    trees: list[dict]
     n_features: int
     hyperparams: ForestHyperparams
 
@@ -93,7 +81,7 @@ def check_hyperparams(hp: ForestHyperparams) -> None:
             raise TrainingError(f"{name} must be >= 1, got {value}")
 
 
-def _grow(X, y, depth, hp: ForestHyperparams, mtry: int, rng: Rng) -> TreeNode:
+def _grow(X, y, depth, hp: ForestHyperparams, mtry: int, rng: Rng) -> dict:
     n1 = int(y.sum())
     n0 = len(y) - n1
     if (
@@ -102,19 +90,19 @@ def _grow(X, y, depth, hp: ForestHyperparams, mtry: int, rng: Rng) -> TreeNode:
         or depth >= hp.max_depth
         or len(y) < 2 * hp.min_samples_leaf
     ):
-        return TreeNode(counts=(n0, n1))
+        return {"leaf": [n0, n1]}
     candidates = rng.sample_indices(X.shape[1], mtry)
     split = best_split(X, y, candidates, hp.min_samples_leaf)
     if split is None:
-        return TreeNode(counts=(n0, n1))
+        return {"leaf": [n0, n1]}
     f, thr, _ = split
     mask = X[:, f] <= thr
-    left = _grow(X[mask], y[mask], depth + 1, hp, mtry, rng)
-    right = _grow(X[~mask], y[~mask], depth + 1, hp, mtry, rng)
-    return TreeNode(feature=f, threshold=thr, left=left, right=right)
+    return {"feature": f, "threshold": float(thr),  # left grows first: it draws from rng first
+            "left": _grow(X[mask], y[mask], depth + 1, hp, mtry, rng),
+            "right": _grow(X[~mask], y[~mask], depth + 1, hp, mtry, rng)}
 
 
-def _train_tree(X, y, hp: ForestHyperparams, mtry: int, tree_index: int) -> TreeNode:
+def _train_tree(X, y, hp: ForestHyperparams, mtry: int, tree_index: int) -> dict:
     rng = Rng(hp.seed + tree_index)
     n = len(y)
     idx = np.array([rng.randint(n) for _ in range(n)])
@@ -142,18 +130,22 @@ def train_random_forest(data: LabeledDataset, hp: ForestHyperparams, threads: in
     return ForestModel(trees=trees, n_features=d, hyperparams=hp)
 
 
-def _tree_vote(node: TreeNode, x: np.ndarray) -> int:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    n0, n1 = node.counts
+def _tree_vote(node: dict, x: np.ndarray) -> int:
+    while "leaf" not in node:
+        node = node["left"] if x[node["feature"]] <= node["threshold"] else node["right"]
+    n0, n1 = node["leaf"]
     return 1 if n1 >= n0 else 0  # leaf ties go to the positive class
 
 
+def forest_predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Fraction of trees voting positive for each row of X."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.n_features:
+        raise ValueError(f"expected rows of {model.n_features} features, got shape {X.shape}")
+    return np.array([sum(_tree_vote(t, x) for t in model.trees) for x in X]) / len(model.trees)
+
+
 def forest_predict(model: ForestModel, x: np.ndarray) -> tuple[float, int]:
-    """Fraction of trees voting positive, and the {0,1} majority label (ties -> 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise ValueError(f"expected {model.n_features} features, got {x.shape}")
-    votes = sum(_tree_vote(t, x) for t in model.trees)
-    prob = votes / len(model.trees)
+    """forest_predict_batch of one row, and the {0,1} majority label (ties -> 1)."""
+    prob = float(forest_predict_batch(model, [x])[0])
     return prob, int(prob >= 0.5)

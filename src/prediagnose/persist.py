@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FormatError, TrainingError
-from .forest import ForestHyperparams, ForestModel, TreeNode, check_hyperparams
+from .forest import ForestHyperparams, ForestModel, check_hyperparams
 from .svm import SvmModel
 
 FORMAT_VERSION = 2
@@ -60,17 +60,6 @@ def _canon(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
-
-
-def _tree_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": [int(node.counts[0]), int(node.counts[1])]}
-    return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
 
 
 def _expect(mapping, key, types, path):
@@ -128,21 +117,24 @@ def _packed_matrix(mapping, key, path) -> np.ndarray:
     return arr
 
 
-def _tree_from_dict(obj, path, n_features: int) -> TreeNode:
+def _tree_from_dict(obj, path, n_features: int) -> dict:
+    """A fresh copy of the tree node obj, every node checked; unknown keys are dropped."""
     if not isinstance(obj, dict):
         raise PersistError(f"field {path} must be an object")
     if "leaf" in obj:
         leaf = obj["leaf"]
-        if not (isinstance(leaf, list) and len(leaf) == 2 and all(isinstance(v, int) for v in leaf)):
-            raise PersistError(f"field {path}.leaf must be [n0, n1]")
-        return TreeNode(counts=(leaf[0], leaf[1]))
+        if not (isinstance(leaf, list) and len(leaf) == 2
+                and all(type(n) is int and n >= 0 for n in leaf) and sum(leaf) > 0):
+            raise PersistError(f"field {path}.leaf must be [n0, n1]: two non-negative "
+                               "integers with a positive sum")
+        return {"leaf": list(leaf)}
     feature = _expect(obj, "feature", int, path)
     if not 0 <= feature < n_features:
         raise PersistError(f"field {path}.feature = {feature} is outside [0, {n_features})")
-    threshold = _real(obj, "threshold", path)
-    left = _tree_from_dict(_expect(obj, "left", dict, path), f"{path}.left", n_features)
-    right = _tree_from_dict(_expect(obj, "right", dict, path), f"{path}.right", n_features)
-    return TreeNode(feature=feature, threshold=threshold, left=left, right=right)
+    return {"feature": feature, "threshold": _real(obj, "threshold", path),
+            "left": _tree_from_dict(_expect(obj, "left", dict, path), f"{path}.left", n_features),
+            "right": _tree_from_dict(_expect(obj, "right", dict, path), f"{path}.right",
+                                     n_features)}
 
 
 def save_model(model, created_with: dict) -> bytes:
@@ -165,7 +157,7 @@ def save_model(model, created_with: dict) -> bytes:
         payload = {
             "n_features": int(model.n_features),
             "hyperparams": dataclasses.asdict(model.hyperparams),
-            "trees": [_tree_to_dict(t) for t in model.trees],
+            "trees": model.trees,
         }
     else:
         raise PersistError(f"unknown model type {type(model).__name__}")

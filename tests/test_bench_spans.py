@@ -1,0 +1,82 @@
+"""Every span name the benchmark reports on names a public function of the package.
+
+bench/spans.py records a span per call of each public function, named
+"<module>.<function>".  A metric keyed by a name that no longer exists reads 0
+and raises nothing, so renaming or inlining a function would silently empty a
+per-layer metric.  This test reads bench/ only; it changes nothing there.
+"""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+import runpy
+from pathlib import Path
+
+import pytest
+
+import prediagnose
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def assigned(path: Path, name: str) -> ast.expr:
+    """The value assigned to the module-level name in the file at path."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise AssertionError(f"{path.name} assigns no {name}")
+
+
+def strings(node: ast.AST) -> list[str]:
+    """Every string constant in node."""
+    return [n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def within_names(path: Path) -> list[str]:
+    """Span names passed to within(kind, *names): every positional argument but the kind."""
+    return [name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "within"
+            for arg in node.args[1:] for name in strings(arg)]
+
+
+def span_names(table: str) -> list[str]:
+    run, spans = BENCH / "run.py", BENCH / "spans.py"
+    if table == "within":
+        return within_names(run)
+    if table == "SKIP":
+        return strings(assigned(spans, "SKIP"))
+    path = spans if table == "BYTES" else run
+    return [key.value for key in assigned(path, table).keys]
+
+
+def public_functions() -> set[str]:
+    names = set()
+    for info in pkgutil.iter_modules(prediagnose.__path__):
+        module = importlib.import_module(f"prediagnose.{info.name}")
+        names |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if inspect.isfunction(obj) and not name.startswith("_")
+                  and obj.__module__ == module.__name__}
+    return names
+
+
+def command_spans() -> set[str]:
+    """bench/worker.py wraps each CLI command in a span named cli.<step kind>."""
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))
+    spans = set()
+    for size in workloads["SIZES"]:
+        for name in workloads["WHY"]:
+            w = workloads["build"](name, size, 1)
+            spans |= {f"cli.{step.kind}" for step in w.setup + w.cycle}
+    return spans
+
+
+@pytest.mark.parametrize("table", ["LAYER_STATS", "SETUP_STATS", "BYTES", "SKIP", "within"])
+def test_bench_span_names_are_public_functions(table):
+    names = span_names(table)
+    assert names, f"no span names found in {table}"
+    known = public_functions() | (command_spans() if table == "LAYER_STATS" else set())
+    assert [n for n in names if n not in known] == []

@@ -18,7 +18,7 @@ from prediagnose import config as cfgmod
 from prediagnose.cli import main
 from prediagnose.audioproc import write_wav
 from prediagnose.core import AudioSignal, FormatError, GrayImage, Rng
-from prediagnose.forest import ForestHyperparams, ForestModel, TreeNode
+from prediagnose.forest import ForestHyperparams, ForestModel
 from prediagnose.imageproc import write_pgm
 from prediagnose.persist import PersistError, save_model
 from prediagnose.pipeline import CardioPipelineConfig, ClotPipelineConfig
@@ -49,6 +49,20 @@ class TestConfigFiles:
         assert clot.window == 7 and clot.hog_view == "edge"
         cardio = cfgmod.load_config(CardioPipelineConfig, path)
         assert cardio.n_trees == 20
+
+    def test_keys_the_config_does_not_use_are_named_on_stderr(self, tmp_path, capsys):
+        # One file may serve every pipeline: keys of another are ignored, not rejected.
+        path = tmp_path / "cfg.ini"
+        path.write_text("[audioproc]\nhop = 0.02\n[ml]\nsvm_c = 3.5\nn_trees = 5\n")
+        assert cfgmod.load_config(ClotPipelineConfig, path).svm_c == 3.5
+        err = capsys.readouterr().err
+        assert err == f"config {path}: ClotPipelineConfig does not use hop, n_trees; ignored\n"
+        assert cfgmod.load_config(CardioPipelineConfig, path).n_trees == 5
+        assert capsys.readouterr().err.endswith("does not use svm_c; ignored\n")
+        path.write_text("[ml]\nn_trees = 5\n[audioproc]\nhop = 0.02\n")
+        cfgmod.load_config(CardioPipelineConfig, path)
+        cfgmod.load_config(CardioPipelineConfig, None)
+        assert capsys.readouterr().err == ""
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -158,8 +172,8 @@ def packed_svm_file(values=None, shape=None, text=lambda t: t) -> bytes:
 def tiny_forest_file(feature: int = 0, **payload) -> bytes:
     """A one-split cardio forest over 26 features whose root reads `feature`;
     payload items replace its fields."""
-    root = TreeNode(feature=feature, threshold=0.0, left=TreeNode(counts=(1, 0)),
-                    right=TreeNode(counts=(0, 1)))
+    root = {"feature": feature, "threshold": 0.0, "left": {"leaf": [1, 0]},
+            "right": {"leaf": [0, 1]}}
     hp = ForestHyperparams(n_trees=1, max_depth=1, min_samples_leaf=1, mtry=None, seed=0)
     doc = json.loads(save_model(ForestModel([root], 26, hp), {"pipeline": "cardio"}))
     doc["payload"].update(payload)
@@ -320,6 +334,9 @@ MALFORMED = {
     "svm_bias_nan": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
         model(tiny_svm_file({"pipeline": "clot"}, bias=float("nan"))), 2),
+    "forest_leaf_negative": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        model(tiny_forest_file(trees=[{"leaf": [-5, 0]}])), 2),
     "forest_without_trees": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
         model(tiny_forest_file(trees=[])), 2),

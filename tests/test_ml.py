@@ -354,6 +354,14 @@ class TestForest:
         with pytest.raises(ValueError):
             rf.forest_predict(model, np.zeros(3))
 
+    @pytest.mark.parametrize("X", [np.zeros(2), np.zeros((4, 3)), np.zeros((4, 1)),
+                                   np.zeros((1, 1, 2))], ids=["1d", "3_cols", "1_col", "3d"])
+    def test_predict_batch_shape_check(self, X):
+        data = LabeledDataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
+        model = rf.train_random_forest(data, forest_hp(n_trees=3, min_samples_leaf=1), threads=1)
+        with pytest.raises(ValueError, match="expected rows of 2 features"):
+            rf.forest_predict_batch(model, X)
+
 
 class TestVoting:
     def test_majority_examples(self):

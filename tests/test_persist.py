@@ -15,8 +15,10 @@ from prediagnose import persist
 from prediagnose import pipeline as pl
 from prediagnose import synththermal
 from prediagnose.config import config_snapshot
-from prediagnose.forest import ForestHyperparams, forest_predict, train_random_forest
+from prediagnose.forest import (ForestHyperparams, forest_predict, forest_predict_batch,
+                               train_random_forest)
 from prediagnose.svm import SvmModel, svm_decision
+from prediagnose.synthcardio import generate_cardio_dataset
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -197,6 +199,14 @@ class TestGolden:
             x = rng.gaussian_array(2)
             assert svm_decision(loaded, x) == svm_decision(fresh, x)
 
+    def test_golden_forest_batch_matches_rows(self):
+        model, _ = persist.load_model((GOLDEN / "forest_tiny.pdmodel.json").read_bytes())
+        rng = Rng(10)
+        X = np.array([rng.uniform_array(3) for _ in range(100)])
+        batch = forest_predict_batch(model, X)
+        rows = np.array([forest_predict(model, x)[0] for x in X])
+        assert batch.tobytes() == rows.tobytes()
+
     def test_golden_forest_predicts_identically(self):
         fresh = tiny_forest()
         loaded, _ = persist.load_model((GOLDEN / "forest_tiny.pdmodel.json").read_bytes())
@@ -206,7 +216,28 @@ class TestGolden:
             assert forest_predict(loaded, x) == forest_predict(fresh, x)
 
 
+def small_cardio_forest():
+    recordings = generate_cardio_dataset("lung", 8, 0.5, 2.0, 4000, Rng(5))
+    return pl.cardio_train(recordings, pl.CardioPipelineConfig(n_trees=5), threads=1)
+
+
 class TestRoundTrip:
+    @pytest.mark.parametrize("make", [tiny_forest, small_cardio_forest])
+    def test_forest_trees_round_trip(self, make):
+        # A forest's trees are the node objects its file holds.
+        model = make()
+        loaded, _ = persist.load_model(persist.save_model(model, {}))
+        assert loaded.trees == model.trees
+
+    def test_loaded_trees_drop_unknown_keys(self):
+        import json
+
+        obj = json.loads(persist.save_model(tiny_forest(), {}))
+        obj["payload"]["trees"][0]["note"] = "x"
+        obj["payload"]["trees"][1] = {"leaf": [2, 1], "depth": 0}
+        loaded, _ = persist.load_model(persist._canon(obj).encode())
+        assert "note" not in loaded.trees[0] and loaded.trees[1] == {"leaf": [2, 1]}
+
     @pytest.mark.parametrize("make", [tiny_svm, tiny_forest])
     def test_save_load_save_byte_identical(self, make):
         model = make()
@@ -292,14 +323,19 @@ class TestSchemaErrors:
         with pytest.raises(persist.PersistError, match="length mismatch"):
             persist.load_model(persist._canon(obj).encode())
 
-    def test_bad_tree_leaf(self):
+    @pytest.mark.parametrize("leaf", [[1], [1, 2, 3], [-5, 0], [-1, 3], [True, False],
+                                      [1, False], [0, 0], [1.0, 0], ["1", 0], {"n0": 1}],
+                             ids=["one_count", "three_counts", "negative", "negative_one_of_two",
+                                  "bools", "one_bool", "zero_sum", "float", "string", "object"])
+    def test_bad_tree_leaf(self, leaf):
+        # A negative count can turn a leaf's vote; a bool would be written back as a bool.
         data = persist.save_model(tiny_forest(), {})
         import json
 
         obj = json.loads(data)
-        obj["payload"]["trees"][0] = {"leaf": [1]}
+        obj["payload"]["trees"][0] = {"leaf": leaf}
         with pytest.raises(persist.PersistError, match=r"trees\[0\]\.leaf"):
-            persist.load_model(persist._canon(obj).encode())
+            persist.load_model(json.dumps(obj).encode())  # json keeps 1.0 a float
 
     @pytest.mark.parametrize("feature", [-1, 3, 99])
     def test_tree_feature_outside_range(self, feature):
