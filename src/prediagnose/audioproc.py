@@ -6,6 +6,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
 from .core import AudioSignal, FormatError
@@ -106,42 +107,17 @@ def pre_emphasis(sig: AudioSignal, alpha: float) -> AudioSignal:
     return AudioSignal(y, sig.sample_rate)
 
 
-def _bit_reverse_indices(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=int)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
 def fft(x) -> np.ndarray:
-    """Forward radix-2 Cooley-Tukey DFT along the last axis.
+    """Forward DFT along the last axis, whose length must be a power of two.
 
     Leading axes are a batch: each row along the last axis is transformed
-    with the same butterflies, so a row's result does not depend on the
-    batch it sits in.
+    on its own, so a row's result does not depend on the batch it sits in.
     """
     a = np.asarray(x, dtype=np.complex128)
     n = a.shape[-1] if a.ndim else 0
     if n == 0 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
-    if n == 1:
-        return a.copy()
-    lead = a.shape[:-1]
-    a = np.take(a, _bit_reverse_indices(n), axis=-1)  # C-contiguous, so reshapes are views
-    m = 2
-    while m <= n:
-        half = m // 2
-        tw = np.exp(-1j * 2.0 * np.pi * np.arange(half) / m)
-        a = a.reshape(*lead, -1, m)
-        odd = a[..., half:] * tw
-        even = a[..., :half].copy()
-        a[..., :half] = even + odd
-        a[..., half:] = even - odd
-        m *= 2
-    return a.reshape(*lead, n)
+    return np.fft.fft(a, axis=-1)
 
 
 def mel(f_hz: float) -> float:
@@ -164,19 +140,10 @@ def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarra
         raise ValueError(f"n_filters={n_filters} exceeds {fft_size // 2}, half the FFT size")
     points = mel_inverse(np.linspace(0.0, mel(sample_rate / 2.0), n_filters + 2))
     freqs = np.arange(fft_size // 2 + 1) * (sample_rate / fft_size)
-    bank = np.zeros((n_filters, len(freqs)))
-    for i in range(n_filters):
-        lower, center, upper = points[i], points[i + 1], points[i + 2]
-        rise = (freqs - lower) / (center - lower)
-        fall = (upper - freqs) / (upper - center)
-        bank[i] = np.clip(np.minimum(rise, fall), 0.0, None)
-    return bank
-
-
-def _frame_signal(x: np.ndarray, frame_n: int, hop_n: int) -> np.ndarray:
-    n_frames = 1 + (len(x) - frame_n) // hop_n
-    idx = np.arange(frame_n)[None, :] + hop_n * np.arange(n_frames)[:, None]
-    return x[idx]
+    lower, center, upper = points[:-2, None], points[1:-1, None], points[2:, None]
+    rise = (freqs - lower) / (center - lower)
+    fall = (upper - freqs) / (upper - center)
+    return np.clip(np.minimum(rise, fall), 0.0, None)
 
 
 def mfcc(sig: AudioSignal, cfg: MfccConfig) -> np.ndarray:
@@ -196,7 +163,7 @@ def mfcc_debug(sig: AudioSignal, cfg: MfccConfig) -> tuple[np.ndarray, np.ndarra
     if len(sig.samples) < frame_n:
         raise ValueError(f"signal ({len(sig.samples)} samples) shorter than one frame ({frame_n})")
     emphasized = pre_emphasis(sig, cfg.pre_emphasis).samples
-    frames = _frame_signal(emphasized, frame_n, hop_n)
+    frames = sliding_window_view(emphasized, frame_n)[::hop_n]
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame_n) / (frame_n - 1))
     windowed = frames * window
     fft_size = 1 << (frame_n - 1).bit_length()  # next power of two >= frame samples

@@ -211,14 +211,12 @@ def load_model(data: bytes):
         if n_features < 1:
             raise PersistError(f"field $.payload.n_features = {n_features} is below 1")
         hp_obj = _expect(payload, "hyperparams", dict, "$.payload")
-        mtry = hp_obj.get("mtry")
-        if mtry is not None and not isinstance(mtry, int):
-            raise PersistError("field $.payload.hyperparams.mtry has wrong type")
         hp = ForestHyperparams(
             n_trees=_expect(hp_obj, "n_trees", int, "$.payload.hyperparams"),
             max_depth=_expect(hp_obj, "max_depth", int, "$.payload.hyperparams"),
             min_samples_leaf=_expect(hp_obj, "min_samples_leaf", int, "$.payload.hyperparams"),
-            mtry=mtry,
+            mtry=(None if hp_obj.get("mtry") is None
+                  else _expect(hp_obj, "mtry", int, "$.payload.hyperparams")),
             seed=_expect(hp_obj, "seed", int, "$.payload.hyperparams"),
         )
         trees_obj = _expect(payload, "trees", list, "$.payload")

@@ -145,7 +145,9 @@ class TestMfcc:
         frame_n = int(round(cfg.frame_len * sr))
         hop_n = int(round(cfg.hop * sr))
         fft_size = 1 << (frame_n - 1).bit_length()
-        frames = ap._frame_signal(ap.pre_emphasis(sig, cfg.pre_emphasis).samples, frame_n, hop_n)
+        emphasized = ap.pre_emphasis(sig, cfg.pre_emphasis).samples
+        frames = [emphasized[i : i + frame_n]
+                  for i in range(0, len(emphasized) - frame_n + 1, hop_n)]
         window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame_n) / (frame_n - 1))
         power = []
         for frame in frames:

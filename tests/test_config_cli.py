@@ -345,6 +345,11 @@ MALFORMED = {
         model(tiny_forest_file(hyperparams={"n_trees": 100, "max_depth": 1,
                                                 "min_samples_leaf": 1, "mtry": None, "seed": 0})),
         2),
+    "forest_mtry_bool": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        model(tiny_forest_file(hyperparams={"n_trees": 1, "max_depth": 1,
+                                                "min_samples_leaf": 1, "mtry": True, "seed": 0})),
+        2),
     "model_nested_too_deeply": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
         model(b"[" * 100_000 + b"]" * 100_000), 2),

@@ -467,6 +467,17 @@ class TestSchemaErrors:
                            match=rf"\$\.payload\.hyperparams: {field} must be >= 1"):
             persist.load_model(json.dumps(obj).encode())
 
+    @pytest.mark.parametrize("field", ["n_trees", "max_depth", "min_samples_leaf", "mtry", "seed"])
+    def test_forest_hyperparams_bool_rejected(self, field):
+        # JSON true is an int to isinstance; loaded, it would refit as 1 and be saved back as true.
+        import json
+
+        obj = json.loads(persist.save_model(tiny_forest(), {}))
+        obj["payload"]["hyperparams"][field] = True
+        with pytest.raises(persist.PersistError,
+                           match=rf"\$\.payload\.hyperparams\.{field} has wrong type bool"):
+            persist.load_model(json.dumps(obj).encode())
+
     @pytest.mark.parametrize("data", [
         b"[" * 100_000 + b"]" * 100_000,
         b"\xff\xfe\x00",

@@ -178,7 +178,7 @@ class TestCardioPipeline:
                         feats = pl.cardio_features(AudioSignal(samples, rate), cfg)
                         digest.update(np.ascontiguousarray(feats, dtype="<f8").tobytes())
         assert digest.hexdigest() == (
-            "063f55ced1da4a7c748d2fd2baae559dc4cfd4c9ea370a33bb859e2b559b4ac6")
+            "af04ac23fde835d1c518a62a8b762cc025921a4f34d81f622a8a13b9cdfec3d2")
 
 
 class TestSkinPipeline:
