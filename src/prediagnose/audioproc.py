@@ -7,9 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
 
 from .core import AudioSignal, FormatError
+
+MAX_DURATION_S = 600.0  # ten minutes: 4.8M samples at 8 kHz, each buffer 38 MB
 
 
 @dataclass
@@ -35,7 +36,11 @@ class MfccConfig:
 
 
 def read_wav(data: bytes) -> AudioSignal:
-    """Decode RIFF/WAVE PCM16.  Multi-channel input is averaged to mono."""
+    """Decode RIFF/WAVE PCM16.  Multi-channel input is averaged to mono.
+
+    A data chunk longer than MAX_DURATION_S is a FormatError, raised from its
+    byte count before any sample is decoded.
+    """
     if data[:4] != b"RIFF":
         raise FormatError("not a RIFF file")
     if data[8:12] != b"WAVE":
@@ -67,7 +72,11 @@ def read_wav(data: bytes) -> AudioSignal:
         raise FormatError(f"unsupported bit depth {bits} (16-bit only)")
     if n_channels < 1 or sample_rate < 1:
         raise FormatError(f"zero channels or sample rate ({n_channels}, {sample_rate} Hz)")
-    ints = np.frombuffer(raw[: len(raw) - len(raw) % (2 * n_channels)], dtype="<i2")
+    n_frames = len(raw) // (2 * n_channels)
+    if n_frames > MAX_DURATION_S * sample_rate:
+        raise FormatError(f"data chunk holds {n_frames} frames, over the {MAX_DURATION_S:g} s "
+                          f"cap of {int(MAX_DURATION_S * sample_rate)} frames at {sample_rate} Hz")
+    ints = np.frombuffer(raw[: n_frames * 2 * n_channels], dtype="<i2")
     if len(ints) == 0:
         raise FormatError("empty data chunk")
     samples = ints.astype(np.float64).reshape(-1, n_channels).mean(axis=1) / 32768.0
@@ -146,6 +155,16 @@ def mel_filterbank(n_filters: int, fft_size: int, sample_rate: int) -> np.ndarra
     return np.clip(np.minimum(rise, fall), 0.0, None)
 
 
+def _dct_basis(n_coeffs: int, n: int) -> np.ndarray:
+    """The first n_coeffs rows of the orthonormal DCT-II matrix of size n
+    (Ahmed, Natarajan & Rao, 1974): row k is s_k cos(pi k (2m + 1) / 2n) over
+    m, with s_0 = sqrt(1/n) and s_k = sqrt(2/n) above."""
+    k = np.arange(n_coeffs)[:, None]
+    m = np.arange(n)[None, :]
+    scale = np.where(k == 0, np.sqrt(1.0 / n), np.sqrt(2.0 / n))
+    return scale * np.cos(np.pi * k * (2 * m + 1) / (2 * n))
+
+
 def mfcc(sig: AudioSignal, cfg: MfccConfig) -> np.ndarray:
     """MFCC frame matrix of shape (n_frames, n_coeffs)."""
     frames, _ = mfcc_debug(sig, cfg)
@@ -174,8 +193,7 @@ def mfcc_debug(sig: AudioSignal, cfg: MfccConfig) -> tuple[np.ndarray, np.ndarra
     bank = mel_filterbank(cfg.n_filters, fft_size, sr)
     energies = power @ bank.T
     log_e = np.log(np.maximum(energies, cfg.log_floor))
-    coeffs = dct(log_e, type=2, norm="ortho", axis=1)[:, : cfg.n_coeffs]
-    return coeffs, energies
+    return log_e @ _dct_basis(cfg.n_coeffs, cfg.n_filters).T, energies
 
 
 def aggregate_features(frames: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .audioproc import read_wav_file
+from .audioproc import MAX_DURATION_S, read_wav_file
 from .core import FormatError, LabeledDataset, Rng, TrainingError
 from .evaluation import evaluate, report_table, report_to_dict, roc_to_csv, stratified_kfold
 from .forest import ForestModel, forest_predict_batch, train_random_forest
@@ -37,7 +38,7 @@ from .pipeline import (
     skin_standin_train,
 )
 from .svm import SvmModel, svm_decision_batch, train_svm_smo
-from .synthcardio import MAX_DURATION_S, MIN_DURATION_S, SAMPLE_RATES, write_cardio_dataset
+from .synthcardio import MIN_DURATION_S, SAMPLE_RATES, write_cardio_dataset
 from .synththermal import MAX_FRAMES, ThermalConfig, load_dataset, write_thermal_dataset
 
 EXIT_OK = 0
@@ -116,6 +117,7 @@ def _standin_tag(kind: str) -> dict:
     return {"standin": SKIN_STANDIN_NAME} if kind == "skin" else {}
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it found it
 def build_parser() -> _Parser:
     parser = _Parser(prog="prediagnose", description="Multimodal pre-diagnostic toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

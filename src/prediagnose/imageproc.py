@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .core import FormatError, GrayImage
 
@@ -57,16 +56,29 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _correlate_columns(px: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Correlate each column with a symmetric kernel, borders replicated.
+
+    Each output is x[i]*k[r] + sum over j = -r..-1 of (x[i+j] + x[i-j])*k[r+j],
+    added in that order: scipy.ndimage.correlate1d's order for a symmetric
+    kernel, so the two agree bit for bit.
+    """
+    r = len(k) // 2
+    n = len(px)
+    padded = np.pad(px, ((r, r), (0, 0)), mode="edge")
+    out = padded[r : r + n] * k[r]
+    pair = np.empty_like(out)
+    for j in range(-r, 0):
+        np.add(padded[r + j : r + j + n], padded[r - j : r - j + n], out=pair)
+        pair *= k[r + j]
+        out += pair
+    return out
+
+
 def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     """Separable Gaussian blur with edge replication at borders."""
     k = gaussian_kernel_1d(sigma)
-    out = ndimage.correlate1d(img.pixels, k, axis=0, mode="nearest")
-    out = ndimage.correlate1d(out, k, axis=1, mode="nearest")
-    return GrayImage(out)
-
-
-_SOBEL_X = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
-_SOBEL_Y = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.float64)
+    return GrayImage(_correlate_columns(_correlate_columns(img.pixels, k).T, k).T)
 
 
 def _mod180(deg: np.ndarray) -> np.ndarray:
@@ -78,9 +90,17 @@ def _mod180(deg: np.ndarray) -> np.ndarray:
 
 
 def _sobel(px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 Sobel magnitude and angle (degrees in [0,180), borders replicated)."""
-    gx = ndimage.correlate(px, _SOBEL_X, mode="nearest")
-    gy = ndimage.correlate(px, _SOBEL_Y, mode="nearest")
+    """3x3 Sobel magnitude and angle (degrees in [0,180), borders replicated).
+
+    Each gradient is 0.0 plus its six nonzero taps in raster order, the order
+    scipy.ndimage.correlate adds them in, so the two agree bit for bit.
+    """
+    p = np.pad(px, 1, mode="edge")
+    up, mid, down = p[:-2], p[1:-1], p[2:]
+    gx = (0.0 - up[:, :-2] + up[:, 2:] - 2.0 * mid[:, :-2] + 2.0 * mid[:, 2:]
+          - down[:, :-2] + down[:, 2:])
+    gy = (0.0 - up[:, :-2] - 2.0 * up[:, 1:-1] - up[:, 2:]
+          + down[:, :-2] + 2.0 * down[:, 1:-1] + down[:, 2:])
     return np.sqrt(gx * gx + gy * gy), _mod180(np.degrees(np.arctan2(gy, gx)))
 
 
@@ -100,6 +120,26 @@ def _nms(mag: np.ndarray, ang: np.ndarray) -> np.ndarray:
     return keep
 
 
+def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
+    """The 8-connected components of weak that hold a strong pixel.
+
+    Grows strong & weak through weak by one 3x3 dilation per pass until a pass
+    adds nothing.  Every pass but the last adds a weak pixel, so the weak
+    pixel count bounds the loop.
+    """
+    h, w = weak.shape
+    edges = strong & weak
+    grid = np.zeros((h + 2, w + 2), dtype=bool)
+    for _ in range(np.count_nonzero(weak)):
+        grid[1:-1, 1:-1] = edges
+        rows = grid[:-2] | grid[1:-1] | grid[2:]
+        grown = (rows[:, :-2] | rows[:, 1:-1] | rows[:, 2:]) & weak
+        if np.array_equal(grown, edges):
+            break
+        edges = grown
+    return edges
+
+
 def canny(img: GrayImage, sigma: float, low: float, high: float) -> GrayImage:
     """Canny edges as a {0,1} image: blur, Sobel, NMS, double threshold,
     8-connected hysteresis."""
@@ -111,13 +151,7 @@ def canny(img: GrayImage, sigma: float, low: float, high: float) -> GrayImage:
     keep = _nms(mag, ang)
     strong = keep & (mag >= high)
     weak = keep & (mag >= low)
-    labels, n = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
-    if n == 0:
-        return GrayImage(np.zeros_like(mag))
-    strong_ids = np.unique(labels[strong])
-    strong_ids = strong_ids[strong_ids > 0]
-    edges = np.isin(labels, strong_ids) & weak
-    return GrayImage(edges.astype(np.float64))
+    return GrayImage(_hysteresis(strong, weak).astype(np.float64))
 
 
 def _cell_histograms(img: GrayImage, cfg: HogConfig) -> np.ndarray:

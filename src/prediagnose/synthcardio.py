@@ -12,13 +12,12 @@ import itertools
 import numpy as np
 
 from .core import AudioSignal, Rng
-from .audioproc import write_wav
+from .audioproc import MAX_DURATION_S, write_wav
 from .synththermal import shuffled_labels, write_dataset
 
 PEAK = 0.9
 SAMPLE_RATES = (4000, 8000)
 MIN_DURATION_S = 2.0
-MAX_DURATION_S = 600.0  # ten minutes: 4.8M samples at 8 kHz, each buffer 38 MB
 _TAPS = 101
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from scipy.fft import dct
+from scipy.fft import dct  # the oracle for audioproc._dct_basis
 
 from prediagnose.core import AudioSignal, FormatError, Rng
 from prediagnose import audioproc as ap
+from prediagnose.synthcardio import synth_cardio_sample
 
 
 def naive_dft(x):
@@ -156,10 +157,31 @@ class TestMfcc:
             power.append(np.abs(ap.fft(padded)[: fft_size // 2 + 1]) ** 2 / fft_size)
         energies = np.array(power) @ ap.mel_filterbank(cfg.n_filters, fft_size, sr).T
         log_e = np.log(np.maximum(energies, cfg.log_floor))
-        coeffs = dct(log_e, type=2, norm="ortho", axis=1)[:, : cfg.n_coeffs]
+        coeffs = log_e @ ap._dct_basis(cfg.n_coeffs, cfg.n_filters).T
         got_coeffs, got_energies = ap.mfcc_debug(sig, cfg)
         assert got_energies.tobytes() == energies.tobytes()
         assert got_coeffs.tobytes() == coeffs.tobytes()
+
+
+class TestDct:
+    @pytest.mark.parametrize("sr", [4000, 8000])
+    @pytest.mark.parametrize("task", ["heart", "lung"])
+    def test_basis_matches_scipy_dct_on_log_mel_energies(self, task, sr):
+        # The DCT is a matrix product, not SciPy's FFT-based transform, so the
+        # two round differently.  On 40 synthesized 3 s recordings (both tasks
+        # and rates), raw and denoised, the largest difference was 1.06 eps
+        # times the frame's sum of |log energy| (7.0e-14 absolute); the bound
+        # is 4 eps times that sum.
+        rng = Rng(7)
+        cfg = ap.MfccConfig()
+        for label in (0, 1, 0, 1, 0):
+            sig = synth_cardio_sample(task, label, 3.0, sr, rng)
+            _, energies = ap.mfcc_debug(sig, cfg)
+            log_e = np.log(np.maximum(energies, cfg.log_floor))
+            want = dct(log_e, type=2, norm="ortho", axis=1)[:, : cfg.n_coeffs]
+            got = log_e @ ap._dct_basis(cfg.n_coeffs, cfg.n_filters).T
+            bound = 4 * np.finfo(float).eps * np.abs(log_e).sum(axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= bound)
 
 
 class TestWavelet:
@@ -278,6 +300,21 @@ class TestWav:
         )
         out = ap.read_wav(header + raw)
         assert np.allclose(out.samples, [2000 / 32768.0, -2000 / 32768.0])
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_length_cap_counts_frames(self, channels):
+        # MAX_DURATION_S at 100 Hz is 60,000 frames, however many channels.
+        import struct
+
+        def wav(n_frames):
+            raw = bytes(2 * channels * n_frames)
+            return struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(raw), b"WAVE",
+                               b"fmt ", 16, 1, channels, 100, 200 * channels, 2 * channels, 16,
+                               b"data", len(raw)) + raw
+
+        assert len(ap.read_wav(wav(60_000)).samples) == 60_000
+        with pytest.raises(FormatError, match="600 s cap"):
+            ap.read_wav(wav(60_001))
 
     def test_bad_headers(self):
         with pytest.raises(FormatError):

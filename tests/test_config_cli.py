@@ -15,7 +15,7 @@ import pytest
 
 import prediagnose
 from prediagnose import config as cfgmod
-from prediagnose.cli import main
+from prediagnose.cli import build_parser, main
 from prediagnose.audioproc import write_wav
 from prediagnose.core import AudioSignal, FormatError, GrayImage, Rng
 from prediagnose.forest import ForestHyperparams, ForestModel
@@ -546,6 +546,18 @@ def test_malformed_input_exit_code(row, tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+class TestWavLengthCap:
+    def test_predict_cardio_refuses_a_recording_over_the_cap(self, tmp_path, capsys):
+        # One frame over MAX_DURATION_S at 100 Hz: a 120 KB file stands in for
+        # the gigabytes a long recording at a real rate would take.
+        (tmp_path / "m.pdmodel.json").write_bytes(tiny_forest_file(0))
+        (tmp_path / "long.wav").write_bytes(write_wav(AudioSignal(np.zeros(60_001), 100)))
+        code, out, err = run(capsys, "predict", "cardio", "--model", str(tmp_path / "m.pdmodel.json"),
+                             "--input", str(tmp_path / "long.wav"))
+        assert (code, out) == (2, "")
+        assert "data error" in err and "600 s cap of 60000 frames at 100 Hz" in err
+
+
 class TestSequenceOrder:
     def test_frames_reach_the_vote_in_numeric_order(self, tmp_path, capsys, monkeypatch):
         # Digit runs compare as numbers; frame01 and frame1 tie and go by name.
@@ -568,19 +580,77 @@ class TestSequenceOrder:
         assert voted == list(range(len(names)))
 
 
+def fresh_python(*argv: str) -> str:
+    """stdout of a fresh interpreter that imports this package from its source
+    tree; a nonzero exit fails the test."""
+    src = str(Path(prediagnose.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+# Runs every command of the CLI's toy flow with a finder on sys.meta_path that
+# refuses any scipy module, so a SciPy import hidden inside a function fails.
+NO_SCIPY_FLOW = """
+import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"the runtime imported {name}")
+
+sys.meta_path.insert(0, RefuseScipy())
+from prediagnose.cli import main
+
+commands = [
+    "synth thermal --out {t}/clot --n 8 --seed 1",
+    "train clot --data {t}/clot --out {t}/clot.pdmodel.json",
+    "eval --model {t}/clot.pdmodel.json --data {t}/clot",
+    "eval --model {t}/clot.pdmodel.json --data {t}/clot --kfold 2",
+    "predict clot --model {t}/clot.pdmodel.json --input {t}/clot/sample0000.pgm",
+    "synth cardio --task heart --out {t}/cardio --n 8 --seed 1 --rate 4000 --duration 2",
+    "train cardio --data {t}/cardio --out {t}/cardio.pdmodel.json",
+    "eval --model {t}/cardio.pdmodel.json --data {t}/cardio",
+    "eval --model {t}/cardio.pdmodel.json --data {t}/cardio --kfold 2",
+    "predict cardio --model {t}/cardio.pdmodel.json --input {t}/cardio/rec0000.wav",
+    "synth thermal --out {t}/seq --n 1 --seed 2 --frames 3",
+    "predict clot --model {t}/clot.pdmodel.json --sequence {t}/seq/seq0000",
+]
+codes = [main(c.format(t=sys.argv[1]).split()) for c in commands]
+print(json.dumps({"codes": codes, "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+"""
+
+
 class TestStartup:
-    def test_cli_import_leaves_out_scipy_signal_and_stats(self):
-        # A fresh interpreter: this test process may already hold scipy.optimize
-        # (and with it scipy.stats) from other tests. Every CLI run pays the
-        # import graph, and scipy.signal alone doubled it.
-        src = str(Path(prediagnose.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    def test_cli_import_loads_no_scipy_module(self):
+        # A fresh interpreter: this test process holds SciPy, the tests' oracle.
+        # Every CLI run pays the import graph, and SciPy was most of it.
         probe = ("import sys, prediagnose.cli; "
-                 "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))")
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out == "[]\n"
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert fresh_python("-c", probe) == "[]\n"
+
+    def test_every_command_runs_with_scipy_refused(self, tmp_path):
+        last = fresh_python("-c", NO_SCIPY_FLOW, str(tmp_path)).splitlines()[-1]
+        assert json.loads(last) == {"codes": [0] * 12, "scipy": []}
+
+
+class TestParserReuse:
+    def test_main_gives_what_fresh_parsers_give(self, tmp_path, capsys):
+        # main builds its parser once per process; a parse that failed must
+        # leave nothing behind for the next call.
+        (tmp_path / "a.json").write_text('{"x": 1}')
+        calls = [["eval", "--model", "m", "--data", "d", "--kfold", "1"],
+                 ["report", "--inputs", str(tmp_path / "a.json"), "--out", str(tmp_path / "r.json")],
+                 ["eval", "--model", "m", "--data", "d", "--kfold", "1"]]
+        reused = [run(capsys, *argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [code for code, _, _ in reused] == [1, 0, 1]
+        assert reused == fresh
+        assert build_parser() is build_parser()
 
 
 CONFIG_CLASSES = {"ThermalConfig", "ClotPipelineConfig", "HogConfig", "CardioPipelineConfig",

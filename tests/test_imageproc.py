@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy import ndimage  # the oracle for the blur, Sobel and hysteresis kernels
 
 from prediagnose.core import FormatError, GrayImage, Rng
 from prediagnose import imageproc as ip
+from prediagnose.synththermal import ThermalConfig, generate_sample
 
 
 def vertical_step(n=32):
@@ -176,6 +178,74 @@ def blocks_reference(hist, bs, eps=1e-6):
             clipped[i, j] = np.minimum(v / np.sqrt(np.dot(v, v) + eps * eps), 0.2)
             final[i, j] = clipped[i, j] / np.sqrt(np.dot(clipped[i, j], clipped[i, j]) + eps * eps)
     return clipped, final
+
+
+def oracle_images():
+    """200 random images: 3x3, 1xN and Nx1 strips, sides below every tested
+    kernel's width, and larger ones, at unit scale and with subnormal values."""
+    rng = np.random.default_rng(17)
+    shapes = [(3, 3), (1, 1), (1, 9), (9, 1), (3, 40), (128, 128)]
+    shapes += [tuple(rng.integers(1, 48, size=2)) for _ in range(200 - len(shapes))]
+    return [rng.random(shape) * (1e-310 if i % 7 == 6 else 1.0) for i, shape in enumerate(shapes)]
+
+
+def hysteresis_reference(strong, weak):
+    """The 8-connected components of weak that hold a strong pixel, by labeling."""
+    labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
+    ids = np.unique(labels[strong])
+    return np.isin(labels, ids[ids > 0]) & weak
+
+
+class TestMatchesNdimage:
+    """Blur and Sobel add in ndimage's order, so they agree bit for bit; the
+    hysteresis keeps the components that labeling keeps."""
+
+    @pytest.mark.parametrize("sigma", [0.7, 1.4, 3.0])
+    def test_blur_is_correlate1d_bit_for_bit(self, sigma):
+        k = ip.gaussian_kernel_1d(sigma)
+        for px in oracle_images():
+            want = ndimage.correlate1d(px, k, axis=0, mode="nearest")
+            want = ndimage.correlate1d(want, k, axis=1, mode="nearest")
+            assert ip.gaussian_blur(GrayImage(px), sigma).pixels.tobytes() == want.tobytes()
+
+    def test_sobel_is_correlate_bit_for_bit(self):
+        sobel_x = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
+        for px in oracle_images():
+            gx = ndimage.correlate(px, sobel_x, mode="nearest")
+            gy = ndimage.correlate(px, sobel_x.T, mode="nearest")
+            mag, ang = ip._sobel(px)
+            assert mag.tobytes() == np.sqrt(gx * gx + gy * gy).tobytes()
+            assert ang.tobytes() == ip._mod180(np.degrees(np.arctan2(gy, gx))).tobytes()
+
+    def test_hysteresis_on_random_masks(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            shape = tuple(rng.integers(1, 40, size=2))
+            weak = rng.random(shape) < rng.uniform(0.0, 0.8)
+            strong = rng.random(shape) < rng.uniform(0.0, 0.1)  # not always inside weak
+            got = ip._hysteresis(strong, weak)
+            assert np.array_equal(got, hysteresis_reference(strong, weak))
+
+    def test_hysteresis_on_thermal_images(self):
+        rng = Rng(7)
+        for i in range(40):
+            img = generate_sample(ThermalConfig(), i % 2, rng)
+            mag, ang = ip._sobel(ip.gaussian_blur(img, 1.4).pixels)
+            keep = ip._nms(mag, ang)
+            strong, weak = keep & (mag >= 0.15), keep & (mag >= 0.05)
+            want = hysteresis_reference(strong, weak)
+            assert np.array_equal(ip._hysteresis(strong, weak), want)
+            assert np.array_equal(ip.canny(img, 1.4, 0.05, 0.15).pixels, want.astype(np.float64))
+
+    def test_hysteresis_follows_a_long_weak_path(self):
+        # A serpentine weak path with its one strong pixel at one end takes
+        # one dilation per path pixel: the loop bound must not cut it short.
+        weak = np.zeros((9, 9), dtype=bool)
+        weak[::2, :] = True
+        weak[1::4, -1] = weak[3::4, 0] = True
+        strong = np.zeros_like(weak)
+        strong[-1, -1] = True
+        assert np.array_equal(ip._hysteresis(strong, weak), weak)
 
 
 class TestHogMatchesLoopReference:

@@ -178,7 +178,7 @@ class TestCardioPipeline:
                         feats = pl.cardio_features(AudioSignal(samples, rate), cfg)
                         digest.update(np.ascontiguousarray(feats, dtype="<f8").tobytes())
         assert digest.hexdigest() == (
-            "af04ac23fde835d1c518a62a8b762cc025921a4f34d81f622a8a13b9cdfec3d2")
+            "40f096dd0122efc0e2ab84f219e1896a3119c710c6455bc1a904a4c4a6d1cec2")
 
 
 class TestSkinPipeline:
