@@ -11,6 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import AudioSignal, FormatError
 
 MAX_DURATION_S = 600.0  # ten minutes: 4.8M samples at 8 kHz, each buffer 38 MB
+_FFT_BLOCK = 256  # frames mfcc windows, pads and transforms at a time
 
 
 @dataclass
@@ -184,14 +185,19 @@ def mfcc_debug(sig: AudioSignal, cfg: MfccConfig) -> tuple[np.ndarray, np.ndarra
     emphasized = pre_emphasis(sig, cfg.pre_emphasis).samples
     frames = sliding_window_view(emphasized, frame_n)[::hop_n]
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame_n) / (frame_n - 1))
-    windowed = frames * window
     fft_size = 1 << (frame_n - 1).bit_length()  # next power of two >= frame samples
-    padded = np.zeros((len(windowed), fft_size))
-    padded[:, :frame_n] = windowed
-    spectra = fft(padded)
-    power = np.abs(spectra[:, : fft_size // 2 + 1]) ** 2 / fft_size
+    n_bins = fft_size // 2 + 1
+    # Frames go through the FFT in blocks, so the transform's buffers stay the
+    # size of a block, not of the recording; each row's spectrum is the same.
+    power = np.empty((len(frames), n_bins))
+    padded = np.zeros((min(_FFT_BLOCK, len(frames)), fft_size))
+    for start in range(0, len(frames), _FFT_BLOCK):
+        block = frames[start : start + _FFT_BLOCK]
+        rows = padded[: len(block)]
+        np.multiply(block, window, out=rows[:, :frame_n])
+        power[start : start + len(block)] = np.abs(fft(rows)[:, :n_bins]) ** 2 / fft_size
     bank = mel_filterbank(cfg.n_filters, fft_size, sr)
-    energies = power @ bank.T
+    energies = power @ bank.T  # one product: BLAS rounds differently by shape
     log_e = np.log(np.maximum(energies, cfg.log_floor))
     return log_e @ _dct_basis(cfg.n_coeffs, cfg.n_filters).T, energies
 
@@ -232,18 +238,43 @@ class WaveletPyramid:
 
 
 def _analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = len(x)
-    idx = (2 * np.arange(n // 2)[:, None] + np.arange(8)[None, :]) % n
-    windows = x[idx]
+    """One analysis level: output i filters x[2i], ..., x[2i + 7], read
+    periodically (Mallat's pyramid step as a strided filter bank)."""
+    ext = np.resize(x, len(x) + 6)  # x, then its first 6 samples again (x repeated if shorter)
+    # The copy matters: a matrix-vector product over the strided view rounds differently.
+    windows = np.ascontiguousarray(sliding_window_view(ext, 8)[::2])
     return windows @ _DB4_LO, windows @ _DB4_HI
 
 
 def _synthesize(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
-    n = 2 * len(approx)
-    idx = (2 * np.arange(len(approx))[:, None] + np.arange(8)[None, :]) % n
-    w = approx[:, None] * _DB4_LO[None, :] + detail[:, None] * _DB4_HI[None, :]
-    # bincount adds each weight in order onto 0.0, exactly as np.add.at would.
-    return np.bincount(idx.ravel(), weights=w.ravel(), minlength=n)
+    """Inverse of _analyze: coefficient i adds w_k[i] = lo[k] approx[i] +
+    hi[k] detail[i] to output (2i + k) mod n, for each tap k.
+
+    Each output sums its four terms onto 0.0 in ascending i, the order in which
+    np.add.at adds them: output 2m + p takes taps 6 + p, 4 + p, 2 + p, p from
+    coefficients m - 3, ..., m, and for m < 3 the wrapped terms (i near N) come
+    last. Below 4 coefficients, taps of one coefficient land on one output.
+    """
+    N = len(approx)
+    n = 2 * N
+    if N < 4:
+        out = np.zeros(n)
+        for i, k in np.ndindex(N, 8):
+            out[(2 * i + k) % n] += _DB4_LO[k] * approx[i] + _DB4_HI[k] * detail[i]
+        return out
+    out = np.empty(n)
+    m = np.arange(3)
+    for p in (0, 1):  # even outputs, then odd
+        acc = np.zeros(N)
+        for t in (3, 2, 1, 0):
+            k, rows = 2 * t + p, slice(3 - t, N - t)
+            acc[3:] += _DB4_LO[k] * approx[rows] + _DB4_HI[k] * detail[rows]
+        for s in range(4):  # outputs m < 3: step s takes tap 2t + p, t = m - s mod 4
+            t = (m - s) % 4
+            k, i = 2 * t + p, (m - t) % N
+            acc[:3] += _DB4_LO[k] * approx[i] + _DB4_HI[k] * detail[i]
+        out[p::2] = acc
+    return out
 
 
 def dwt_forward(x: np.ndarray, levels: int) -> WaveletPyramid:

@@ -31,11 +31,13 @@ class ForestModel:
     hyperparams: ForestHyperparams
 
 
-def gini_impurity(class_counts) -> float:
+def gini_impurity(class_counts) -> float | np.ndarray:
+    """1 - (p0^2 + p1^2) of the counts (n0, n1): a float for a pair of
+    numbers, an array of impurities for a pair of equal-shape count arrays."""
     n0, n1 = class_counts
-    if n0 < 0 or n1 < 0 or n0 + n1 == 0:
-        raise ValueError("counts must be non-negative with positive sum")
     total = n0 + n1
+    if np.any((n0 < 0) | (n1 < 0) | (total == 0)):
+        raise ValueError("counts must be non-negative with positive sum")
     p0, p1 = n0 / total, n1 / total
     return 1.0 - (p0 * p0 + p1 * p1)
 
@@ -45,31 +47,43 @@ def best_split(
 ) -> tuple[int, float, float] | None:
     """Exhaustive (feature, midpoint-threshold) search minimizing weighted Gini.
 
-    Ties break toward the lower feature index, then the lower threshold.
-    Returns (feature, threshold, weighted_gini) or None if no valid split.
+    Every candidate feature is sorted and scored at once: the Gini of a split
+    after the first pos samples of a sorted column comes from prefix counts of
+    class 1. A split needs distinct neighbouring values and min_samples_leaf
+    samples on each side. Scanning features in ascending index, then positions
+    in ascending order, a candidate wins if its Gini is below the best so far
+    less 1e-15, so ties break toward the lower feature index, then the lower
+    threshold. Returns (feature, threshold, weighted_gini) or None if no
+    valid split.
     """
     n = len(y)
-    best = None
-    for f in sorted(feature_indices):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        # prefix class-1 counts for O(1) Gini at each split position
-        c1 = np.cumsum(ys)
-        for pos in range(1, n):
-            if xs[pos] == xs[pos - 1]:
-                continue
-            if pos < min_samples_leaf or n - pos < min_samples_leaf:
-                continue
-            thr = (xs[pos - 1] + xs[pos]) / 2.0
-            l1 = int(c1[pos - 1])
-            l0 = pos - l1
-            r1 = int(c1[-1]) - l1
-            r0 = (n - pos) - r1
-            g = (pos * gini_impurity((l0, l1)) + (n - pos) * gini_impurity((r0, r1))) / n
-            if best is None or g < best[2] - 1e-15:
-                best = (f, thr, g)
-    return best
+    features = sorted(feature_indices)
+    # a split after the first pos sorted samples needs min_samples_leaf on each side
+    lo, hi = max(1, min_samples_leaf), min(n - 1, n - min_samples_leaf)
+    if lo > hi:
+        return None
+    cols = X[:, features]
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)
+    c1 = np.cumsum(y[order], axis=0)  # c1[r, j]: class 1 among the first r + 1 of column j
+    pos = np.arange(lo, hi + 1)[:, None]
+    l1 = c1[lo - 1 : hi]
+    r1 = c1[-1] - l1
+    g = (pos * gini_impurity((pos - l1, l1)) + (n - pos) * gini_impurity((n - pos - r1, r1))) / n
+    # (feature, position) pairs in scan order, as flat indices into g.T
+    valid = np.flatnonzero((xs[lo:hi + 1] != xs[lo - 1 : hi]).T)
+    if len(valid) == 0:
+        return None
+    scores = g.T.ravel()[valid]
+    win = 0
+    while True:
+        later = np.flatnonzero(scores[win + 1 :] < scores[win] - 1e-15)
+        if len(later) == 0:
+            break
+        win += 1 + int(later[0])
+    j, p = divmod(int(valid[win]), hi - lo + 1)
+    p += lo
+    return features[j], (xs[p - 1, j] + xs[p, j]) / 2.0, float(scores[win])
 
 
 def check_hyperparams(hp: ForestHyperparams) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,15 +27,23 @@ class SvmModel:
     def n_features(self) -> int:
         return self.support_vectors.shape[1]
 
+    @cached_property
+    def sv_sq_norms(self) -> np.ndarray:
+        """Squared norm of each support vector, computed once per model."""
+        return np.sum(self.support_vectors * self.support_vectors, axis=1)
+
+
+def _rbf_kernel(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray, gamma: float) -> np.ndarray:
+    """exp(-gamma |a_i - b_j|^2) for the rows of a and b, where b_sq holds
+    np.sum(b * b, axis=1) and |a_i - b_j|^2 is expanded as
+    |a_i|^2 + |b_j|^2 - 2 a_i.b_j."""
+    sq = np.sum(a * a, axis=1)[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
+    return np.exp(-gamma * np.maximum(sq, 0.0))
+
 
 def rbf_gram(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """Pairwise RBF kernel matrix between the rows of a and b."""
-    sq = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    return _rbf_kernel(a, b, np.sum(b * b, axis=1), gamma)
 
 
 def gamma_scale(features: np.ndarray) -> float:
@@ -128,4 +137,5 @@ def svm_decision_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected rows of {model.n_features} features, got shape {X.shape}")
-    return rbf_gram(X, model.support_vectors, model.gamma) @ model.alpha_y + model.bias
+    K = _rbf_kernel(X, model.support_vectors, model.sv_sq_norms, model.gamma)
+    return K @ model.alpha_y + model.bias

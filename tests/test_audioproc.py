@@ -162,6 +162,46 @@ class TestMfcc:
         assert got_energies.tobytes() == energies.tobytes()
         assert got_coeffs.tobytes() == coeffs.tobytes()
 
+    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 513])
+    def test_matches_whole_matrix_reference_bit_for_bit(self, n_frames):
+        # Frames are transformed a block at a time; the result must be what one
+        # pass over the whole frame matrix gave, at and around block edges.
+        sr = 4000
+        cfg = ap.MfccConfig()
+        frame_n = int(round(cfg.frame_len * sr))
+        hop_n = int(round(cfg.hop * sr))
+        sig = AudioSignal(0.3 * Rng(n_frames).gaussian_array(frame_n + hop_n * (n_frames - 1)), sr)
+        fft_size = 1 << (frame_n - 1).bit_length()
+        emphasized = ap.pre_emphasis(sig, cfg.pre_emphasis).samples
+        frames = np.lib.stride_tricks.sliding_window_view(emphasized, frame_n)[::hop_n]
+        window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame_n) / (frame_n - 1))
+        padded = np.zeros((len(frames), fft_size))
+        padded[:, :frame_n] = frames * window
+        power = np.abs(ap.fft(padded)[:, : fft_size // 2 + 1]) ** 2 / fft_size
+        energies = power @ ap.mel_filterbank(cfg.n_filters, fft_size, sr).T
+        log_e = np.log(np.maximum(energies, cfg.log_floor))
+        coeffs = log_e @ ap._dct_basis(cfg.n_coeffs, cfg.n_filters).T
+        got_coeffs, got_energies = ap.mfcc_debug(sig, cfg)
+        assert len(got_coeffs) == n_frames
+        assert got_energies.tobytes() == energies.tobytes()
+        assert got_coeffs.tobytes() == coeffs.tobytes()
+
+    def test_memory_bounded_on_long_recording(self):
+        # 30 s at 44.1 kHz is 10.6 MB of samples and 2,998 frames of 1,102
+        # samples, padded to 2,048 for the FFT. A pass over the whole frame
+        # matrix at once peaked near 270 MB; the power matrix alone is 24.6 MB.
+        import tracemalloc
+
+        sig = AudioSignal(0.1 * Rng(30).gaussian_array(30 * 44100), 44100)
+        tracemalloc.start()
+        try:
+            coeffs = ap.mfcc(sig, ap.MfccConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coeffs.shape == (2998, 13)
+        assert peak < 100e6
+
 
 class TestDct:
     @pytest.mark.parametrize("sr", [4000, 8000])
@@ -215,6 +255,35 @@ class TestWavelet:
         ref = np.zeros(n)
         np.add.at(ref, idx, approx[:, None] * ap._DB4_LO + detail[:, None] * ap._DB4_HI)
         assert ap._synthesize(approx, detail).tobytes() == ref.tobytes()
+
+    def test_analyze_equals_index_matrix_bit_for_bit(self):
+        # Every even length from 2 to 4002, against the index-matrix gather
+        # (x[(2i + k) % n] for output i and tap k) and its two matrix-vector
+        # products; a quarter of the samples are 0.0 or -0.0.
+        rng = Rng(2)
+        for n in range(2, 4003, 2):
+            x = rng.gaussian_array(n)
+            x[rng.uniform_array(n) < 0.25] = 0.0
+            x[rng.uniform_array(n) < 0.1] = -0.0
+            windows = x[(2 * np.arange(n // 2)[:, None] + np.arange(8)[None, :]) % n]
+            approx, detail = ap._analyze(x)
+            assert approx.tobytes() == (windows @ ap._DB4_LO).tobytes(), n
+            assert detail.tobytes() == (windows @ ap._DB4_HI).tobytes(), n
+
+    def test_synthesize_equals_add_at_with_signed_zeros(self):
+        # Every even length from 2 to 802, with runs of 0.0 and -0.0 in both
+        # bands so that whole outputs sum zeros: np.add.at starts each output
+        # from 0.0, so such an output is 0.0 whatever the signs of its terms.
+        rng = Rng(3)
+        for n in range(2, 803, 2):
+            approx, detail = rng.gaussian_array(n // 2), rng.gaussian_array(n // 2)
+            for band in (approx, detail):
+                band[rng.uniform_array(n // 2) < 0.5] = 0.0
+                band[rng.uniform_array(n // 2) < 0.3] = -0.0
+            idx = (2 * np.arange(n // 2)[:, None] + np.arange(8)[None, :]) % n
+            ref = np.zeros(n)
+            np.add.at(ref, idx, approx[:, None] * ap._DB4_LO + detail[:, None] * ap._DB4_HI)
+            assert ap._synthesize(approx, detail).tobytes() == ref.tobytes(), n
 
     def test_roundtrip(self):
         x = Rng(17).gaussian_array(256)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from scipy.optimize import minimize
 import prediagnose
 from prediagnose.core import LabeledDataset, Rng, TrainingError
 from prediagnose import forest as rf
+from prediagnose import persist
 from prediagnose import svm as sv
 from prediagnose import voting
 from prediagnose.pipeline import CardioPipelineConfig
@@ -291,7 +293,114 @@ def brute_force_split(X, y, features, min_leaf):
     return best
 
 
+def best_split_loop(X, y, feature_indices, min_samples_leaf):
+    """The position-by-position split search that best_split replaced, kept
+    as its oracle: the same Gini operations in the same order, one candidate
+    at a time, with the same tie rule and result types."""
+    def gini(n0, n1):
+        total = n0 + n1
+        p0, p1 = n0 / total, n1 / total
+        return 1.0 - (p0 * p0 + p1 * p1)
+
+    n = len(y)
+    best = None
+    for f in sorted(feature_indices):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        c1 = np.cumsum(y[order])
+        for pos in range(1, n):
+            if xs[pos] == xs[pos - 1]:
+                continue
+            if pos < min_samples_leaf or n - pos < min_samples_leaf:
+                continue
+            thr = (xs[pos - 1] + xs[pos]) / 2.0
+            l1 = int(c1[pos - 1])
+            l0 = pos - l1
+            r1 = int(c1[-1]) - l1
+            r0 = (n - pos) - r1
+            g = (pos * gini(l0, l1) + (n - pos) * gini(r0, r1)) / n
+            if best is None or g < best[2] - 1e-15:
+                best = (f, thr, g)
+    return best
+
+
+def tie_heavy_column(rng: Rng, n: int) -> np.ndarray:
+    """One of five kinds of column: constant, two levels, small integers,
+    quarter steps, or continuous."""
+    kind = rng.randint(5)
+    if kind == 0:
+        return np.full(n, 0.5)
+    if kind == 1:
+        return (rng.uniform_array(n) < 0.5).astype(np.float64)
+    if kind == 2:
+        return np.floor(rng.uniform_array(n) * 4)
+    if kind == 3:
+        return np.round(rng.uniform_array(n) * 4) / 4.0
+    return rng.gaussian_array(n)
+
+
+def seeded_forest_data(seed: int) -> LabeledDataset:
+    """60 samples of 7 features: a constant column, a two-level column,
+    heavily tied columns and continuous ones; labels follow two of them."""
+    rng = Rng(seed)
+    n = 60
+    X = np.column_stack([
+        np.round(rng.uniform_array(n) * 4) / 4.0,
+        np.full(n, 1.25),
+        (rng.uniform_array(n) < 0.5).astype(np.float64),
+        np.floor(rng.uniform_array(n) * 3),
+        rng.gaussian_array(n),
+        np.round(rng.gaussian_array(n) * 2) / 2.0,
+        rng.gaussian_array(n),
+    ])
+    y = ((X[:, 0] + 0.5 * X[:, 4] + 0.3 * rng.gaussian_array(n)) > 0.5).astype(int)
+    return LabeledDataset(X, y)
+
+
 class TestForest:
+    def test_best_split_matches_loop_on_tie_heavy_cases(self):
+        # 1,200 seeded cases: 1 to 40 samples, 1 to 8 columns of the kinds in
+        # tie_heavy_column, a random subset of candidate features in random
+        # order, and min_samples_leaf from 1 to 3 in half the cases and from 1
+        # up to n, so often above n/2, in the others.
+        # repr compares the feature's type and the result's bits as well.
+        rng = Rng(20)
+        cases = 0
+        for _ in range(1200):
+            n = 1 + rng.randint(40)
+            d = 1 + rng.randint(8)
+            X = np.column_stack([tie_heavy_column(rng, n) for _ in range(d)])
+            y = (rng.uniform_array(n) < rng.uniform()).astype(int)
+            features = rng.sample_indices(d, 1 + rng.randint(d))
+            min_leaf = 1 + rng.randint(3 if rng.uniform() < 0.5 else n)
+            want = best_split_loop(X, y, features, min_leaf)
+            assert repr(rf.best_split(X, y, features, min_leaf)) == repr(want), (n, d, min_leaf)
+            cases += want is not None
+        assert cases > 600
+
+    def test_best_split_single_sample_and_constant_columns(self):
+        assert rf.best_split(np.array([[1.0, 2.0]]), np.array([1]), [0, 1], 1) is None
+        X = np.column_stack([np.full(6, 3.0), np.arange(6.0)])
+        y = np.array([0, 0, 1, 0, 1, 1])
+        assert rf.best_split(X[:, :1], y, [0], 1) is None
+        assert repr(rf.best_split(X, y, [1, 0], 1)) == repr(best_split_loop(X, y, [1, 0], 1))
+
+    @pytest.mark.parametrize("min_leaf, mtry, max_depth, digest", [
+        (1, None, 30, "b460e073af15ff5a21aa7b41c4af96ba7cdaede7a85bd9a6c083eec75869a0c6"),
+        (1, 7, 30, "4eb7d3bca90195709068d79420ac4ae81fb57e37e114548fc701aec22a3c7287"),
+        (3, 2, 4, "2e3ca60ed84f86b84c3f983b6e15616929160e1fa28bb5c128c44cdfcf87d492"),
+        (2, 1, 2, "eafef8b5251769912cd97c73adb6d611d9d5a08a8f9d11bec351f38b9a379369"),
+        (8, 3, 30, "4d5e62cb69b29cc326fd3258692d3e4715497f2891207e20e01f31a85e556b2d"),
+        (25, 7, 30, "0c6ae21febe07b2d6c43937e9a900300b009089d00d8d96cddfe84dac8a2d4b5"),
+    ])
+    def test_saved_forest_bytes_pinned(self, min_leaf, mtry, max_depth, digest):
+        # sha256 of save_model's bytes for a seeded 8-tree forest; every
+        # threshold is written with 17 digits, so a one-ulp change fails. The
+        # last setting splits only between positions 25 and 35 of 60.
+        hp = rf.ForestHyperparams(8, max_depth, min_leaf, mtry, 11)
+        model = rf.train_random_forest(seeded_forest_data(5), hp, threads=1)
+        assert hashlib.sha256(persist.save_model(model, {})).hexdigest() == digest
+
     def test_gini_examples(self):
         assert rf.gini_impurity((5, 0)) == 0.0
         assert rf.gini_impurity((5, 5)) == pytest.approx(0.5)
