@@ -27,6 +27,15 @@ class HogConfig:
             raise ValueError("block_size must be >= 1")
 
 
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """a*(1-t) + b*t, computed in place: a and b are fresh arrays, and the
+    result is a."""
+    a *= 1 - t
+    b *= t
+    a += b
+    return a
+
+
 def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     """Resize with the half-pixel-center convention, clamped at borders."""
     if out_w < 1 or out_h < 1:
@@ -41,9 +50,10 @@ def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     y1 = np.minimum(y0 + 1, h - 1)
     fx = xs - x0
     fy = ys - y0
-    top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
-    bot = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
-    out = top * (1 - fy)[:, None] + bot * fy[:, None]
+    # Along x once per source row, then along y between the rows that x gave:
+    # each output is still (a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy.
+    across = _lerp(src[:, x0], src[:, x1], fx)
+    out = _lerp(across[y0], across[y1], fy[:, None])
     return GrayImage(out)
 
 
@@ -56,88 +66,184 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _correlate_columns(px: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Correlate each column with a symmetric kernel, borders replicated.
+def _replicate_border(p: np.ndarray, ry: int, rx: int) -> None:
+    """Fill the outer ry rows and rx columns of p with copies of the rows and
+    columns inside them: np.pad's mode="edge", in place."""
+    h, w = p.shape
+    p[:ry] = p[ry]
+    p[h - ry :] = p[h - ry - 1]
+    p[:, :rx] = p[:, rx : rx + 1]
+    p[:, w - rx :] = p[:, w - rx - 1 : w - rx]
+
+
+def _pad_edge(px: np.ndarray, ry: int, rx: int) -> np.ndarray:
+    """np.pad(px, ((ry, ry), (rx, rx)), mode="edge"), without np.pad's overhead."""
+    h, w = px.shape
+    p = np.empty((h + 2 * ry, w + 2 * rx))
+    p[ry : ry + h, rx : rx + w] = px
+    _replicate_border(p, ry, rx)
+    return p
+
+
+def _correlate(padded: np.ndarray, k: np.ndarray, out: np.ndarray, pair: np.ndarray) -> None:
+    """Correlate along axis 0 with a symmetric kernel: padded holds the input
+    with r = len(k)//2 rows of border on each side, and pair is scratch of
+    out's shape.
 
     Each output is x[i]*k[r] + sum over j = -r..-1 of (x[i+j] + x[i-j])*k[r+j],
     added in that order: scipy.ndimage.correlate1d's order for a symmetric
     kernel, so the two agree bit for bit.
     """
     r = len(k) // 2
-    n = len(px)
-    padded = np.pad(px, ((r, r), (0, 0)), mode="edge")
-    out = padded[r : r + n] * k[r]
-    pair = np.empty_like(out)
+    n = len(out)
+    np.multiply(padded[r : r + n], k[r], out=out)
     for j in range(-r, 0):
         np.add(padded[r + j : r + j + n], padded[r - j : r - j + n], out=pair)
         pair *= k[r + j]
         out += pair
-    return out
 
 
 def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     """Separable Gaussian blur with edge replication at borders."""
     k = gaussian_kernel_1d(sigma)
-    return GrayImage(_correlate_columns(_correlate_columns(img.pixels, k).T, k).T)
+    r = len(k) // 2
+    h, w = img.pixels.shape
+    # The column pass writes into the middle of the row pass's padded input.
+    rows = np.empty((h, w + 2 * r))
+    pair = np.empty((h, w))
+    _correlate(_pad_edge(img.pixels, r, 0), k, rows[:, r : r + w], pair)
+    _replicate_border(rows, 0, r)
+    out = np.empty((h, w))
+    _correlate(rows.T, k, out.T, pair.T)  # on transposed views: along each row
+    return GrayImage(out)
 
 
 def _mod180(deg: np.ndarray) -> np.ndarray:
-    """deg % 180.0 for deg in [-180, 180], bit for bit, at a tenth of np.mod's
-    cost: np.mod's fmod is exact on this range and its zeros are +0.0."""
-    out = np.where(deg < 0, deg + 180.0, deg)
-    out[(deg == 0.0) | (deg == 180.0)] = 0.0
-    return out
+    """Fold deg in [-180, 180] to deg % 180.0 in place and return it, bit for
+    bit, at a tenth of np.mod's cost: np.mod's fmod is exact on this range and
+    its zeros are +0.0.  The zeros are found before the +180 step, since a
+    tiny negative angle plus 180 rounds to 180.0, which np.mod also gives."""
+    zero = (deg == 0.0) | (deg == 180.0)
+    np.add(deg, 180.0, out=deg, where=deg < 0)
+    np.copyto(deg, 0.0, where=zero)
+    return deg
 
 
 def _sobel(px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 Sobel magnitude and angle (degrees in [0,180), borders replicated).
+    """3x3 Sobel magnitude and angle (degrees in [0,180], borders replicated;
+    180.0 is a tiny negative angle folded, as np.mod folds it).
 
     Each gradient is 0.0 plus its six nonzero taps in raster order, the order
     scipy.ndimage.correlate adds them in, so the two agree bit for bit.
     """
-    p = np.pad(px, 1, mode="edge")
+    p = _pad_edge(px, 1, 1)
     up, mid, down = p[:-2], p[1:-1], p[2:]
-    gx = (0.0 - up[:, :-2] + up[:, 2:] - 2.0 * mid[:, :-2] + 2.0 * mid[:, 2:]
-          - down[:, :-2] + down[:, 2:])
-    gy = (0.0 - up[:, :-2] - 2.0 * up[:, 1:-1] - up[:, 2:]
-          + down[:, :-2] + 2.0 * down[:, 1:-1] + down[:, 2:])
-    return np.sqrt(gx * gx + gy * gy), _mod180(np.degrees(np.arctan2(gy, gx)))
+    tap = np.empty(px.shape)
+    gx = np.subtract(0.0, up[:, :-2])
+    gx += up[:, 2:]
+    gx -= np.multiply(mid[:, :-2], 2.0, out=tap)
+    gx += np.multiply(mid[:, 2:], 2.0, out=tap)
+    gx -= down[:, :-2]
+    gx += down[:, 2:]
+    gy = np.subtract(0.0, up[:, :-2])
+    gy -= np.multiply(up[:, 1:-1], 2.0, out=tap)
+    gy -= up[:, 2:]
+    gy += down[:, :-2]
+    gy += np.multiply(down[:, 1:-1], 2.0, out=tap)
+    gy += down[:, 2:]
+    ang = _mod180(np.degrees(np.arctan2(gy, gx, out=tap), out=tap))
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return np.sqrt(gx, out=gx), ang
 
 
 def _nms(mag: np.ndarray, ang: np.ndarray) -> np.ndarray:
     """Non-maximum suppression with angles quantized to 0/45/90/135 degrees."""
     h, w = mag.shape
-    padded = np.pad(mag, 1, mode="edge")
-    direction = np.round(ang / 45.0).astype(int) % 4
+    padded = _pad_edge(mag, 1, 1)
+    # round(ang / 45) % 4 as a float: ang is in [0, 180], so only 4 wraps
+    direction = np.divide(ang, 45.0)
+    np.round(direction, out=direction)
+    np.copyto(direction, 0.0, where=direction == 4.0)
+    keep = np.zeros(mag.shape, dtype=bool)
+    sel = np.empty_like(keep)
+    test = np.empty_like(keep)
     # Neighbor offsets along the gradient direction (y, x), image y grows down.
-    offsets = {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, -1)}
-    keep = np.zeros_like(mag, dtype=bool)
-    for d, (dy, dx) in offsets.items():
+    for d, (dy, dx) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1))):
         n1 = padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
         n2 = padded[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
         # strict toward the forward neighbor so tied plateaus thin to one line
-        keep |= (direction == d) & (mag > n1) & (mag >= n2)
+        np.equal(direction, d, out=sel)
+        sel &= np.greater(mag, n1, out=test)
+        sel &= np.greater_equal(mag, n2, out=test)
+        keep |= sel
     return keep
+
+
+# Dilation passes before _hysteresis labels the weak mask instead: on Canny
+# maps of thermal images the growth settles in one pass, and rarely in more
+# than a dozen.
+_GROW_PASSES = 16
 
 
 def _hysteresis(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
     """The 8-connected components of weak that hold a strong pixel.
 
     Grows strong & weak through weak by one 3x3 dilation per pass until a pass
-    adds nothing.  Every pass but the last adds a weak pixel, so the weak
-    pixel count bounds the loop.
+    adds nothing.  A pass adds at most one pixel along a path, so a long weak
+    path would take as many passes as it has pixels: after _GROW_PASSES
+    passes the components are found by labeling instead.
     """
     h, w = weak.shape
     edges = strong & weak
     grid = np.zeros((h + 2, w + 2), dtype=bool)
-    for _ in range(np.count_nonzero(weak)):
+    for _ in range(_GROW_PASSES):
         grid[1:-1, 1:-1] = edges
         rows = grid[:-2] | grid[1:-1] | grid[2:]
         grown = (rows[:, :-2] | rows[:, 1:-1] | rows[:, 2:]) & weak
         if np.array_equal(grown, edges):
-            break
+            return edges
         edges = grown
-    return edges
+    roots = _component_roots(weak)
+    return np.isin(roots, roots[edges])
+
+
+def _component_roots(mask: np.ndarray) -> np.ndarray:
+    """For each pixel, the smallest flat index in its 8-connected component of
+    mask (a pixel outside mask is its own).
+
+    Pointer jumping: each round, every tree root hooks onto the smallest root
+    that an edge leaving its tree reaches, then every pixel jumps to its root.
+    A root that does not hook is hooked onto, or hooks the round after, so the
+    trees that still have an edge between them halve every two rounds; each
+    round is a pass over the pairs and O(log n) passes over the mask's pixels.
+    """
+    h, w = mask.shape
+    stride = w + 1  # a false column after each row keeps x + 1 off the next row
+    flat = np.zeros((h + 1) * stride, dtype=bool)
+    flat.reshape(h + 1, stride)[:h, :w] = mask
+    # Each 8-connected pair once: right, down-left, down, down-right.
+    pairs = [(np.flatnonzero(flat[: flat.size - s] & flat[s:]), s)
+             for s in (1, stride - 1, stride, stride + 1)]
+    u = np.concatenate([a for a, _ in pairs])
+    v = np.concatenate([a + s for a, s in pairs])
+    nodes = np.flatnonzero(flat)
+    parent = np.arange(flat.size)
+    while True:
+        ru, rv = parent[u], parent[v]
+        cross = ru != rv
+        if not cross.any():
+            break
+        ru, rv = ru[cross], rv[cross]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while True:
+            up = parent[nodes]
+            root = parent[up]
+            if np.array_equal(up, root):
+                break
+            parent[nodes] = root
+    return parent.reshape(h + 1, stride)[:h, :w]
 
 
 def canny(img: GrayImage, sigma: float, low: float, high: float) -> GrayImage:
@@ -156,21 +262,29 @@ def canny(img: GrayImage, sigma: float, low: float, high: float) -> GrayImage:
 
 def _cell_histograms(img: GrayImage, cfg: HogConfig) -> np.ndarray:
     """Per-cell orientation histograms with linear interpolation between bins."""
-    mag, ang = _sobel(img.pixels)
+    mag, pos = _sobel(img.pixels)
     bins = cfg.bins
-    pos = ang / (180.0 / bins)
-    lo = np.floor(pos).astype(int)
-    frac = pos - lo
+    pos /= 180.0 / bins
     h, w = mag.shape
     cy, cx = h // cfg.cell_size, w // cfg.cell_size
-    rows = np.repeat(np.arange(cy), cfg.cell_size)
-    cols = np.repeat(np.arange(cx), cfg.cell_size)
-    cell = (rows[:, None] * cx + cols[None, :]) * bins
+    lo = np.floor(pos)
+    index = lo.astype(np.intp)
+    index %= bins  # an angle of exactly 180.0 is bin 0
+    index += (np.arange(h) // cfg.cell_size * cx * bins)[:, None]
+    index += (np.arange(w) // cfg.cell_size * bins)[None, :]
+    upper_wraps = lo == bins - 1
+    frac = np.subtract(pos, lo, out=pos)
+    lower_share = np.subtract(1, frac, out=lo)
+    lower_share *= mag
     # Every pixel's lower-bin share, then every pixel's upper-bin share, each
     # in raster order: the order of additions fixes the rounding.
-    index = np.concatenate([(cell + lo % bins).ravel(), (cell + (lo + 1) % bins).ravel()])
-    weights = np.concatenate([(mag * (1 - frac)).ravel(), (mag * frac).ravel()])
-    return np.bincount(index, weights=weights, minlength=cy * cx * bins).reshape(cy, cx, bins)
+    hist = np.zeros(cy * cx * bins)
+    np.add.at(hist, index.ravel(), lower_share.ravel())
+    index += 1
+    np.subtract(index, bins, out=index, where=upper_wraps)
+    upper_share = np.multiply(frac, mag, out=frac)
+    np.add.at(hist, index.ravel(), upper_share.ravel())
+    return hist.reshape(cy, cx, bins)
 
 
 _EPS = 1e-6  # keeps an all-zero block's normalization finite
@@ -187,10 +301,12 @@ def _blocks(img: GrayImage, cfg: HogConfig) -> tuple[np.ndarray, np.ndarray]:
     by, bx = cy - bs + 1, cx - bs + 1
     if by < 1 or bx < 1:
         raise ValueError("image too small for the configured block size")
-    # (by, bx, bins, bs, bs) windows, each flattened in (row, column, bin) order
-    v = sliding_window_view(hist, (bs, bs), axis=(0, 1)).transpose(0, 1, 3, 4, 2)
-    v = v.reshape(by, bx, bs * bs * bins)
-    clipped = np.minimum(v / np.sqrt(np.vecdot(v, v) + _EPS * _EPS)[..., None], 0.2)
+    # (by, bx) windows of (bs, bs, bins), each flattened in (row, column, bin) order
+    clipped = np.empty((by, bx, bs * bs * bins))
+    np.copyto(clipped.reshape(by, bx, bs, bs, bins),
+              sliding_window_view(hist, (bs, bs), axis=(0, 1)).transpose(0, 1, 3, 4, 2))
+    clipped /= np.sqrt(np.vecdot(clipped, clipped) + _EPS * _EPS)[..., None]
+    np.minimum(clipped, 0.2, out=clipped)
     return clipped, clipped / np.sqrt(np.vecdot(clipped, clipped) + _EPS * _EPS)[..., None]
 
 
@@ -203,9 +319,14 @@ def hog(img: GrayImage, cfg: HogConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # PGM / PPM I/O: the one place where 8-bit samples and [0,1] intensities meet
 
+# 36 megapixels, which admits 6000x4000 dermoscopy photos; a [0,1] image this
+# size is 288 MB, and read_ppm holds two of them.
+MAX_PIXELS = 6000 * 6000
+
 
 def _read_pnm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
-    """The (height, width, channels) 8-bit samples of a binary PNM file, as floats."""
+    """The (height, width, channels) 8-bit samples of a binary PNM file, a view
+    of data.  A raster over MAX_PIXELS is a FormatError, raised from the header."""
     if data[:2] != magic:
         raise FormatError(f"expected {magic.decode()} magic, got {data[:2]!r}")
     # Tokenizer tolerating whitespace and '#' comments.
@@ -234,6 +355,8 @@ def _read_pnm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
         raise FormatError(f"only maxval 255 supported, got {maxval}")
     if w < 1 or h < 1:
         raise FormatError("non-positive image dimensions")
+    if w * h > MAX_PIXELS:
+        raise FormatError(f"{w}x{h} image is over the {MAX_PIXELS}-pixel cap")
     # One whitespace byte ends the header.  As in libnetpbm, a comment right
     # after maxval runs through its newline, and that newline is the byte.
     if data[i : i + 1] == b"#":
@@ -241,15 +364,14 @@ def _read_pnm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
         if i < 0:
             raise FormatError("truncated header")
     size = w * h * channels
-    raster = data[i + 1 : i + 1 + size]
-    if len(raster) < size:
+    if len(data) - (i + 1) < size:
         raise FormatError(f"truncated {magic.decode()} raster")
-    return np.frombuffer(raster, dtype=np.uint8).astype(np.float64).reshape(h, w, channels)
+    return np.frombuffer(data, dtype=np.uint8, count=size, offset=i + 1).reshape(h, w, channels)
 
 
 def read_pgm(data: bytes) -> GrayImage:
     """Parse a binary P5 PGM (8-bit, maxval 255) into a [0,1] image (sample / 255)."""
-    return GrayImage(_read_pnm(data, b"P5", 1)[:, :, 0] / 255.0)
+    return GrayImage(np.divide(_read_pnm(data, b"P5", 1)[:, :, 0], 255.0, dtype=np.float64))
 
 
 def write_pgm(img: GrayImage) -> bytes:
@@ -262,8 +384,12 @@ def write_pgm(img: GrayImage) -> bytes:
 def read_ppm(data: bytes) -> GrayImage:
     """Parse binary P6 PPM into a [0,1] luminance image, (0.299R + 0.587G + 0.114B) / 255."""
     rgb = _read_pnm(data, b"P6", 3)
-    y = 0.299 * rgb[:, :, 0] + 0.587 * rgb[:, :, 1] + 0.114 * rgb[:, :, 2]
-    return GrayImage(y / 255.0)
+    y = np.multiply(rgb[:, :, 0], 0.299, dtype=np.float64)
+    term = np.multiply(rgb[:, :, 1], 0.587, dtype=np.float64)
+    y += term
+    y += np.multiply(rgb[:, :, 2], 0.114, out=term, dtype=np.float64)
+    y /= 255.0
+    return GrayImage(y)
 
 
 def read_image_file(path) -> GrayImage:

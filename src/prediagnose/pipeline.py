@@ -66,10 +66,20 @@ def clot_features(img: GrayImage, cfg: ClotPipelineConfig) -> np.ndarray:
 
 
 def _feature_matrix(features, xs: list, cfg, threads: int) -> np.ndarray:
+    """Each sample's features as a row of one (n, d) matrix, filled as rows arrive."""
     if threads > 1:  # one thread runs serially: a pool costs time even at one worker
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(lambda x: features(x, cfg), xs)))
-    return np.array([features(x, cfg) for x in xs])
+            return _stack_rows(pool.map(lambda x: features(x, cfg), xs), len(xs))
+    return _stack_rows((features(x, cfg) for x in xs), len(xs))
+
+
+def _stack_rows(rows, n: int) -> np.ndarray:
+    matrix = np.empty((0, 0))
+    for i, row in enumerate(rows):
+        if i == 0:
+            matrix = np.empty((n, len(row)))
+        matrix[i] = row
+    return matrix
 
 
 def _training_set(features, train: list, cfg, threads: int) -> LabeledDataset:

@@ -558,6 +558,20 @@ class TestWavLengthCap:
         assert "data error" in err and "600 s cap of 60000 frames at 100 Hz" in err
 
 
+class TestImageSizeCap:
+    def test_predict_clot_refuses_an_image_over_the_cap(self, tmp_path, capsys):
+        # One row over the 36-megapixel cap: a 36 MB file, refused from its
+        # header before the 288 MB [0,1] image is made.
+        (tmp_path / "m.pdmodel.json").write_bytes(tiny_svm_file({"pipeline": "clot"}))
+        with open(tmp_path / "big.pgm", "wb") as fh:
+            fh.write(b"P5\n6000 6001\n255\n")
+            fh.truncate(fh.tell() + 6000 * 6001)
+        code, out, err = run(capsys, "predict", "clot", "--model", str(tmp_path / "m.pdmodel.json"),
+                             "--input", str(tmp_path / "big.pgm"))
+        assert (code, out) == (2, "")
+        assert "data error" in err and "6000x6001 image is over the 36000000-pixel cap" in err
+
+
 class TestSequenceOrder:
     def test_frames_reach_the_vote_in_numeric_order(self, tmp_path, capsys, monkeypatch):
         # Digit runs compare as numbers; frame01 and frame1 tie and go by name.

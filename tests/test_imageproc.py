@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy import ndimage  # the oracle for the blur, Sobel and hysteresis kernels
@@ -19,6 +21,22 @@ def horizontal_step(n=32):
     return GrayImage(px)
 
 
+def resize_reference(src, out_w, out_h):
+    """Bilinear resize by four 2-D np.ix_ gathers, one per corner."""
+    h, w = src.shape
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = xs - x0
+    fy = ys - y0
+    top = src[np.ix_(y0, x0)] * (1 - fx) + src[np.ix_(y0, x1)] * fx
+    bot = src[np.ix_(y1, x0)] * (1 - fx) + src[np.ix_(y1, x1)] * fx
+    return top * (1 - fy)[:, None] + bot * fy[:, None]
+
+
 class TestNormalizeResize:
     def test_resize_identity(self):
         img = GrayImage(np.arange(12.0).reshape(3, 4))
@@ -36,6 +54,17 @@ class TestNormalizeResize:
     def test_resize_zero_dim_error(self):
         with pytest.raises(ValueError):
             ip.resize_bilinear(GrayImage(np.zeros((2, 2))), 0, 2)
+
+    def test_resize_is_the_four_gather_formula_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        shapes = [((1, 1), (5, 3)), ((1, 9), (4, 1)), ((9, 1), (1, 4)), ((1, 7), (1, 7)),
+                  ((120, 96), (128, 128)), ((150, 100), (128, 128)), ((600, 400), (128, 128))]
+        shapes += [(tuple(rng.integers(1, 60, size=2)), tuple(rng.integers(1, 60, size=2)))
+                   for _ in range(60)]
+        for (h, w), (out_h, out_w) in shapes:
+            px = rng.random((h, w)) * (1e-310 if h % 5 == 0 else 1.0)
+            got = ip.resize_bilinear(GrayImage(px), out_w, out_h).pixels
+            assert got.tobytes() == resize_reference(px, out_w, out_h).tobytes()
 
 
 class TestBlur:
@@ -89,7 +118,7 @@ class TestSobel:
                         0.0, 5e-324, 1e-300, 45.0, 179.99999999999997, 180.0])
         gy, gx = Rng(14).gaussian_array(2000).reshape(2, -1)
         deg = np.concatenate([deg, np.degrees(np.arctan2(gy, gx))])
-        assert ip._mod180(deg).tobytes() == (deg % 180.0).tobytes()
+        assert ip._mod180(deg.copy()).tobytes() == (deg % 180.0).tobytes()
 
     def test_too_small(self):
         # canny holds the 3x3 stencil's size check
@@ -189,6 +218,14 @@ def oracle_images():
     return [rng.random(shape) * (1e-310 if i % 7 == 6 else 1.0) for i, shape in enumerate(shapes)]
 
 
+def serpentine(n):
+    """Every other row of an n x n mask, joined at alternate ends into one path."""
+    weak = np.zeros((n, n), dtype=bool)
+    weak[::2, :] = True
+    weak[1::4, -1] = weak[3::4, 0] = True
+    return weak
+
+
 def hysteresis_reference(strong, weak):
     """The 8-connected components of weak that hold a strong pixel, by labeling."""
     labels, _ = ndimage.label(weak, structure=np.ones((3, 3), dtype=int))
@@ -238,14 +275,36 @@ class TestMatchesNdimage:
             assert np.array_equal(ip.canny(img, 1.4, 0.05, 0.15).pixels, want.astype(np.float64))
 
     def test_hysteresis_follows_a_long_weak_path(self):
-        # A serpentine weak path with its one strong pixel at one end takes
-        # one dilation per path pixel: the loop bound must not cut it short.
-        weak = np.zeros((9, 9), dtype=bool)
-        weak[::2, :] = True
-        weak[1::4, -1] = weak[3::4, 0] = True
+        # A serpentine weak path with its one strong pixel at one end: the
+        # growth must reach the far end, past the dilation's pass limit.
+        weak = serpentine(9)
         strong = np.zeros_like(weak)
         strong[-1, -1] = True
         assert np.array_equal(ip._hysteresis(strong, weak), weak)
+
+    @pytest.mark.parametrize("transpose", [False, True], ids=["rows", "columns"])
+    def test_hysteresis_on_a_long_path_is_fast(self, transpose):
+        # 32,896 path pixels: growing one pixel per dilation took about 3 s.
+        weak = serpentine(256)
+        strong = np.zeros_like(weak)
+        strong[0, 0] = True
+        if transpose:
+            weak, strong = weak.T.copy(), strong.T.copy()
+        start = time.perf_counter()
+        got = ip._hysteresis(strong, weak)
+        assert time.perf_counter() - start < 0.5
+        assert np.array_equal(got, hysteresis_reference(strong, weak))
+        assert got.sum() == weak.sum()
+
+    def test_labeling_on_random_masks(self, monkeypatch):
+        # With no dilation pass allowed, every mask goes through the labeling.
+        monkeypatch.setattr(ip, "_GROW_PASSES", 0)
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            shape = tuple(rng.integers(1, 40, size=2))
+            weak = rng.random(shape) < rng.uniform(0.0, 0.8)
+            strong = rng.random(shape) < rng.uniform(0.0, 0.1)
+            assert np.array_equal(ip._hysteresis(strong, weak), hysteresis_reference(strong, weak))
 
 
 class TestHogMatchesLoopReference:
@@ -270,6 +329,20 @@ class TestHogMatchesLoopReference:
             assert np.array_equal(hist, cell_histograms_reference(img, cfg))
             for got, want in zip(ip._blocks(img, cfg), blocks_reference(hist, cfg.block_size)):
                 assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_angle_of_180_is_bin_0(self):
+        # A step from 0 to about 1 at column 8, whose right side falls by one
+        # ulp of 1 a row.  At the step the gradient points along +x, tilted by
+        # about -3e-17 rad, and that angle in degrees plus 180 rounds to 180.0.
+        px = np.zeros((16, 16))
+        px[:, 8:] = 1.0 - 2.0**-53 * np.arange(16)[:, None]
+        img = GrayImage(px)
+        _, ang = ip._sobel(px)
+        assert np.any(ang == 180.0)
+        for cfg in (ip.HogConfig(cell_size=4), ip.HogConfig(cell_size=4, bins=7)):
+            hist = ip._cell_histograms(img, cfg)
+            assert hist.tobytes() == cell_histograms_reference(img, cfg).tobytes()
+            assert hist[:, 1, 0].sum() > 0  # column 7's cell: 180 degrees lands in bin 0
 
 
 class TestPnmIO:
@@ -312,6 +385,16 @@ class TestPnmIO:
     def test_pgm_truncated(self):
         with pytest.raises(FormatError):
             ip.read_pgm(b"P5\n2 2\n255\n\x00")
+
+    def test_raster_over_the_pixel_cap_refused_from_the_header(self):
+        side = 6000
+        assert ip.MAX_PIXELS == side * side
+        # At the cap the header passes, and the missing raster is the error.
+        for magic, read in ((b"P5", ip.read_pgm), (b"P6", ip.read_ppm)):
+            with pytest.raises(FormatError, match="truncated"):
+                read(magic + b"\n%d %d\n255\n" % (side, side))
+            with pytest.raises(FormatError, match="36000000-pixel cap"):
+                read(magic + b"\n%d %d\n255\n" % (side + 1, side))
 
     def test_ppm_luminance(self):
         data = b"P6\n1 1\n255\n" + bytes([100, 200, 50])

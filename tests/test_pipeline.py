@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,7 +135,22 @@ class TestClotPipeline:
         cfg = pl.ClotPipelineConfig()
         f1 = pl._feature_matrix(pl.clot_features, imgs, cfg, threads=1)
         f4 = pl._feature_matrix(pl.clot_features, imgs, cfg, threads=4)
-        assert np.array_equal(f1, f4)
+        rows = np.array([pl.clot_features(img, cfg) for img in imgs])
+        assert f1.shape == f4.shape == rows.shape == (4, 2 * 8100)
+        assert f1.tobytes() == f4.tobytes() == rows.tobytes()
+
+    def test_one_call_peaks_under_a_megabyte(self):
+        # Guards against new image-sized temporaries: a 128x128 float64 array
+        # is 131 KB, and one call peaked at 0.92 MB (1.9 MB before the image
+        # kernels reused their buffers).
+        img = st.generate_sample(THERMAL_CFG, 1, Rng(3))
+        tracemalloc.start()
+        try:
+            pl.clot_features(img, pl.ClotPipelineConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestCardioPipeline:
