@@ -46,6 +46,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
 
+MAX_THREADS = 64  # fixed, so whether a --threads value is valid does not depend on the machine
+
 
 class _UsageError(Exception):
     pass
@@ -73,6 +75,7 @@ def _arg(parse, ok, what: str):
 
 
 _count = _arg(int, lambda v: v >= 1, "an integer >= 1")
+_threads = _arg(int, lambda v: 1 <= v <= MAX_THREADS, f"an integer in [1, {MAX_THREADS}]")
 _fraction = _arg(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _window = _arg(int, lambda v: v >= 1 and v % 2 == 1, "an odd integer >= 1")
 _duration = _arg(float, lambda v: MIN_DURATION_S <= v <= MAX_DURATION_S,
@@ -100,9 +103,9 @@ def _model_type(model) -> tuple:
     hyperparameters, name of the score in predict output) for an SVM or forest."""
     if isinstance(model, SvmModel):
         return (svm_decision_batch, 0.0,
-                lambda data, threads: train_svm_smo(data, c=model.c, gamma=model.gamma), "score")
+                lambda data: train_svm_smo(data, c=model.c, gamma=model.gamma), "score")
     return (forest_predict_batch, 0.5,
-            lambda data, threads: train_random_forest(data, model.hyperparams, threads), "prob")
+            lambda data: train_random_forest(data, model.hyperparams), "prob")
 
 
 def _frame_order(path: Path) -> tuple:
@@ -148,7 +151,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--config", default=None)
     p_train.add_argument("--out", required=True)
-    p_train.add_argument("--threads", type=_count, default=1)
+    p_train.add_argument("--threads", type=_threads, default=1)
 
     p_pred = sub.add_parser("predict", help="single-sample prediction")
     p_pred.add_argument("pipeline", choices=["clot", "cardio", "skin"])
@@ -157,7 +160,7 @@ def build_parser() -> _Parser:
     source.add_argument("--input", default=None)
     source.add_argument("--sequence", default=None)
     p_pred.add_argument("--window", type=_window, default=None)
-    p_pred.add_argument("--threads", type=_count, default=None)
+    p_pred.add_argument("--threads", type=_threads, default=None)
 
     p_eval = sub.add_parser("eval", help="evaluate a model on a dataset directory")
     p_eval.add_argument("--model", required=True)
@@ -165,7 +168,7 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--kfold", type=_arg(int, lambda v: v >= 2, "an integer >= 2"), default=None)
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--roc-csv", default=None)
-    p_eval.add_argument("--threads", type=_count, default=1)
+    p_eval.add_argument("--threads", type=_threads, default=1)
 
     p_rep = sub.add_parser("report", help="concatenate per-modality reports")
     p_rep.add_argument("--inputs", nargs="+", required=True)
@@ -267,7 +270,7 @@ def _cmd_eval(args) -> int:
         # held-out predictions into one report.
         scores = np.zeros(len(labels))
         for train_idx, test_idx in stratified_kfold(labels, args.kfold, Rng(args.seed)):
-            fold_model = refit(LabeledDataset(feats[train_idx], labels[train_idx]), args.threads)
+            fold_model = refit(LabeledDataset(feats[train_idx], labels[train_idx]))
             scores[test_idx] = score(fold_model, feats[test_idx])
     else:
         scores = score(model, feats)

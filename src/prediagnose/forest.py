@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,14 +118,12 @@ def _grow(X, y, depth, hp: ForestHyperparams, mtry: int, rng: Rng) -> dict:
 def _train_tree(X, y, hp: ForestHyperparams, mtry: int, tree_index: int) -> dict:
     rng = Rng(hp.seed + tree_index)
     n = len(y)
-    idx = np.array([rng.randint(n) for _ in range(n)])
+    idx = (rng.uniform_array(n) * n).astype(np.intp)  # the stream of n randint(n) calls
     return _grow(X[idx], y[idx], 0, hp, mtry, rng)
 
 
-def train_random_forest(data: LabeledDataset, hp: ForestHyperparams, threads: int
-                        ) -> ForestModel:
-    """Bootstrap + CART forest; tree t uses its own Rng(seed + t), so results
-    are identical for any thread count."""
+def train_random_forest(data: LabeledDataset, hp: ForestHyperparams) -> ForestModel:
+    """Bootstrap + CART forest; tree t uses its own Rng(seed + t)."""
     if len(data) == 0:
         raise TrainingError("empty dataset")
     check_hyperparams(hp)
@@ -135,12 +132,7 @@ def train_random_forest(data: LabeledDataset, hp: ForestHyperparams, threads: in
     mtry_eff = hp.mtry if hp.mtry is not None else int(np.ceil(np.sqrt(d)))
     if mtry_eff > d:
         raise TrainingError(f"mtry={mtry_eff} exceeds feature count {d}")
-    if threads > 1:  # one thread runs serially: a pool costs time even at one worker
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(lambda t: _train_tree(X, y, hp, mtry_eff, t),
-                                  range(hp.n_trees)))
-    else:
-        trees = [_train_tree(X, y, hp, mtry_eff, t) for t in range(hp.n_trees)]
+    trees = [_train_tree(X, y, hp, mtry_eff, t) for t in range(hp.n_trees)]
     return ForestModel(trees=trees, n_features=d, hyperparams=hp)
 
 

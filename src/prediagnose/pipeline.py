@@ -124,7 +124,7 @@ def cardio_train(recordings: list[tuple[AudioSignal, int]],
         raise TrainingError(f"recordings shorter than one MFCC frame at indices {too_short}")
     data = _training_set(cardio_features, recordings, cfg, threads)
     hp = ForestHyperparams(cfg.n_trees, cfg.max_depth, cfg.min_samples_leaf, cfg.mtry, cfg.seed)
-    return train_random_forest(data, hp, threads)
+    return train_random_forest(data, hp)
 
 
 def cardio_predict(model: ForestModel, recording: AudioSignal,

@@ -33,17 +33,20 @@ class SvmModel:
         return np.sum(self.support_vectors * self.support_vectors, axis=1)
 
 
-def _rbf_kernel(a: np.ndarray, b: np.ndarray, b_sq: np.ndarray, gamma: float) -> np.ndarray:
-    """exp(-gamma |a_i - b_j|^2) for the rows of a and b, where b_sq holds
-    np.sum(b * b, axis=1) and |a_i - b_j|^2 is expanded as
-    |a_i|^2 + |b_j|^2 - 2 a_i.b_j."""
-    sq = np.sum(a * a, axis=1)[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
+def _rbf_kernel(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray,
+                gamma: float) -> np.ndarray:
+    """exp(-gamma |a_i - b_j|^2) for the rows of a and b, where a_sq and b_sq
+    hold np.sum(a * a, axis=1) and np.sum(b * b, axis=1) and |a_i - b_j|^2 is
+    expanded as |a_i|^2 + |b_j|^2 - 2 a_i.b_j."""
+    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
 def rbf_gram(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    """Pairwise RBF kernel matrix between the rows of a and b."""
-    return _rbf_kernel(a, b, np.sum(b * b, axis=1), gamma)
+    """Pairwise RBF kernel matrix between the rows of a and b; the squared
+    norms are computed once when b is a."""
+    a_sq = np.sum(a * a, axis=1)
+    return _rbf_kernel(a, a_sq, b, a_sq if b is a else np.sum(b * b, axis=1), gamma)
 
 
 def gamma_scale(features: np.ndarray) -> float:
@@ -137,5 +140,6 @@ def svm_decision_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected rows of {model.n_features} features, got shape {X.shape}")
-    K = _rbf_kernel(X, model.support_vectors, model.sv_sq_norms, model.gamma)
+    K = _rbf_kernel(X, np.sum(X * X, axis=1), model.support_vectors, model.sv_sq_norms,
+                    model.gamma)
     return K @ model.alpha_y + model.bias

@@ -15,7 +15,7 @@ import pytest
 
 import prediagnose
 from prediagnose import config as cfgmod
-from prediagnose.cli import build_parser, main
+from prediagnose.cli import MAX_THREADS, build_parser, main
 from prediagnose.audioproc import write_wav
 from prediagnose.core import AudioSignal, FormatError, GrayImage, Rng
 from prediagnose.forest import ForestHyperparams, ForestModel
@@ -253,6 +253,17 @@ MALFORMED = {
     "threads_flag_negative": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d", "--threads", "-1"],
         model(tiny_svm_file({"pipeline": "clot"})), 1),
+    # One above the cap is refused while parsing, before any thread starts.
+    "threads_above_cap_train": (
+        ["train", "cardio", "--data", "{tmp}/data", "--out", "{tmp}/d",
+         "--threads", str(MAX_THREADS + 1)], cardio_train_data(""), 1),
+    "threads_above_cap_eval": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data",
+         "--threads", str(MAX_THREADS + 1)],
+        {**model(tiny_forest_file(0)), **four_samples("cardio")}, 1),
+    "threads_above_cap_predict": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav",
+         "--threads", str(MAX_THREADS + 1)], model(tiny_forest_file(0)), 1),
     "kfold_one": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/d", "--kfold", "1"],
         model(tiny_svm_file({"pipeline": "clot"})), 1),

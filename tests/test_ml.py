@@ -398,7 +398,7 @@ class TestForest:
         # threshold is written with 17 digits, so a one-ulp change fails. The
         # last setting splits only between positions 25 and 35 of 60.
         hp = rf.ForestHyperparams(8, max_depth, min_leaf, mtry, 11)
-        model = rf.train_random_forest(seeded_forest_data(5), hp, threads=1)
+        model = rf.train_random_forest(seeded_forest_data(5), hp)
         assert hashlib.sha256(persist.save_model(model, {})).hexdigest() == digest
 
     def test_gini_examples(self):
@@ -434,32 +434,21 @@ class TestForest:
         y = (X[:, 0] > 0).astype(int)
         data = LabeledDataset(X, y)
         hp = forest_hp(n_trees=25, max_depth=8, min_samples_leaf=1)
-        model = rf.train_random_forest(data, hp, threads=1)
+        model = rf.train_random_forest(data, hp)
         preds = [rf.forest_predict(model, x)[1] for x in X]
         assert np.mean(np.array(preds) == y) >= 0.95
-
-    def test_forest_deterministic_across_threads(self):
-        rng = Rng(4)
-        X = rng.gaussian_array(60).reshape(30, 2)
-        y = (X[:, 1] > 0).astype(int)
-        data = LabeledDataset(X, y)
-        m1 = rf.train_random_forest(data, forest_hp(n_trees=10, seed=7), threads=1)
-        m4 = rf.train_random_forest(data, forest_hp(n_trees=10, seed=7), threads=4)
-        probe = rng.gaussian_array(20).reshape(10, 2)
-        for x in probe:
-            assert rf.forest_predict(m1, x) == rf.forest_predict(m4, x)
 
     def test_forest_validation(self):
         with pytest.raises(TrainingError):
             rf.train_random_forest(LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int)),
-                                   forest_hp(), threads=1)
+                                   forest_hp())
         data = LabeledDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
         with pytest.raises(TrainingError):
-            rf.train_random_forest(data, forest_hp(mtry=5), threads=1)
+            rf.train_random_forest(data, forest_hp(mtry=5))
 
     def test_predict_shape_check(self):
         data = LabeledDataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
-        model = rf.train_random_forest(data, forest_hp(n_trees=3, min_samples_leaf=1), threads=1)
+        model = rf.train_random_forest(data, forest_hp(n_trees=3, min_samples_leaf=1))
         with pytest.raises(ValueError):
             rf.forest_predict(model, np.zeros(3))
 
@@ -467,7 +456,7 @@ class TestForest:
                                    np.zeros((1, 1, 2))], ids=["1d", "3_cols", "1_col", "3d"])
     def test_predict_batch_shape_check(self, X):
         data = LabeledDataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
-        model = rf.train_random_forest(data, forest_hp(n_trees=3, min_samples_leaf=1), threads=1)
+        model = rf.train_random_forest(data, forest_hp(n_trees=3, min_samples_leaf=1))
         with pytest.raises(ValueError, match="expected rows of 2 features"):
             rf.forest_predict_batch(model, X)
 

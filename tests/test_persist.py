@@ -42,7 +42,7 @@ def tiny_forest():
     X = np.round(rng.uniform_array(36).reshape(12, 3), 6)
     y = (X[:, 0] + X[:, 2] > 1.0).astype(int)
     hp = ForestHyperparams(n_trees=5, max_depth=4, min_samples_leaf=1, mtry=None, seed=3)
-    return train_random_forest(LabeledDataset(X, y), hp, threads=1)
+    return train_random_forest(LabeledDataset(X, y), hp)
 
 
 class TestCanonicalJson:
