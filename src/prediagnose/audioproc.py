@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -26,6 +27,9 @@ class MfccConfig:
     def __post_init__(self):
         if not (0 < self.hop <= self.frame_len):
             raise ValueError("need 0 < hop <= frame_len")
+        if self.frame_len > MAX_DURATION_S:  # no recording read_wav accepts holds such a frame
+            raise ValueError(f"frame_len={self.frame_len} s is over the {MAX_DURATION_S:g} s "
+                             f"recording cap")
         if not (1 <= self.n_coeffs <= self.n_filters):
             raise ValueError("need 1 <= n_coeffs <= n_filters")
         if not self.log_floor > 0:  # log(0) of a silent frame would be -inf
@@ -122,12 +126,14 @@ def fft(x) -> np.ndarray:
 
     Leading axes are a batch: each row along the last axis is transformed
     on its own, so a row's result does not depend on the batch it sits in.
+    The result is a fresh complex128 copy of x, transformed in place, so a
+    real input costs one array of the result's size, not two.
     """
-    a = np.asarray(x, dtype=np.complex128)
+    a = np.array(x, dtype=np.complex128)
     n = a.shape[-1] if a.ndim else 0
     if n == 0 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
-    return np.fft.fft(a, axis=-1)
+    return np.fft.fft(a, axis=-1, out=a)
 
 
 def mel(f_hz: float) -> float:
@@ -184,9 +190,9 @@ def mfcc_debug(sig: AudioSignal, cfg: MfccConfig) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"signal ({len(sig.samples)} samples) shorter than one frame ({frame_n})")
     emphasized = pre_emphasis(sig, cfg.pre_emphasis).samples
     frames = sliding_window_view(emphasized, frame_n)[::hop_n]
-    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame_n) / (frame_n - 1))
     fft_size = 1 << (frame_n - 1).bit_length()  # next power of two >= frame samples
     n_bins = fft_size // 2 + 1
+    window, bank, dct_basis = _mfcc_tables(frame_n, fft_size, sr, cfg.n_filters, cfg.n_coeffs)
     # Frames go through the FFT in blocks, so the transform's buffers stay the
     # size of a block, not of the recording; each row's spectrum is the same.
     power = np.empty((len(frames), n_bins))
@@ -195,11 +201,28 @@ def mfcc_debug(sig: AudioSignal, cfg: MfccConfig) -> tuple[np.ndarray, np.ndarra
         block = frames[start : start + _FFT_BLOCK]
         rows = padded[: len(block)]
         np.multiply(block, window, out=rows[:, :frame_n])
-        power[start : start + len(block)] = np.abs(fft(rows)[:, :n_bins]) ** 2 / fft_size
-    bank = mel_filterbank(cfg.n_filters, fft_size, sr)
+        out = power[start : start + len(block)]
+        np.abs(fft(rows)[:, :n_bins], out=out)  # |X|**2 / fft_size, in place
+        np.square(out, out=out)
+        out /= fft_size
     energies = power @ bank.T  # one product: BLAS rounds differently by shape
     log_e = np.log(np.maximum(energies, cfg.log_floor))
-    return log_e @ _dct_basis(cfg.n_coeffs, cfg.n_filters).T, energies
+    return log_e @ dct_basis.T, energies
+
+
+@functools.lru_cache(maxsize=8)
+def _mfcc_tables(frame_n: int, fft_size: int, sample_rate: int, n_filters: int, n_coeffs: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hamming window, mel filterbank and DCT basis for one MFCC setting.
+
+    Every mfcc_debug call of that setting shares them, so they are read-only.
+    """
+    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame_n) / (frame_n - 1))
+    tables = (window, mel_filterbank(n_filters, fft_size, sample_rate),
+              _dct_basis(n_coeffs, n_filters))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def aggregate_features(frames: np.ndarray) -> np.ndarray:
@@ -240,10 +263,27 @@ class WaveletPyramid:
 def _analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One analysis level: output i filters x[2i], ..., x[2i + 7], read
     periodically (Mallat's pyramid step as a strided filter bank)."""
-    ext = np.resize(x, len(x) + 6)  # x, then its first 6 samples again (x repeated if shorter)
+    N = len(x) // 2
+    # x, then its first 6 samples again (x repeated if shorter)
+    ext = np.concatenate((x, x[:6])) if len(x) >= 6 else np.resize(x, len(x) + 6)
+    # Row i is ext[2i : 2i + 8], copied out of a strided view of ext's buffer.
     # The copy matters: a matrix-vector product over the strided view rounds differently.
-    windows = np.ascontiguousarray(sliding_window_view(ext, 8)[::2])
+    step = ext.itemsize
+    windows = np.ndarray((N, 8), ext.dtype, ext, strides=(2 * step, step)).copy()
     return windows @ _DB4_LO, windows @ _DB4_HI
+
+
+def _wrap_order() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Low-pass tap, high-pass tap and coefficient offset m - t of each term of
+    _synthesize's outputs m < 3, as (step s, parity p, m) arrays: step s takes
+    tap 2t + p, t = (m - s) mod 4."""
+    s, p, m = np.ogrid[:4, :2, :3]
+    t = (m - s) % 4
+    return _DB4_LO[2 * t + p], _DB4_HI[2 * t + p], m - t
+
+
+_WRAP_LO, _WRAP_HI, _WRAP_OFFSET = _wrap_order()
+_PAIR_LO, _PAIR_HI = _DB4_LO.reshape(4, 2, 1), _DB4_HI.reshape(4, 2, 1)  # [t, p]: tap 2t + p
 
 
 def _synthesize(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
@@ -251,9 +291,12 @@ def _synthesize(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
     hi[k] detail[i] to output (2i + k) mod n, for each tap k.
 
     Each output sums its four terms onto 0.0 in ascending i, the order in which
-    np.add.at adds them: output 2m + p takes taps 6 + p, 4 + p, 2 + p, p from
-    coefficients m - 3, ..., m, and for m < 3 the wrapped terms (i near N) come
-    last. Below 4 coefficients, taps of one coefficient land on one output.
+    np.add.at adds them. Output 2m + p takes tap 2t + p from coefficient m - t,
+    t = 0..3, so for m >= 3 ascending i is t = 3, 2, 1, 0: four in-place adds,
+    each of one tap pair's terms for both parities. For m < 3 the terms with
+    m - t < 0 wrap to i near N and come last, so step s adds tap pair
+    t = (m - s) mod 4; all 24 of those terms come from one gather of each band.
+    Below 4 coefficients, taps of one coefficient land on one output.
     """
     N = len(approx)
     n = 2 * N
@@ -262,19 +305,23 @@ def _synthesize(approx: np.ndarray, detail: np.ndarray) -> np.ndarray:
         for i, k in np.ndindex(N, 8):
             out[(2 * i + k) % n] += _DB4_LO[k] * approx[i] + _DB4_HI[k] * detail[i]
         return out
-    out = np.empty(n)
-    m = np.arange(3)
-    for p in (0, 1):  # even outputs, then odd
-        acc = np.zeros(N)
-        for t in (3, 2, 1, 0):
-            k, rows = 2 * t + p, slice(3 - t, N - t)
-            acc[3:] += _DB4_LO[k] * approx[rows] + _DB4_HI[k] * detail[rows]
-        for s in range(4):  # outputs m < 3: step s takes tap 2t + p, t = m - s mod 4
-            t = (m - s) % 4
-            k, i = 2 * t + p, (m - t) % N
-            acc[:3] += _DB4_LO[k] * approx[i] + _DB4_HI[k] * detail[i]
-        out[p::2] = acc
-    return out
+    acc = np.zeros((2, N))  # acc[p, m] is output 2m + p
+    body = acc[:, 3:]
+    for t in (3, 2, 1, 0):
+        # Built per tap pair, not as one 8 x N product matrix: that matrix and
+        # its temporary are 768 KB at N = 6,000, enough to make the allocator
+        # return heap pages between calls and fault them back in.
+        rows = slice(3 - t, N - t)
+        term = _PAIR_LO[t] * approx[rows]
+        term += _PAIR_HI[t] * detail[rows]
+        body += term
+    i = _WRAP_OFFSET % N
+    wrapped = _WRAP_LO * approx[i]
+    wrapped += _WRAP_HI * detail[i]
+    head = acc[:, :3]
+    for step in wrapped:
+        head += step
+    return acc.T.ravel()  # interleaved: even outputs from acc[0], odd from acc[1]
 
 
 def dwt_forward(x: np.ndarray, levels: int) -> WaveletPyramid:

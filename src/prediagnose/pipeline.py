@@ -17,6 +17,10 @@ from .voting import sequence_vote
 
 CLOT_IMAGE_SIZE = 128
 SKIN_IMAGE_SIZE = 224
+# A clot blur's 3-sigma radius may not exceed the resized image's side: a
+# wider kernel is nearly flat across the image, and each pass pads the image
+# by the radius on both sides, so the cap also bounds that buffer.
+MAX_BLUR_RADIUS = CLOT_IMAGE_SIZE
 
 
 @dataclass
@@ -36,6 +40,11 @@ class ClotPipelineConfig:
     hog_view: str = "both"  # edge | intensity | both
 
     def __post_init__(self):
+        for name in ("canny_sigma", "intensity_blur_sigma"):
+            sigma = getattr(self, name)
+            if not 0 < 3.0 * sigma <= MAX_BLUR_RADIUS:  # checked before any blur allocates
+                raise ValueError(f"{name}={sigma} must be > 0 with a 3-sigma radius of at most "
+                                 f"{MAX_BLUR_RADIUS} pixels")
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("window must be odd and >= 1")
         if self.hog_view not in ("edge", "intensity", "both"):

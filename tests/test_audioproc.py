@@ -162,11 +162,15 @@ class TestMfcc:
         assert got_energies.tobytes() == energies.tobytes()
         assert got_coeffs.tobytes() == coeffs.tobytes()
 
-    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 513])
-    def test_matches_whole_matrix_reference_bit_for_bit(self, n_frames):
+    # At 44.1 kHz a 1,102-sample frame is padded to a 2,048-point FFT, so most
+    # of each transformed row is zero padding.
+    @pytest.mark.parametrize("sr, n_frames", [
+        *[pytest.param(4000, n, id=str(n)) for n in (1, 255, 256, 257, 513)],
+        *[pytest.param(44100, n, id=f"44100Hz-{n}") for n in (255, 256, 257)],
+    ])
+    def test_matches_whole_matrix_reference_bit_for_bit(self, sr, n_frames):
         # Frames are transformed a block at a time; the result must be what one
         # pass over the whole frame matrix gave, at and around block edges.
-        sr = 4000
         cfg = ap.MfccConfig()
         frame_n = int(round(cfg.frame_len * sr))
         hop_n = int(round(cfg.hop * sr))
@@ -182,9 +186,26 @@ class TestMfcc:
         log_e = np.log(np.maximum(energies, cfg.log_floor))
         coeffs = log_e @ ap._dct_basis(cfg.n_coeffs, cfg.n_filters).T
         got_coeffs, got_energies = ap.mfcc_debug(sig, cfg)
-        assert len(got_coeffs) == n_frames
+        assert len(got_coeffs) == n_frames and fft_size == (128 if sr == 4000 else 2048)
         assert got_energies.tobytes() == energies.tobytes()
         assert got_coeffs.tobytes() == coeffs.tobytes()
+
+    def test_filterbank_is_fresh_and_cached_tables_refuse_writes(self):
+        # mfcc takes its window, filterbank and DCT basis from a cache that
+        # every call shares; mel_filterbank itself still builds a new array.
+        cfg = ap.MfccConfig()
+        sig = AudioSignal(0.3 * Rng(9).gaussian_array(4000), 4000)
+        before = ap.mfcc(sig, cfg)
+        bank = ap.mel_filterbank(cfg.n_filters, 128, 4000)
+        assert bank.flags.writeable and bank is not ap.mel_filterbank(cfg.n_filters, 128, 4000)
+        bank[:] = 7.0
+        assert ap.mfcc(sig, cfg).tobytes() == before.tobytes()
+        tables = ap._mfcc_tables(100, 128, 4000, cfg.n_filters, cfg.n_coeffs)
+        assert tables is ap._mfcc_tables(100, 128, 4000, cfg.n_filters, cfg.n_coeffs)
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+        assert ap.mfcc(sig, cfg).tobytes() == before.tobytes()
 
     def test_memory_bounded_on_long_recording(self):
         # 30 s at 44.1 kHz is 10.6 MB of samples and 2,998 frames of 1,102

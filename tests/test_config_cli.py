@@ -16,12 +16,12 @@ import pytest
 import prediagnose
 from prediagnose import config as cfgmod
 from prediagnose.cli import MAX_THREADS, build_parser, main
-from prediagnose.audioproc import write_wav
+from prediagnose.audioproc import MAX_DURATION_S, MfccConfig, write_wav
 from prediagnose.core import AudioSignal, FormatError, GrayImage, Rng
 from prediagnose.forest import ForestHyperparams, ForestModel
-from prediagnose.imageproc import write_pgm
+from prediagnose.imageproc import gaussian_kernel_1d, write_pgm
 from prediagnose.persist import PersistError, save_model
-from prediagnose.pipeline import CardioPipelineConfig, ClotPipelineConfig
+from prediagnose.pipeline import MAX_BLUR_RADIUS, CardioPipelineConfig, ClotPipelineConfig
 from prediagnose.svm import SvmModel
 
 
@@ -134,6 +134,25 @@ class TestConfigFiles:
     def test_snapshot_value_of_wrong_type_rejected(self, cls, snap):
         with pytest.raises(PersistError, match="config value"):
             cfgmod.config_from_snapshot(cls, snap)
+
+    @pytest.mark.parametrize("name", ["canny_sigma", "intensity_blur_sigma"])
+    def test_blur_sigma_capped_at_the_radius_bound(self, name):
+        # The largest sigma whose 3-sigma radius, as gaussian_kernel_1d rounds
+        # it, is MAX_BLUR_RADIUS is accepted; the next float above it is not.
+        # Building the config allocates nothing, so the rejected case is safe.
+        sigma = MAX_BLUR_RADIUS / 3
+        while 3.0 * np.nextafter(sigma, np.inf) <= MAX_BLUR_RADIUS:
+            sigma = np.nextafter(sigma, np.inf)
+        ClotPipelineConfig(**{name: float(sigma)})
+        assert len(gaussian_kernel_1d(float(sigma))) == 2 * MAX_BLUR_RADIUS + 1
+        for bad in (float(np.nextafter(sigma, np.inf)), 0.0, -1.0):
+            with pytest.raises(ValueError, match=name):
+                ClotPipelineConfig(**{name: bad})
+
+    def test_frame_len_capped_at_the_recording_cap(self):
+        MfccConfig(frame_len=MAX_DURATION_S)
+        with pytest.raises(ValueError, match="recording cap"):
+            MfccConfig(frame_len=float(np.nextafter(MAX_DURATION_S, np.inf)))
 
     def test_snapshot_none_only_where_the_field_allows_it(self):
         assert cfgmod.config_from_snapshot(ClotPipelineConfig, {"svm_gamma": None}).svm_gamma is None
@@ -468,6 +487,28 @@ MALFORMED = {
     "config_frame_len_under_two_samples": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
         cardio_train_data("[audioproc]\nframe_len = 0.0001\nhop = 0.0001\n"), 2),
+    # Huge but finite scales: each used to end in an OverflowError traceback
+    # (exit 1) when a radius or frame length was rounded to an int.  A large
+    # sigma such as 1e6 would instead ask for gigabytes; the same check refuses
+    # it, and it is not run here.
+    "config_frame_len_over_recording_cap": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        cardio_train_data("[audioproc]\nframe_len = 1e305\n"), 2),
+    "created_with_frame_len_over_recording_cap": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        model(cardio_created_with(b'"frame_len": 1e305')), 2),
+    "config_canny_sigma_huge": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        clot_train_data("[imageproc]\ncanny_sigma = 1e308\n"), 2),
+    "config_intensity_blur_sigma_huge": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        clot_train_data("[imageproc]\nintensity_blur_sigma = 1e308\n"), 2),
+    "created_with_intensity_blur_sigma_huge": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        model(tiny_svm_file({"pipeline": "clot", "intensity_blur_sigma": 1e308})), 2),
+    "created_with_canny_sigma_negative": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        model(tiny_svm_file({"pipeline": "clot", "canny_sigma": -1.4})), 2),
     "config_bins_finer_than_a_degree": (
         ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
         clot_train_data("[imageproc]\nbins = 4000000000\n"), 2),
