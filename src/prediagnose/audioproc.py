@@ -201,16 +201,16 @@ def mfcc_debug(sig: AudioSignal, cfg: MfccConfig) -> tuple[np.ndarray, np.ndarra
         block = frames[start : start + _FFT_BLOCK]
         rows = padded[: len(block)]
         np.multiply(block, window, out=rows[:, :frame_n])
-        out = power[start : start + len(block)]
-        np.abs(fft(rows)[:, :n_bins], out=out)  # |X|**2 / fft_size, in place
-        np.square(out, out=out)
-        out /= fft_size
+        power[start : start + len(block)] = np.abs(fft(rows)[:, :n_bins]) ** 2 / fft_size
     energies = power @ bank.T  # one product: BLAS rounds differently by shape
     log_e = np.log(np.maximum(energies, cfg.log_floor))
     return log_e @ dct_basis.T, energies
 
 
-@functools.lru_cache(maxsize=8)
+# A process uses one setting per model (train, eval and predict each load one).
+# Four settings cover a heart and a lung model at two sample rates; the bound
+# keeps at most four calls' tables alive (213 KB each at 2,048 FFT points).
+@functools.lru_cache(maxsize=4)
 def _mfcc_tables(frame_n: int, fft_size: int, sample_rate: int, n_filters: int, n_coeffs: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hamming window, mel filterbank and DCT basis for one MFCC setting.
@@ -264,8 +264,7 @@ def _analyze(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One analysis level: output i filters x[2i], ..., x[2i + 7], read
     periodically (Mallat's pyramid step as a strided filter bank)."""
     N = len(x) // 2
-    # x, then its first 6 samples again (x repeated if shorter)
-    ext = np.concatenate((x, x[:6])) if len(x) >= 6 else np.resize(x, len(x) + 6)
+    ext = np.resize(x, len(x) + 6)  # x, then its first 6 samples again (x repeated if shorter)
     # Row i is ext[2i : 2i + 8], copied out of a strided view of ext's buffer.
     # The copy matters: a matrix-vector product over the strided view rounds differently.
     step = ext.itemsize
@@ -328,8 +327,8 @@ def dwt_forward(x: np.ndarray, levels: int) -> WaveletPyramid:
     x = np.asarray(x, dtype=np.float64)
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    if len(x) % (1 << levels) != 0:
-        raise ValueError(f"length {len(x)} not divisible by 2^{levels}")
+    if len(x) == 0 or len(x) % (1 << levels) != 0:
+        raise ValueError(f"length {len(x)} is not a positive multiple of 2^{levels}")
     details = []
     approx = x
     for _ in range(levels):

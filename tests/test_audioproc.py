@@ -322,6 +322,8 @@ class TestWavelet:
             ap.dwt_forward(np.zeros(60), 3)
         with pytest.raises(ValueError):
             ap.dwt_forward(np.zeros(64), 0)
+        with pytest.raises(ValueError, match="positive multiple"):
+            ap.dwt_forward(np.zeros(0), 1)
 
     def test_soft_threshold_scalars(self):
         assert ap.soft_threshold(np.array([0.5]), 0.2)[0] == pytest.approx(0.3)
