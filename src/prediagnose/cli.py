@@ -9,7 +9,9 @@ import json
 import re
 import sys
 import time
+from collections.abc import Callable
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +48,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_TRAINING = 3
 
+KINDS = ("clot", "cardio", "skin")
 MAX_THREADS = 64  # fixed, so whether a --threads value is valid does not depend on the machine
 
 
@@ -82,30 +85,50 @@ _duration = _arg(float, lambda v: MIN_DURATION_S <= v <= MAX_DURATION_S,
                  f"a number of seconds in [{MIN_DURATION_S}, {MAX_DURATION_S}]")
 
 
-def _pipeline(kind: str) -> tuple:
-    """(reader, config class, features, train, predict) of one pipeline.
+class _Modality(NamedTuple):
+    """What the commands use of one pipeline."""
+
+    read: Callable  # path -> sample
+    config: type  # the pipeline's config dataclass
+    features: Callable  # (sample, cfg) -> feature vector
+    train: Callable  # (samples, cfg, threads) -> model
+    predict: Callable  # (model, sample, cfg) -> (score, label)
+    model_class: type
+    score: Callable  # (model, feature matrix) -> one score per row
+    threshold: float  # a score at or above it is label 1
+    score_name: str  # the score's key in predict output
+    refit: Callable  # (model, LabeledDataset) -> a model fit with model's hyperparameters
+    title: str  # the eval report's title
+    standin: str | None = None  # the classifier a stand-in pipeline names
+
+
+def _modality(kind: str) -> _Modality:
+    """The record of one pipeline.
 
     Built when a command runs rather than at import, so functions rebound in
     this module after import (bench/spans.py wraps them) are the ones called.
     """
+    svm = dict(model_class=SvmModel, score=svm_decision_batch, threshold=0.0, score_name="score",
+               refit=lambda model, data: train_svm_smo(data, c=model.c, gamma=model.gamma))
+    forest = dict(model_class=ForestModel, score=forest_predict_batch, threshold=0.5,
+                  score_name="prob",
+                  refit=lambda model, data: train_random_forest(data, model.hyperparams))
     return {
-        "clot": (read_image_file, ClotPipelineConfig, clot_features, clot_train,
-                 clot_predict_frame),
-        "cardio": (read_wav_file, CardioPipelineConfig, cardio_features, cardio_train,
-                   cardio_predict),
-        "skin": (read_image_file, SkinPipelineConfig, skin_features, skin_standin_train,
-                 skin_standin_classify),
+        "clot": _Modality(read=read_image_file, config=ClotPipelineConfig, features=clot_features,
+                          train=clot_train, predict=clot_predict_frame, **svm,
+                          title="Blood Clot Detection (thermal)"),
+        "cardio": _Modality(read=read_wav_file, config=CardioPipelineConfig,
+                            features=cardio_features, train=cardio_train, predict=cardio_predict,
+                            **forest, title="Cardiopulmonary Analysis"),
+        "skin": _Modality(read=read_image_file, config=SkinPipelineConfig, features=skin_features,
+                          train=skin_standin_train, predict=skin_standin_classify, **svm,
+                          title=f"Skin STAND-IN ({SKIN_STANDIN_NAME})", standin=SKIN_STANDIN_NAME),
     }[kind]
 
 
-def _model_type(model) -> tuple:
-    """(batch scorer, decision threshold, refit from the model's recorded
-    hyperparameters, name of the score in predict output) for an SVM or forest."""
-    if isinstance(model, SvmModel):
-        return (svm_decision_batch, 0.0,
-                lambda data: train_svm_smo(data, c=model.c, gamma=model.gamma), "score")
-    return (forest_predict_batch, 0.5,
-            lambda data: train_random_forest(data, model.hyperparams), "prob")
+def _standin_tag(m: _Modality) -> dict:
+    """What a stand-in adds to its model file and eval report."""
+    return {"standin": m.standin} if m.standin else {}
 
 
 def _frame_order(path: Path) -> tuple:
@@ -114,10 +137,6 @@ def _frame_order(path: Path) -> tuple:
     parts = re.split(r"(\d+)", path.name)
     parts[1::2] = map(int, parts[1::2])
     return parts, path.name
-
-
-def _standin_tag(kind: str) -> dict:
-    return {"standin": SKIN_STANDIN_NAME} if kind == "skin" else {}
 
 
 @functools.cache  # built once per process: parsing leaves the parser as it found it
@@ -147,14 +166,14 @@ def build_parser() -> _Parser:
     p_sc.add_argument("--duration", type=_duration, default=3.0)
 
     p_train = sub.add_parser("train", help="train a pipeline model")
-    p_train.add_argument("pipeline", choices=["clot", "cardio", "skin"])
+    p_train.add_argument("pipeline", choices=KINDS)
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--config", default=None)
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--threads", type=_threads, default=1)
 
     p_pred = sub.add_parser("predict", help="single-sample prediction")
-    p_pred.add_argument("pipeline", choices=["clot", "cardio", "skin"])
+    p_pred.add_argument("pipeline", choices=KINDS)
     p_pred.add_argument("--model", required=True)
     source = p_pred.add_mutually_exclusive_group()
     source.add_argument("--input", default=None)
@@ -190,34 +209,32 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    read, config, _, train, predict = _pipeline(args.pipeline)
-    cfg = cfgmod.load_config(config, args.config)
-    samples = load_dataset(args.data, read)
-    model = train(samples, cfg, args.threads)
-    preds = [predict(model, x, cfg)[1] for x, _ in samples]
+    m = _modality(args.pipeline)
+    cfg = cfgmod.load_config(m.config, args.config)
+    samples = load_dataset(args.data, m.read)
+    model = m.train(samples, cfg, args.threads)
+    preds = [m.predict(model, x, cfg)[1] for x, _ in samples]
     labels = [lab for _, lab in samples]
     accuracy = float(np.mean(np.array(preds) == np.array(labels)))
     save_model_file(args.out, model,
-                    {**cfgmod.config_snapshot(args.pipeline, cfg), **_standin_tag(args.pipeline)})
+                    {**cfgmod.config_snapshot(args.pipeline, cfg), **_standin_tag(m)})
     _emit({"pipeline": args.pipeline, "n_train": len(labels), "train_accuracy": accuracy,
            "model": str(args.out)})
     return EXIT_OK
 
 
-_MODEL_CLASS = {"clot": SvmModel, "cardio": ForestModel, "skin": SvmModel}
-
-
 def _load_model(path):
-    """(model, created_with, pipeline kind) of a model file whose model type
-    is the one its pipeline tag trains."""
+    """(model, created_with, pipeline kind, pipeline record) of a model file
+    whose model type is the one its pipeline tag trains."""
     model, created_with = load_model_file(path)
     kind = created_with.get("pipeline")
-    if kind not in _MODEL_CLASS:
+    if kind not in KINDS:  # a tuple, so an unhashable tag is refused, not a TypeError
         raise PersistError("model is missing its pipeline tag")
-    if not isinstance(model, _MODEL_CLASS[kind]):
-        raise PersistError(f"a {kind} model must be a {_MODEL_CLASS[kind].__name__}, "
+    m = _modality(kind)
+    if not isinstance(model, m.model_class):
+        raise PersistError(f"a {kind} model must be a {m.model_class.__name__}, "
                            f"not a {type(model).__name__}")
-    return model, created_with, kind
+    return model, created_with, kind, m
 
 
 def _cmd_predict(args) -> int:
@@ -227,58 +244,50 @@ def _cmd_predict(args) -> int:
         raise _UsageError("--window requires --sequence")
     if not args.sequence and not args.input:
         raise _UsageError("predict requires --input (or --sequence for clot)")
-    model, created_with, kind = _load_model(args.model)
+    model, created_with, kind, m = _load_model(args.model)
     if kind != args.pipeline:
         raise FormatError(f"model was trained for the {kind} pipeline, not {args.pipeline}")
-    read, config, _, _, predict = _pipeline(kind)
     start = time.perf_counter()
-    cfg = cfgmod.config_from_snapshot(config, created_with)
+    cfg = cfgmod.config_from_snapshot(m.config, created_with)
     if args.sequence:
         frames = sorted(Path(args.sequence).glob("*.pgm"), key=_frame_order)
         if not frames:
             raise FormatError(f"no PGM frames in {args.sequence}")
         if args.window is not None:
             cfg = dataclasses.replace(cfg, window=args.window)
-        doc = {"label": clot_predict_sequence(model, (read(f) for f in frames), cfg),
+        doc = {"label": clot_predict_sequence(model, (m.read(f) for f in frames), cfg),
                "n_frames": len(frames)}
     else:
-        score, label = predict(model, read(args.input), cfg)
-        *_, score_name = _model_type(model)
-        doc = {score_name: score, "label": label}
-        if kind == "skin":
-            doc["classifier"] = SKIN_STANDIN_NAME
+        score, label = m.predict(model, m.read(args.input), cfg)
+        doc = {m.score_name: score, "label": label}
+        if m.standin:
+            doc["classifier"] = m.standin
     doc["latency_ms"] = (time.perf_counter() - start) * 1000.0
     _emit(doc)
     return EXIT_OK
 
 
-_TITLES = {"clot": "Blood Clot Detection (thermal)", "cardio": "Cardiopulmonary Analysis",
-           "skin": f"Skin STAND-IN ({SKIN_STANDIN_NAME})"}
-
-
 def _cmd_eval(args) -> int:
-    model, created_with, kind = _load_model(args.model)
-    read, config, features, _, _ = _pipeline(kind)
-    cfg = cfgmod.config_from_snapshot(config, created_with)
-    samples = load_dataset(args.data, read)
-    feats = _feature_matrix(features, [x for x, _ in samples], cfg, args.threads)
+    model, created_with, kind, m = _load_model(args.model)
+    cfg = cfgmod.config_from_snapshot(m.config, created_with)
+    samples = load_dataset(args.data, m.read)
+    feats = _feature_matrix(m.features, [x for x, _ in samples], cfg, args.threads)
     labels = np.array([lab for _, lab in samples])
     del samples  # free the decoded inputs before the k-fold refits allocate
-    score, threshold, refit, _ = _model_type(model)
     if args.kfold:
         # Retrain per fold with the model's recorded hyperparameters and pool
         # held-out predictions into one report.
         scores = np.zeros(len(labels))
         for train_idx, test_idx in stratified_kfold(labels, args.kfold, Rng(args.seed)):
-            fold_model = refit(LabeledDataset(feats[train_idx], labels[train_idx]))
-            scores[test_idx] = score(fold_model, feats[test_idx])
+            fold_model = m.refit(model, LabeledDataset(feats[train_idx], labels[train_idx]))
+            scores[test_idx] = m.score(fold_model, feats[test_idx])
     else:
-        scores = score(model, feats)
-    report = evaluate(labels, (scores >= threshold).astype(int), scores)
+        scores = m.score(model, feats)
+    report = evaluate(labels, (scores >= m.threshold).astype(int), scores)
     if args.roc_csv:
         Path(args.roc_csv).write_text(roc_to_csv(report.roc_points))
-    _emit({**report_to_dict(report), "pipeline": kind, **_standin_tag(kind)})
-    print(report_table(report, _TITLES[kind]), file=sys.stderr)
+    _emit({**report_to_dict(report), "pipeline": kind, **_standin_tag(m)})
+    print(report_table(report, m.title), file=sys.stderr)
     return EXIT_OK
 
 

@@ -568,6 +568,13 @@ MALFORMED = {
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
         model(save_model(SvmModel(np.zeros((1, 26)), np.ones(1), 0.0, 1.0, 1.0),
                          {"pipeline": "cardio"})), 2),
+    # A tag that is not a string names no pipeline.
+    "pipeline_tag_a_list": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
+        {**four_samples("clot"), **model(tiny_svm_file({"pipeline": ["clot"]}))}, 2),
+    "pipeline_tag_an_object": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        model(tiny_svm_file({"pipeline": {"clot": 1}})), 2),
     "report_nested_100000_deep": (
         ["report", "--inputs", "{tmp}/r.json", "--out", "{tmp}/d"],
         {"r.json": b"[" * 100_000 + b"]" * 100_000}, 2),
@@ -644,6 +651,68 @@ class TestSequenceOrder:
                            "--sequence", str(tmp_path / "seq"))
         assert code == 0 and json.loads(out)["n_frames"] == len(names)
         assert voted == list(range(len(names)))
+
+
+@pytest.fixture(scope="module")
+def twelve_ws(tmp_path_factory):
+    """Twelve-sample thermal and heart sets, in img/ and wav/."""
+    base = tmp_path_factory.mktemp("twelve")
+    assert main(["synth", "thermal", "--out", str(base / "img"), "--n", "12",
+                 "--seed", "12"]) == 0
+    assert main(["synth", "cardio", "--task", "heart", "--out", str(base / "wav"), "--n", "12",
+                 "--seed", "12", "--rate", "4000", "--duration", "2.0"]) == 0
+    return base
+
+
+class TestModalityRecord:
+    @pytest.mark.parametrize("kind", ["clot", "cardio", "skin"])
+    def test_train_accuracy_is_eval_accuracy_on_the_training_set(self, kind, twelve_ws, capsys,
+                                                                 tmp_path):
+        # train scores one row at a time, eval one matrix; on these sets no
+        # label differs between the two.
+        data = str(twelve_ws / ("wav" if kind == "cardio" else "img"))
+        model = str(tmp_path / "m.pdmodel.json")
+        code, out, _ = run(capsys, "train", kind, "--data", data, "--out", model)
+        assert code == 0
+        train_accuracy = json.loads(out)["train_accuracy"]
+        code, out, _ = run(capsys, "eval", "--model", model, "--data", data)
+        assert code == 0
+        assert train_accuracy == json.loads(out)["accuracy"]
+
+    def test_commands_use_the_functions_bound_in_cli_when_they_run(self, twelve_ws, capsys,
+                                                                   tmp_path, monkeypatch):
+        # The benchmark traces each command by rebinding these names in cli
+        # after import; a record built at import would call the originals.
+        calls = {}
+        for name in ("cardio_features", "cardio_train", "cardio_predict", "forest_predict_batch",
+                     "train_random_forest"):
+            def counted(*args, fn=getattr(prediagnose.cli, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            monkeypatch.setattr(f"prediagnose.cli.{name}", counted)
+        data, model = twelve_ws / "wav", tmp_path / "m.pdmodel.json"
+        (tmp_path / "c.ini").write_text("[ml]\nn_trees = 5\n")
+        commands = {
+            "train": ["train", "cardio", "--data", data, "--config", tmp_path / "c.ini",
+                      "--out", model],
+            "eval": ["eval", "--model", model, "--data", data],
+            "kfold": ["eval", "--model", model, "--data", data, "--kfold", "3"],
+            "predict": ["predict", "cardio", "--model", model,
+                        "--input", sorted(data.glob("*.wav"))[0]],
+        }
+        seen = {}
+        for command, argv in commands.items():
+            calls.clear()
+            assert run(capsys, *map(str, argv))[0] == 0
+            seen[command] = dict(calls)
+        # cardio_train computes its features and fits its forest through
+        # pipeline's names, not cli's.
+        assert seen == {
+            "train": {"cardio_train": 1, "cardio_predict": 12},
+            "eval": {"cardio_features": 12, "forest_predict_batch": 1},
+            "kfold": {"cardio_features": 12, "train_random_forest": 3, "forest_predict_batch": 3},
+            "predict": {"cardio_predict": 1},
+        }
 
 
 def fresh_python(*argv: str) -> str:
