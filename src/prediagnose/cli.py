@@ -41,7 +41,8 @@ from .pipeline import (
 )
 from .svm import SvmModel, svm_decision_batch, train_svm_smo
 from .synthcardio import MIN_DURATION_S, SAMPLE_RATES, write_cardio_dataset
-from .synththermal import MAX_FRAMES, ThermalConfig, load_dataset, write_thermal_dataset
+from .synththermal import (MAX_FRAMES, ThermalConfig, load_dataset, load_manifest,
+                           write_thermal_dataset)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -215,6 +216,7 @@ def _cmd_train(args) -> int:
     model = m.train(samples, cfg, args.threads)
     preds = [m.predict(model, x, cfg)[1] for x, _ in samples]
     labels = [lab for _, lab in samples]
+    del samples  # the decoded inputs, freed before the model file is built
     accuracy = float(np.mean(np.array(preds) == np.array(labels)))
     save_model_file(args.out, model,
                     {**cfgmod.config_snapshot(args.pipeline, cfg), **_standin_tag(m)})
@@ -270,10 +272,13 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     model, created_with, kind, m = _load_model(args.model)
     cfg = cfgmod.config_from_snapshot(m.config, created_with)
-    samples = load_dataset(args.data, m.read)
-    feats = _feature_matrix(m.features, [x for x, _ in samples], cfg, args.threads)
-    labels = np.array([lab for _, lab in samples])
-    del samples  # free the decoded inputs before the k-fold refits allocate
+    base = Path(args.data)
+    rows = load_manifest(base)
+    # Each input is decoded and featurized in one step, so only the inputs
+    # being worked on are ever held decoded, never the whole set.
+    feats = _feature_matrix(lambda name, c: m.features(m.read(base / name), c),
+                            [name for name, _ in rows], cfg, args.threads)
+    labels = np.array([lab for _, lab in rows])
     if args.kfold:
         # Retrain per fold with the model's recorded hyperparameters and pool
         # held-out predictions into one report.
@@ -281,6 +286,7 @@ def _cmd_eval(args) -> int:
         for train_idx, test_idx in stratified_kfold(labels, args.kfold, Rng(args.seed)):
             fold_model = m.refit(model, LabeledDataset(feats[train_idx], labels[train_idx]))
             scores[test_idx] = m.score(fold_model, feats[test_idx])
+            del fold_model  # with its training copy, before the next fold's refit
     else:
         scores = m.score(model, feats)
     report = evaluate(labels, (scores >= m.threshold).astype(int), scores)

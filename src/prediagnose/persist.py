@@ -14,6 +14,13 @@ themselves, so they round-trip bit for bit and the bytes stay deterministic.
 Every other field keeps its version 1 form. save_model writes version 2
 only; version 1 files, whose support vectors are nested decimal lists,
 still load.
+
+Memory: save_model builds an SVM's file in one preallocated bytearray and
+base64-encodes the support vectors into it a piece at a time, so the only
+file-sized buffer it makes is its result. load_model holds at most two
+file-sized buffers at once: the bytes and the text decoded from them, then
+the text and the packed string parsed from it, then the packed string and
+the decoded support vectors; each is dropped once the next is made.
 """
 
 from __future__ import annotations
@@ -32,6 +39,10 @@ from .forest import ForestHyperparams, ForestModel, check_hyperparams
 from .svm import SvmModel
 
 FORMAT_VERSION = 2
+# Support-vector bytes base64-encoded per step. A multiple of 3, so that no
+# piece but the last has padding and the pieces join into the whole's base64.
+_ENCODE_CHUNK = 3 << 16
+_JSON = json.JSONDecoder()  # the decoder json.loads uses
 
 
 class PersistError(FormatError):
@@ -102,11 +113,13 @@ def _packed_matrix(mapping, key, path) -> np.ndarray:
     shape = _expect(packed, "shape", list, path)
     if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
         raise PersistError(f"field {path}.shape must be two non-negative integers")
-    text = _expect(packed, "float64le_base64", str, path)
+    _expect(packed, "float64le_base64", str, path)
+    text = packed.pop("float64le_base64")  # so the string is freed once it is decoded
     try:
         raw = binascii.a2b_base64(text, strict_mode=True)
     except ValueError as exc:  # binascii.Error, or text that is not ASCII
         raise PersistError(f"field {path}.float64le_base64 is not base64: {exc}") from None
+    del text
     # Nothing is sized by shape before this check, so a huge shape allocates nothing.
     n_bytes = 8 * shape[0] * shape[1]
     if len(raw) != n_bytes:
@@ -137,14 +150,14 @@ def _tree_from_dict(obj, path, n_features: int) -> dict:
                                      n_features)}
 
 
-def save_model(model, created_with: dict) -> bytes:
-    packed = None
+def save_model(model, created_with: dict) -> bytes | bytearray:
+    """The model file's bytes; an SVM's are the bytearray the file is built in."""
+    sv = None
     if isinstance(model, SvmModel):
         kind = "svm"
         sv = np.ascontiguousarray(model.support_vectors, dtype="<f8")
         if not np.all(np.isfinite(sv)):
             raise ValueError("cannot serialize a non-finite float array")
-        packed = binascii.b2a_base64(sv, newline=False)
         payload = {
             "gamma": float(model.gamma),
             "c": float(model.c),
@@ -168,19 +181,35 @@ def save_model(model, created_with: dict) -> bytes:
         "payload": payload,
     }
     text = _canon(envelope) + "\n"
-    if packed is None:
+    if sv is None:
         return text.encode()
-    # The empty packed string is the file's last value. Joining the packed
-    # bytes in between its quotes keeps a single copy of them beside the result.
+    # The empty packed string is the file's last value. The file is sized
+    # first, and the base64 is written between its quotes piece by piece, so
+    # no whole-size base64 copy is made beside it.
     head, _, tail = text.rpartition('""')
-    return b"".join([head.encode(), b'"', packed, b'"', tail.encode()])
+    head, tail = head.encode() + b'"', b'"' + tail.encode()
+    raw = sv.reshape(-1).view(np.uint8)
+    out = bytearray(len(head) + (len(raw) + 2) // 3 * 4 + len(tail))
+    out[:len(head)] = head
+    pos = len(head)
+    for start in range(0, len(raw), _ENCODE_CHUNK):
+        piece = binascii.b2a_base64(raw[start:start + _ENCODE_CHUNK], newline=False)
+        out[pos:pos + len(piece)] = piece
+        pos += len(piece)
+    out[pos:] = tail
+    return out
 
 
 def load_model(data: bytes):
     """Returns (model, created_with).  Anything but a well-formed model with
     finite numbers raises PersistError."""
     try:
-        envelope = json.loads(data)
+        # json.loads(data), with the bytes dropped once decoded and the text
+        # once parsed (a caller that keeps its own reference keeps them).
+        text = data.decode(json.detect_encoding(data), "surrogatepass")
+        del data
+        envelope = _JSON.decode(text)
+        del text
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
         raise PersistError(f"invalid JSON: {exc}") from exc
     except RecursionError:

@@ -13,10 +13,18 @@ from .core import LabeledDataset, TrainingError
 _TOL = 1e-3  # SMO stops once the KKT gap is below this
 _TAU = 1e-12  # curvature used for a pair whose kernel curvature is not positive
 _MAX_STEPS = 100  # SMO pair steps allowed per training sample
+# Training refuses a set whose n x n float64 Gram matrix, with the one
+# temporary of its size that building it takes (16 n^2 bytes in all), would
+# exceed this: 1 GiB, so n = 8,192 is the largest set trained.
+MAX_GRAM_BYTES = 1 << 30
+_NORM_BLOCK_BYTES = 1 << 20  # bytes of rows _sq_norms squares at a time
 
 
 @dataclass
 class SvmModel:
+    """A trained RBF SVM. When training keeps every sample, support_vectors is
+    the training feature matrix itself, not a copy, so the two share memory."""
+
     support_vectors: np.ndarray  # (m, d)
     alpha_y: np.ndarray  # alpha_i * y_i, y in {-1, +1}
     bias: float
@@ -30,23 +38,44 @@ class SvmModel:
     @cached_property
     def sv_sq_norms(self) -> np.ndarray:
         """Squared norm of each support vector, computed once per model."""
-        return np.sum(self.support_vectors * self.support_vectors, axis=1)
+        return _sq_norms(self.support_vectors)
+
+
+def _sq_norms(a: np.ndarray) -> np.ndarray:
+    """np.sum(a * a, axis=1), bit for bit, squaring about a megabyte of rows
+    at a time rather than all of a. Each row reduces on its own, so a block
+    gives each row's bits as the whole does while the rows lie in row-major
+    order; an a whose columns are closer in memory than its rows is reduced
+    whole."""
+    rows = max(1, _NORM_BLOCK_BYTES // max(1, a.shape[1] * a.itemsize))
+    if len(a) <= rows or abs(a.strides[1]) > abs(a.strides[0]):
+        return np.sum(a * a, axis=1)
+    out = np.empty(len(a))
+    for i in range(0, len(a), rows):
+        block = a[i:i + rows]
+        np.sum(block * block, axis=1, out=out[i:i + rows])
+    return out
 
 
 def _rbf_kernel(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray,
                 gamma: float) -> np.ndarray:
     """exp(-gamma |a_i - b_j|^2) for the rows of a and b, where a_sq and b_sq
-    hold np.sum(a * a, axis=1) and np.sum(b * b, axis=1) and |a_i - b_j|^2 is
-    expanded as |a_i|^2 + |b_j|^2 - 2 a_i.b_j."""
-    sq = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    hold their squared norms and |a_i - b_j|^2 is expanded as |a_i|^2 +
+    |b_j|^2 - 2 a_i.b_j. Works in two (n, m) buffers, in place."""
+    dots = a @ b.T
+    dots *= 2.0
+    sq = a_sq[:, None] + b_sq[None, :]
+    sq -= dots
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -gamma
+    return np.exp(sq, out=sq)
 
 
 def rbf_gram(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     """Pairwise RBF kernel matrix between the rows of a and b; the squared
     norms are computed once when b is a."""
-    a_sq = np.sum(a * a, axis=1)
-    return _rbf_kernel(a, a_sq, b, a_sq if b is a else np.sum(b * b, axis=1), gamma)
+    a_sq = _sq_norms(a)
+    return _rbf_kernel(a, a_sq, b, a_sq if b is a else _sq_norms(b), gamma)
 
 
 def gamma_scale(features: np.ndarray) -> float:
@@ -71,13 +100,19 @@ def train_svm_smo(data: LabeledDataset, c: float, gamma: float | None) -> SvmMod
     TrainingError after _MAX_STEPS * n steps. The bias is the mean of v over
     the free multipliers (0 < alpha < C); with none free, the KKT conditions
     leave it between the gap's two ends, and it is their midpoint. Ties go to
-    the lowest index. gamma None uses gamma_scale.
+    the lowest index. gamma None uses gamma_scale. A set whose Gram matrix
+    would need more than MAX_GRAM_BYTES is refused before it is built. When
+    every sample is kept, the model's support vectors are data.features.
     """
     if not 0 < c < math.inf:
         raise TrainingError(f"c must be positive and finite, got {c}")
     if gamma is not None and not 0 <= gamma < math.inf:
         raise TrainingError(f"gamma must be >= 0 and finite, got {gamma}")
     X = data.features
+    need = 16 * len(X) ** 2
+    if need > MAX_GRAM_BYTES:
+        raise TrainingError(f"{len(X)} training samples need {need} bytes for the Gram matrix, "
+                            f"over the cap of {MAX_GRAM_BYTES}")
     y01 = data.labels
     if len(np.unique(y01)) < 2:
         raise TrainingError("training data must contain both classes")
@@ -117,7 +152,7 @@ def train_svm_smo(data: LabeledDataset, c: float, gamma: float | None) -> SvmMod
         # Degenerate but possible on pathological data; keep the largest alpha.
         keep = alpha == alpha.max()
     return SvmModel(
-        support_vectors=X[keep],
+        support_vectors=X if keep.all() else X[keep],
         alpha_y=beta[keep],
         bias=float(b),
         gamma=float(gamma),
@@ -140,6 +175,5 @@ def svm_decision_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"expected rows of {model.n_features} features, got shape {X.shape}")
-    K = _rbf_kernel(X, np.sum(X * X, axis=1), model.support_vectors, model.sv_sq_norms,
-                    model.gamma)
+    K = _rbf_kernel(X, _sq_norms(X), model.support_vectors, model.sv_sq_norms, model.gamma)
     return K @ model.alpha_y + model.bias

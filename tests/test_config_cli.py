@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -715,6 +716,35 @@ class TestModalityRecord:
         }
 
 
+class TestEvalMemory:
+    def test_eval_holds_the_feature_matrix_not_the_decoded_inputs(self, tmp_path, capsys):
+        # 60 images: 7.9 MB decoded, 7.8 MB of features. eval decodes and
+        # featurizes each in one step, and eval --kfold drops each fold's
+        # model, with its training copy, before the next refit. The margin
+        # covers the loaded 6-image model (0.8 MB), one clot_features call
+        # (0.9 MB) and the squared norms' 1 MB block.
+        n, k, margin = 60, 3, 3_000_000
+        for name, count, seed in (("small", 6, 3), ("images", n, 4)):
+            assert run(capsys, "synth", "thermal", "--out", str(tmp_path / name),
+                       "--n", str(count), "--seed", str(seed))[0] == 0
+        model = str(tmp_path / "m.pdmodel.json")
+        assert run(capsys, "train", "clot", "--data", str(tmp_path / "small"),
+                   "--out", model)[0] == 0
+        row = 8 * CLOT_FEATURES
+        bounds = {(): n * row + margin,
+                  # the feature matrix, the largest training fold and its held-out rows
+                  ("--kfold", str(k)): (n + (n - n // k) + -(-n // k)) * row + margin}
+        for extra, bound in bounds.items():
+            tracemalloc.start()
+            try:
+                code = main(["eval", "--model", model, "--data", str(tmp_path / "images"), *extra])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < bound, extra
+
+
 def fresh_python(*argv: str) -> str:
     """stdout of a fresh interpreter that imports this package from its source
     tree; a nonzero exit fails the test."""
@@ -854,6 +884,16 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert "training error: SMO did not converge in 8 steps" in err
         assert not (tmp_path / "m.pdmodel.json").exists()
+
+    def test_training_set_over_the_gram_cap_is_3(self, capsys, tmp_path, monkeypatch):
+        data = tmp_path / "data"
+        assert run(capsys, "synth", "thermal", "--out", str(data), "--n", "8", "--seed", "1")[0] == 0
+        monkeypatch.setattr("prediagnose.svm.MAX_GRAM_BYTES", 16 * 7 * 7)
+        code, out, err = run(capsys, "train", "clot", "--data", str(data),
+                             "--out", str(tmp_path / "m.pdmodel.json"))
+        assert (code, out) == (3, "")
+        assert ("training error: 8 training samples need 1024 bytes for the Gram matrix, "
+                "over the cap of 784") in err
 
     def test_single_class_training_is_3(self, capsys, tmp_path):
         data = tmp_path / "data"

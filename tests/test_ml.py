@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +100,40 @@ class TestKernel:
         X = np.array([[0.0, 0.0], [2.0, 2.0]])
         assert sv.gamma_scale(X) == pytest.approx(1.0 / (2 * X.var()))
         assert sv.gamma_scale(np.ones((3, 4))) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("block_bytes", [8, 24, 1 << 20])
+    def test_blocked_squared_norms_are_np_sum_bit_for_bit(self, monkeypatch, block_bytes):
+        # Each row reduces on its own, so squaring a few rows at a time gives
+        # np.sum(a * a, axis=1)'s bits, for views in any memory order too.
+        monkeypatch.setattr(sv, "_NORM_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(5)
+        for n, d in [(1, 1), (1, 7), (9, 1), (5, 3), (33, 17), (200, 130)]:
+            base = rng.standard_normal((2 * n, 2 * d + 1)) * 10.0 ** rng.uniform(-3, 3, (2 * n, 1))
+            for a in (base[:n, :d].copy(), base[::2, :d], base[:n, ::2][:, :d],
+                      np.asfortranarray(base[:n, :d]), base[:n, :d][::-1], base[:n, :d][:, ::-1],
+                      base[:d, :n].T,
+                      np.broadcast_to(base[0, :d], (n, d))):
+                want = np.sum(a * a, axis=1)
+                assert np.array_equal(sv._sq_norms(a).view(np.int64), want.view(np.int64))
+
+    def test_kernel_is_the_expression_bit_for_bit_in_two_buffers(self):
+        # The old expression, one full-size temporary per operation, is the
+        # reference; b repeats rows of a, so some squared distances round
+        # below zero and are clipped. Beside the two (n, m) buffers, only the
+        # broadcast sum's iteration buffers (128 KB) are allocated.
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((500, 20))
+        b = np.vstack([a[:100], rng.standard_normal((300, 20))])
+        a_sq, b_sq, gamma = np.sum(a * a, axis=1), np.sum(b * b, axis=1), 0.02
+        want = np.exp(-gamma * np.maximum(a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T), 0.0))
+        tracemalloc.start()
+        try:
+            got = sv._rbf_kernel(a, a_sq, b, b_sq, gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert peak < 2 * got.nbytes + 256_000
 
 
 # sha256 of the decision scores of a seeded clot model on 40 test images, one
@@ -226,6 +262,35 @@ class TestSmo:
         monkeypatch.setattr(sv, "_MAX_STEPS", 1)
         with pytest.raises(TrainingError, match="did not converge in 40 steps"):
             sv.train_svm_smo(LabeledDataset(X, y01), c=1.0, gamma=0.5)
+
+    def test_every_sample_kept_shares_the_training_matrix(self):
+        # At gamma 50 each point is nearly alone, so every one is a support
+        # vector. The model's matrix is then X itself, and it scores as a
+        # copy of X would, bit for bit.
+        X, y01 = overlapping_clusters(3)
+        model = sv.train_svm_smo(LabeledDataset(X, y01), c=10.0, gamma=50.0)
+        assert len(model.alpha_y) == len(X)
+        assert np.shares_memory(model.support_vectors, X)
+        copied = dataclasses.replace(model, support_vectors=X.copy())
+        probe = np.vstack([X, Rng(4).gaussian_array(40).reshape(20, 2)])
+        assert np.array_equal(sv.svm_decision_batch(model, probe).view(np.int64),
+                              sv.svm_decision_batch(copied, probe).view(np.int64))
+
+    def test_training_set_over_the_gram_cap_refused_before_the_gram(self):
+        # The smallest refused set: its Gram matrix alone would be 8 n^2 bytes
+        # (537 MB at the 1 GiB cap), and nothing near that is allocated.
+        n = math.isqrt(sv.MAX_GRAM_BYTES // 16) + 1
+        assert 16 * (n - 1) ** 2 <= sv.MAX_GRAM_BYTES < 16 * n ** 2
+        data = LabeledDataset(np.zeros((n, 1)), np.arange(n) % 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TrainingError, match=rf"^{n} training samples need {16 * n * n} "
+                                                    rf"bytes .* cap of {sv.MAX_GRAM_BYTES}$"):
+                sv.train_svm_smo(data, c=1.0, gamma=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):

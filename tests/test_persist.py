@@ -1,8 +1,10 @@
 import base64
 import hashlib
+import json
 import math
 import os
 import stat
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +137,9 @@ def assert_same_svm(loaded, model):
                           bits([model.bias, model.gamma, model.c]))
 
 
+CHUNK_VALUES = persist._ENCODE_CHUNK // 8  # doubles base64-encoded per piece
+
+
 class TestSvmBytes:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(svm_models())
@@ -171,6 +176,81 @@ class TestSvmBytes:
         v2 = persist.save_model(model, config_snapshot("clot", cfg))
         assert hashlib.sha256(v2).hexdigest() == (
             "10f2bd9d7f461a2b09f9e55fb5f17db9cd570f12355f9f4f9ae4490f0d54f091")
+
+    # Support-vector byte counts 0, 1 and 2 mod 3, below, on and across the
+    # encode chunk (counted in doubles): save_model gives the reference's
+    # bytes, the base64 of the whole matrix, whatever the pieces were.
+    @pytest.mark.parametrize("n_values", [0, 1, 2, 3, CHUNK_VALUES - 1, CHUNK_VALUES,
+                                          CHUNK_VALUES + 1, CHUNK_VALUES + 2, 2 * CHUNK_VALUES + 1])
+    def test_packed_bytes_across_the_encode_chunk(self, n_values):
+        shape = (1, n_values) if n_values else (0, 5)
+        model = SvmModel(np.random.default_rng(n_values).standard_normal(shape),
+                         np.ones(shape[0]), 0.5, 0.25, 2.0)
+        saved = persist.save_model(model, {})
+        assert saved == svm_bytes_reference(model, packed=True)
+        if n_values:
+            loaded = persist.load_model(saved)[0]
+            assert_same_svm(loaded, model)
+            assert persist.save_model(loaded, {}) == saved
+
+    @pytest.mark.parametrize("encode", [
+        lambda t: t.encode("utf-16-le"), lambda t: t.encode("utf-16-be"),
+        lambda t: t.encode("utf-16"), lambda t: t.encode("utf-32"),
+        lambda t: t.encode("utf-8-sig"),
+        lambda t: t.replace("caf\u00e9", "\ud800").encode("utf-16-le", "surrogatepass"),
+        lambda t: t.replace("\u2603", "").encode("latin-1"),
+        lambda t: b"\xef\xbb\xbf" + t.encode("utf-16-le"),
+        lambda t: b"\xef\xbb\xbf" + t.encode("utf-8-sig"),
+    ], ids=["utf16le", "utf16be", "utf16_bom", "utf32_bom", "utf8_bom", "utf16_lone_surrogate",
+            "latin1", "utf8_bom_then_utf16", "two_utf8_boms"])
+    def test_text_encodings_read_as_json_loads_reads_them(self, encode):
+        # load_model decodes the bytes as json.loads does: each encoding
+        # loads, or fails with json.loads's message.
+        data = encode(persist.save_model(tiny_svm(), {"note": "caf\u00e9 \u2603"}).decode())
+        try:
+            want = json.loads(data)
+        except ValueError as exc:
+            with pytest.raises(persist.PersistError) as err:
+                persist.load_model(data)
+            assert str(err.value) == f"invalid JSON: {exc}"
+        else:
+            loaded, created_with = persist.load_model(data)
+            assert created_with == want["created_with"]
+            assert_same_svm(loaded, tiny_svm())
+
+
+def big_svm() -> SvmModel:
+    """500 support vectors of 3,000 features: 12 MB of doubles, a 16 MB file."""
+    rng = np.random.default_rng(3)
+    return SvmModel(rng.standard_normal((500, 3000)), rng.standard_normal(500), 0.1, 1e-3, 10.0)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_save_model_builds_the_file_in_one_buffer(self):
+        # Encoding the matrix whole and then joining the file makes two
+        # file-sized buffers; building the file in place makes one.
+        model = big_svm()
+        data, peak = traced_peak(lambda: persist.save_model(model, {}))
+        assert peak < len(data) + model.support_vectors.nbytes + 1_000_000
+
+    def test_v2_load_holds_at_most_two_file_sized_buffers(self, tmp_path):
+        # The bytes, the text, the packed string and the decoded matrix: each
+        # is dropped once the next is made.
+        path = tmp_path / "big.pdmodel.json"
+        persist.save_model_file(path, big_svm(), {})
+        (model, _), peak = traced_peak(lambda: persist.load_model_file(path))
+        assert peak < 2.2 * path.stat().st_size
+        assert_same_svm(model, big_svm())
 
 
 def assert_writes_golden(model, created_with, name):

@@ -1,12 +1,15 @@
 """Property tests for the readers of outside input: any bytes give either a
 valid object or a FormatError, never another exception."""
 
+import binascii
 import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
@@ -193,6 +196,33 @@ def test_packed_support_vectors_round_trip(sv):
     assert loaded.support_vectors.shape == sv.shape
     assert np.array_equal(loaded.support_vectors.view(np.int64), sv.view(np.int64))
     assert persist.save_model(loaded, {}) == data
+
+
+
+@PROPERTY
+@given(FINITE_MATRICES, st.sampled_from([3, 6, 9, 24, 48, 3 << 16]))
+def test_packed_support_vectors_do_not_depend_on_the_encode_chunk(sv, chunk):
+    # Pieces of any multiple of 3 bytes join into the base64 of the whole
+    # matrix, which is what the file held when it was encoded in one call.
+    model = SvmModel(sv, np.ones(len(sv)), 0.5, 0.25, 2.0)
+    with mock.patch.object(persist, "_ENCODE_CHUNK", chunk):
+        data = persist.save_model(model, {})
+    packed = data.split(b'"float64le_base64": "')[1].partition(b'"')[0]
+    assert packed == binascii.b2a_base64(np.ascontiguousarray(sv, "<f8").tobytes(), newline=False)
+    assert data == persist.save_model(model, {})
+
+
+@PROPERTY
+@given(MODEL_BYTES)
+def test_load_model_reads_bytes_as_json_loads_does(data):
+    # load_model decodes and parses the bytes itself; whatever json.loads
+    # refuses, it refuses with json.loads's message.
+    try:
+        json.loads(data)
+    except ValueError as exc:
+        with pytest.raises(FormatError) as err:
+            persist.load_model(data)
+        assert str(err.value) == f"invalid JSON: {exc}"
 
 
 MANIFEST_CELL = st.one_of(st.sampled_from(["0", "1", "2", "-1", " 1", "a.pgm", '"q,x"', ""]),
