@@ -98,7 +98,7 @@ class _Modality(NamedTuple):
     score: Callable  # (model, feature matrix) -> one score per row
     threshold: float  # a score at or above it is label 1
     score_name: str  # the score's key in predict output
-    refit: Callable  # (model, LabeledDataset) -> a model fit with model's hyperparameters
+    refit: Callable  # model -> (LabeledDataset -> a model fit with model's hyperparameters)
     title: str  # the eval report's title
     standin: str | None = None  # the classifier a stand-in pipeline names
 
@@ -110,10 +110,10 @@ def _modality(kind: str) -> _Modality:
     this module after import (bench/spans.py wraps them) are the ones called.
     """
     svm = dict(model_class=SvmModel, score=svm_decision_batch, threshold=0.0, score_name="score",
-               refit=lambda model, data: train_svm_smo(data, c=model.c, gamma=model.gamma))
+               refit=lambda model: _fit_with(train_svm_smo, model.c, model.gamma))
     forest = dict(model_class=ForestModel, score=forest_predict_batch, threshold=0.5,
                   score_name="prob",
-                  refit=lambda model, data: train_random_forest(data, model.hyperparams))
+                  refit=lambda model: _fit_with(train_random_forest, model.hyperparams))
     return {
         "clot": _Modality(read=read_image_file, config=ClotPipelineConfig, features=clot_features,
                           train=clot_train, predict=clot_predict_frame, **svm,
@@ -125,6 +125,12 @@ def _modality(kind: str) -> _Modality:
                           train=skin_standin_train, predict=skin_standin_classify, **svm,
                           title=f"Skin STAND-IN ({SKIN_STANDIN_NAME})", standin=SKIN_STANDIN_NAME),
     }[kind]
+
+
+def _fit_with(fit: Callable, *hyperparams) -> Callable:
+    """fit(data, *hyperparams) as a function of data alone, holding the
+    hyperparameters and not the model they were taken from."""
+    return lambda data: fit(data, *hyperparams)
 
 
 def _standin_tag(m: _Modality) -> dict:
@@ -272,6 +278,11 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     model, created_with, kind, m = _load_model(args.model)
     cfg = cfgmod.config_from_snapshot(m.config, created_with)
+    if args.kfold:
+        # The folds take only the model's hyperparameters, so the model, its
+        # support vectors included, is freed before any input is read.
+        refit = m.refit(model)
+        del model
     base = Path(args.data)
     rows = load_manifest(base)
     # Each input is decoded and featurized in one step, so only the inputs
@@ -284,7 +295,7 @@ def _cmd_eval(args) -> int:
         # held-out predictions into one report.
         scores = np.zeros(len(labels))
         for train_idx, test_idx in stratified_kfold(labels, args.kfold, Rng(args.seed)):
-            fold_model = m.refit(model, LabeledDataset(feats[train_idx], labels[train_idx]))
+            fold_model = refit(LabeledDataset(feats[train_idx], labels[train_idx]))
             scores[test_idx] = m.score(fold_model, feats[test_idx])
             del fold_model  # with its training copy, before the next fold's refit
     else:

@@ -30,6 +30,12 @@ class ForestModel:
     hyperparams: ForestHyperparams
 
 
+def _gini(n0, n1, total):
+    """1 - (p0^2 + p1^2) of counts whose sum is total, unchecked."""
+    p0, p1 = n0 / total, n1 / total
+    return 1.0 - (p0 * p0 + p1 * p1)
+
+
 def gini_impurity(class_counts) -> float | np.ndarray:
     """1 - (p0^2 + p1^2) of the counts (n0, n1): a float for a pair of
     numbers, an array of impurities for a pair of equal-shape count arrays."""
@@ -37,8 +43,7 @@ def gini_impurity(class_counts) -> float | np.ndarray:
     total = n0 + n1
     if np.any((n0 < 0) | (n1 < 0) | (total == 0)):
         raise ValueError("counts must be non-negative with positive sum")
-    p0, p1 = n0 / total, n1 / total
-    return 1.0 - (p0 * p0 + p1 * p1)
+    return _gini(n0, n1, total)
 
 
 def best_split(
@@ -63,26 +68,32 @@ def best_split(
         return None
     cols = X[:, features]
     order = np.argsort(cols, axis=0, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=0)
+    xs = cols[order, np.arange(len(features))]
     c1 = np.cumsum(y[order], axis=0)  # c1[r, j]: class 1 among the first r + 1 of column j
     pos = np.arange(lo, hi + 1)[:, None]
     l1 = c1[lo - 1 : hi]
     r1 = c1[-1] - l1
-    g = (pos * gini_impurity((pos - l1, l1)) + (n - pos) * gini_impurity((n - pos - r1, r1))) / n
+    # every side holds at least one sample, so the counts need no check
+    g = (pos * _gini(pos - l1, l1, pos) + (n - pos) * _gini(n - pos - r1, r1, n - pos)) / n
     # (feature, position) pairs in scan order, as flat indices into g.T
     valid = np.flatnonzero((xs[lo:hi + 1] != xs[lo - 1 : hi]).T)
     if len(valid) == 0:
         return None
-    scores = g.T.ravel()[valid]
-    win = 0
-    while True:
-        later = np.flatnonzero(scores[win + 1 :] < scores[win] - 1e-15)
-        if len(later) == 0:
-            break
-        win += 1 + int(later[0])
+    scores = g.T.ravel()[valid].tolist()
+    win = _winner(scores)
     j, p = divmod(int(valid[win]), hi - lo + 1)
     p += lo
-    return features[j], (xs[p - 1, j] + xs[p, j]) / 2.0, float(scores[win])
+    return features[j], (xs[p - 1, j] + xs[p, j]) / 2.0, scores[win]
+
+
+def _winner(scores: list[float]) -> int:
+    """Index of the winning score in one pass: a score wins if it is below the
+    best so far less 1e-15, so ties keep the earlier candidate."""
+    win, best = 0, scores[0]
+    for i, score in enumerate(scores):
+        if score < best - 1e-15:
+            win, best = i, score
+    return win
 
 
 def check_hyperparams(hp: ForestHyperparams) -> None:

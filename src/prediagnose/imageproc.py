@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,25 +37,44 @@ def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return a
 
 
+def _same_size(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """_lerp along axis 0 of a side whose size does not change, into out.
+
+    There every weight is exactly 1.0 or 0.0, so each output is a[i] + b*0.0
+    with b the next row (the last row repeats): the same bits as the lerp,
+    signed zeros included, without its two gathers.
+    """
+    np.multiply(a[1:], 0.0, out=out[:-1])
+    np.multiply(a[-1:], 0.0, out=out[-1:])
+    out += a
+    return out
+
+
+def _taps(n: int, out_n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """First and second source index and second weight of each output along
+    one side, with the half-pixel-center convention, clamped at borders."""
+    s = np.clip((np.arange(out_n) + 0.5) * (n / out_n) - 0.5, 0.0, n - 1.0)
+    i0 = np.floor(s).astype(int)
+    return i0, np.minimum(i0 + 1, n - 1), s - i0
+
+
 def resize_bilinear(img: GrayImage, out_w: int, out_h: int) -> GrayImage:
     """Resize with the half-pixel-center convention, clamped at borders."""
     if out_w < 1 or out_h < 1:
         raise ValueError("output dimensions must be >= 1")
     src = img.pixels
     h, w = src.shape
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
-    x0 = np.floor(xs).astype(int)
-    y0 = np.floor(ys).astype(int)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = xs - x0
-    fy = ys - y0
     # Along x once per source row, then along y between the rows that x gave:
     # each output is still (a*(1-fx) + b*fx)*(1-fy) + (c*(1-fx) + d*fx)*fy.
-    across = _lerp(src[:, x0], src[:, x1], fx)
-    out = _lerp(across[y0], across[y1], fy[:, None])
-    return GrayImage(out)
+    if out_w == w:
+        across = _same_size(src.T, np.empty((h, w)).T).T
+    else:
+        x0, x1, fx = _taps(w, out_w)
+        across = _lerp(src[:, x0], src[:, x1], fx)
+    if out_h == h:
+        return GrayImage(_same_size(across, np.empty((h, out_w))))
+    y0, y1, fy = _taps(h, out_h)
+    return GrayImage(_lerp(across[y0], across[y1], fy[:, None]))
 
 
 def gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -120,12 +140,15 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
 
 def _mod180(deg: np.ndarray) -> np.ndarray:
     """Fold deg in [-180, 180] to deg % 180.0 in place and return it, bit for
-    bit, at a tenth of np.mod's cost: np.mod's fmod is exact on this range and
-    its zeros are +0.0.  The zeros are found before the +180 step, since a
-    tiny negative angle plus 180 rounds to 180.0, which np.mod also gives."""
-    zero = (deg == 0.0) | (deg == 180.0)
-    np.add(deg, 180.0, out=deg, where=deg < 0)
-    np.copyto(deg, 0.0, where=zero)
+    bit, at a small part of np.mod's cost: np.mod's fmod is exact on this
+    range and its zeros are +0.0.  Every angle gains 180.0 if negative and
+    0.0 if not, which turns -0.0 into +0.0; 180.0 is found before that step,
+    since a tiny negative angle plus 180 rounds to 180.0, which np.mod also
+    gives."""
+    half_turn = deg == 180.0
+    shift = np.multiply(deg < 0, 180.0)
+    deg += shift
+    np.copyto(deg, 0.0, where=half_turn)
     return deg
 
 
@@ -151,11 +174,13 @@ def _sobel(px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gy += down[:, :-2]
     gy += np.multiply(down[:, 1:-1], 2.0, out=tap)
     gy += down[:, 2:]
-    ang = _mod180(np.degrees(np.arctan2(gy, gx, out=tap), out=tap))
+    # np.degrees(x) is x * (180/pi), at several times a multiply's cost
+    ang = np.multiply(np.arctan2(gy, gx, out=tap), 180.0 / np.pi, out=tap)
     gx *= gx
     gy *= gy
     gx += gy
-    return np.sqrt(gx, out=gx), ang
+    del p, up, mid, down, gy  # _mod180's image-sized temporary takes their place
+    return np.sqrt(gx, out=gx), _mod180(ang)
 
 
 def _nms(mag: np.ndarray, ang: np.ndarray) -> np.ndarray:
@@ -260,6 +285,20 @@ def canny(img: GrayImage, sigma: float, low: float, high: float) -> GrayImage:
     return GrayImage(_hysteresis(strong, weak).astype(np.float64))
 
 
+# One HOG setting per model and one image size per pipeline; each table is
+# cy * w entries, 16 KB for 8-pixel cells on a 128 x 128 image.
+@functools.lru_cache(maxsize=4)
+def _cell_offsets(cy: int, w: int, cell: int, bins: int) -> np.ndarray:
+    """Offset of bin 0 of each pixel's cell in the flat (cell row, cell column,
+    bin) histogram, by cell row and pixel column: shape (cy, 1, w), to add to
+    the (cy, cell, w) view of the pixels.  Every call of one setting shares
+    it, so it is read-only.  A full (h, w) map would save a little more, but
+    the first call would allocate it inside the feature pass's peak."""
+    offsets = (np.arange(cy) * (w // cell) * bins)[:, None, None] + np.arange(w) // cell * bins
+    offsets.flags.writeable = False
+    return offsets
+
+
 def _cell_histograms(img: GrayImage, cfg: HogConfig) -> np.ndarray:
     """Per-cell orientation histograms with linear interpolation between bins."""
     mag, pos = _sobel(img.pixels)
@@ -269,9 +308,12 @@ def _cell_histograms(img: GrayImage, cfg: HogConfig) -> np.ndarray:
     cy, cx = h // cfg.cell_size, w // cfg.cell_size
     lo = np.floor(pos)
     index = lo.astype(np.intp)
-    index %= bins  # an angle of exactly 180.0 is bin 0
-    index += (np.arange(h) // cfg.cell_size * cx * bins)[:, None]
-    index += (np.arange(w) // cfg.cell_size * bins)[None, :]
+    # An angle of 180.0 is bin 0.  pos is at most bins, so this is index %= bins,
+    # and a NaN angle (a gradient that overflowed), cast to a negative index,
+    # lands in bin 0 too rather than outside the histogram.
+    np.copyto(index, 0, where=index.view(np.uintp) >= bins)
+    bands = index.reshape(cy, cfg.cell_size, w)  # a view: h is a multiple of the cell
+    bands += _cell_offsets(cy, w, cfg.cell_size, bins)
     upper_wraps = lo == bins - 1
     frac = np.subtract(pos, lo, out=pos)
     lower_share = np.subtract(1, frac, out=lo)

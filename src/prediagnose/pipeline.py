@@ -47,6 +47,14 @@ class ClotPipelineConfig:
                                  f"{MAX_BLUR_RADIUS} pixels")
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("window must be odd and >= 1")
+        # hog would refuse these only once an image is decoded and featurized.
+        cells = CLOT_IMAGE_SIZE // self.hog.cell_size
+        if CLOT_IMAGE_SIZE % self.hog.cell_size:
+            raise ValueError(f"cell_size={self.hog.cell_size} must divide the "
+                             f"{CLOT_IMAGE_SIZE}-pixel image side")
+        if self.hog.block_size > cells:
+            raise ValueError(f"block_size={self.hog.block_size} must be at most the "
+                             f"{cells} cells across the image")
         if self.hog_view not in ("edge", "intensity", "both"):
             raise ValueError("hog_view must be edge, intensity or both")
 

@@ -9,8 +9,12 @@ per-layer metric.  This test reads bench/ only; it changes nothing there.
 import ast
 import importlib
 import inspect
+import json
+import os
 import pkgutil
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +84,49 @@ def test_bench_span_names_are_public_functions(table):
     assert names, f"no span names found in {table}"
     known = public_functions() | (command_spans() if table == "LAYER_STATS" else set())
     assert [n for n in names if n not in known] == []
+
+
+# A toy flow through every command kind the workloads run, in a fresh
+# interpreter with bench/spans.py's tracer installed as bench/worker.py
+# installs it; prints the names of the spans it recorded.
+TRACED_FLOW = """
+import json, sys, tempfile
+sys.path.insert(0, {bench!r})
+import spans
+import prediagnose.cli as cli
+
+tracer = spans.Tracer()
+spans.install(tracer)
+with tempfile.TemporaryDirectory() as t:
+    for command in [
+        "synth thermal --out {{t}}/img --n 8 --seed 1",
+        "synth thermal --out {{t}}/seq --n 1 --seed 2 --frames 5",
+        "synth cardio --task lung --out {{t}}/rec --n 8 --seed 3 --rate 4000 --duration 2",
+        "train clot --data {{t}}/img --out {{t}}/clot.json --threads 1",
+        "eval --model {{t}}/clot.json --data {{t}}/img --threads 1",
+        "eval --model {{t}}/clot.json --data {{t}}/img --kfold 2 --threads 1",
+        "predict clot --model {{t}}/clot.json --input {{t}}/img/sample0000.pgm --threads 1",
+        "predict clot --model {{t}}/clot.json --sequence {{t}}/seq/seq0000 --threads 1",
+        "train cardio --data {{t}}/rec --out {{t}}/lung.json --threads 1",
+        "eval --model {{t}}/lung.json --data {{t}}/rec --threads 1",
+        "predict cardio --model {{t}}/lung.json --input {{t}}/rec/rec0000.wav --threads 1",
+    ]:
+        assert cli.main(command.format(t=t).split()) == 0, command
+print(json.dumps(sorted({{tracer.names[s[spans.NAME]] for s in tracer.spans}})))
+"""
+
+
+def test_bench_span_names_are_reached_by_the_commands():
+    # A name the benchmark reads but no command calls (a function kept but
+    # taken off the path the commands run) would read 0 with no error.
+    # The cli.<kind> names are the worker's own spans around each command.
+    src = str(Path(prediagnose.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", TRACED_FLOW.format(bench=str(BENCH))], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    reached = set(json.loads(proc.stdout.splitlines()[-1]))
+    read = {name for table in ("LAYER_STATS", "SETUP_STATS", "BYTES", "within")
+            for name in span_names(table)} - command_spans()
+    assert len(read) > 30
+    assert sorted(read - reached) == []

@@ -20,7 +20,7 @@ from prediagnose.cli import MAX_THREADS, build_parser, main
 from prediagnose.audioproc import MAX_DURATION_S, MfccConfig, write_wav
 from prediagnose.core import AudioSignal, FormatError, GrayImage, Rng
 from prediagnose.forest import ForestHyperparams, ForestModel
-from prediagnose.imageproc import gaussian_kernel_1d, write_pgm
+from prediagnose.imageproc import HogConfig, gaussian_kernel_1d, write_pgm
 from prediagnose.persist import PersistError, save_model
 from prediagnose.pipeline import MAX_BLUR_RADIUS, CardioPipelineConfig, ClotPipelineConfig
 from prediagnose.svm import SvmModel
@@ -149,6 +149,32 @@ class TestConfigFiles:
         for bad in (float(np.nextafter(sigma, np.inf)), 0.0, -1.0):
             with pytest.raises(ValueError, match=name):
                 ClotPipelineConfig(**{name: bad})
+
+    def test_hog_geometry_checked_against_the_clot_image_side(self):
+        # Every divisor of the 128-pixel side, with the largest block that
+        # fits, is accepted; a cell that does not divide it, or a block wider
+        # than the cells across it, is refused when the config is built.
+        for cell in (2, 4, 8, 16, 32, 64, 128):
+            ClotPipelineConfig(hog=HogConfig(cell_size=cell, block_size=128 // cell))
+            with pytest.raises(ValueError, match="block_size"):
+                ClotPipelineConfig(hog=HogConfig(cell_size=cell, block_size=128 // cell + 1))
+        for cell in (3, 12, 24, 129, 4000000000):
+            with pytest.raises(ValueError, match="cell_size"):
+                ClotPipelineConfig(hog=HogConfig(cell_size=cell, block_size=1))
+
+    def test_bad_hog_geometry_refused_before_any_image_is_read(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        import prediagnose.cli as cli
+
+        read = []
+        monkeypatch.setattr(cli, "read_image_file", lambda path: read.append(path))
+        for name, data in clot_train_data("[imageproc]\ncell_size = 12\n").items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(data)
+        code, out, err = run(capsys, "train", "clot", "--data", str(tmp_path / "data"),
+                             "--config", str(tmp_path / "c.ini"), "--out", str(tmp_path / "d"))
+        assert (code, out, read) == (2, "", [])
+        assert "cell_size=12 must divide" in err
 
     def test_frame_len_capped_at_the_recording_cap(self):
         MfccConfig(frame_len=MAX_DURATION_S)
@@ -513,6 +539,18 @@ MALFORMED = {
     "config_bins_finer_than_a_degree": (
         ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
         clot_train_data("[imageproc]\nbins = 4000000000\n"), 2),
+    # A HOG geometry that does not fit the 128-pixel clot image is refused
+    # when the config is built, before any image is decoded.
+    "config_cell_size_not_dividing_the_image": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        clot_train_data("[imageproc]\ncell_size = 12\n"), 2),
+    "created_with_cell_size_not_dividing_the_image": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
+        {**four_samples("clot"), **model(tiny_svm_file({"pipeline": "clot", "cell_size": 12}))},
+        2),
+    "created_with_block_size_above_the_cells": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        model(tiny_svm_file({"pipeline": "clot", "block_size": 17})), 2),
     "config_n_trees_zero": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
         cardio_train_data("[ml]\nn_trees = 0\n"), 3),
@@ -743,6 +781,41 @@ class TestEvalMemory:
                 tracemalloc.stop()
             assert code == 0
             assert peak < bound, extra
+
+
+    def test_eval_kfold_frees_the_loaded_model_before_the_first_refit(self, tmp_path, capsys,
+                                                                       monkeypatch):
+        # A 60-image model holds 7.8 MB of support vectors, and the 12
+        # evaluated images' features are 1.6 MB.  The folds refit from the
+        # model's c and gamma alone, so when a refit starts only the feature
+        # matrix and that fold's training copy are live, within the margin.
+        import prediagnose.cli as cli
+
+        n, k, margin = 12, 3, 2_000_000
+        for name, count, seed in (("big", 60, 5), ("images", n, 6)):
+            assert run(capsys, "synth", "thermal", "--out", str(tmp_path / name),
+                       "--n", str(count), "--seed", str(seed))[0] == 0
+        model = str(tmp_path / "m.pdmodel.json")
+        assert run(capsys, "train", "clot", "--data", str(tmp_path / "big"),
+                   "--out", model)[0] == 0
+        row = 8 * CLOT_FEATURES
+        assert margin < 60 * row
+        live = []
+        fit = cli.train_svm_smo
+
+        def recording_fit(*args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train_svm_smo", recording_fit)
+        tracemalloc.start()
+        try:
+            code = main(["eval", "--model", model, "--data", str(tmp_path / "images"),
+                         "--kfold", str(k)])
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(live) == k
+        assert max(live) < (n + (n - n // k)) * row + margin
 
 
 def fresh_python(*argv: str) -> str:

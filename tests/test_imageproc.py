@@ -345,6 +345,137 @@ class TestHogMatchesLoopReference:
             assert hist[:, 1, 0].sum() > 0  # column 7's cell: 180 degrees lands in bin 0
 
 
+def resize_gathered(src, out_w, out_h):
+    """resize_bilinear before a side that keeps its size skipped the lerp:
+    two gathers and three in-place passes per side."""
+    def lerp(a, b, t):
+        a *= 1 - t
+        b *= t
+        a += b
+        return a
+
+    h, w = src.shape
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0.0, w - 1.0)
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(int)
+    y0 = np.floor(ys).astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    across = lerp(src[:, x0], src[:, x1], xs - x0)
+    return lerp(across[y0], across[y1], (ys - y0)[:, None])
+
+
+def cell_histograms_mod(img, cfg):
+    """_cell_histograms with the bin index folded by np.mod and the cell
+    offsets added by two broadcasts."""
+    mag, pos = ip._sobel(img.pixels)
+    bins = cfg.bins
+    pos /= 180.0 / bins
+    h, w = mag.shape
+    cy, cx = h // cfg.cell_size, w // cfg.cell_size
+    lo = np.floor(pos)
+    index = lo.astype(np.intp)
+    index %= bins
+    index += (np.arange(h) // cfg.cell_size * cx * bins)[:, None]
+    index += (np.arange(w) // cfg.cell_size * bins)[None, :]
+    upper_wraps = lo == bins - 1
+    frac = pos - lo
+    hist = np.zeros(cy * cx * bins)
+    np.add.at(hist, index.ravel(), ((1 - frac) * mag).ravel())
+    index += 1
+    np.subtract(index, bins, out=index, where=upper_wraps)
+    np.add.at(hist, index.ravel(), (frac * mag).ravel())
+    return hist.reshape(cy, cx, bins)
+
+
+class TestKernelsMatchTheirLongerForms:
+    """The resize, Sobel angle and histogram kernels skip passes that cannot
+    change a bit; each still equals the longer form it replaced."""
+
+    def test_resize_of_a_side_that_keeps_its_size(self):
+        # Pixels outside [0, 1], signed zeros, and signed zeros next to
+        # negative values, whose zero-weight term is -0.0.
+        rng = np.random.default_rng(37)
+        shapes = [((128, 128), (128, 128)), ((128, 96), (128, 128)), ((96, 128), (128, 128)),
+                  ((128, 128), (64, 128)), ((1, 1), (1, 1)), ((1, 9), (4, 1)), ((9, 1), (1, 4)),
+                  ((1, 7), (1, 7)), ((7, 1), (7, 1)), ((2, 2), (2, 2)), ((1, 9), (9, 1))]
+        for _ in range(60):
+            h, w = rng.integers(1, 40, size=2)
+            shapes.append(((h, w), (h if rng.random() < 0.7 else rng.integers(1, 40),
+                                    w if rng.random() < 0.7 else rng.integers(1, 40))))
+        checked = 0
+        for (h, w), (out_h, out_w) in shapes:
+            px = rng.normal(size=(h, w))
+            px[rng.random((h, w)) < 0.3] = -0.0
+            px[rng.random((h, w)) < 0.1] = 0.0
+            for image in (px, -px, np.full((h, w), -0.0)):
+                got = ip.resize_bilinear(GrayImage(image), out_w, out_h).pixels
+                want = resize_gathered(image, out_w, out_h)
+                assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+                checked += np.signbit(want[want == 0.0]).any()
+        assert checked > 0
+
+    def test_angle_is_np_degrees_folded_by_np_mod(self):
+        rng = np.random.default_rng(41)
+        gy, gx = rng.normal(size=(2, 10**6)) * rng.choice([1e-300, 1e-8, 1.0, 1e8], (2, 10**6))
+        rad = np.concatenate([np.arctan2(gy, gx), [0.0, -0.0, np.pi, -np.pi, np.pi / 2,
+                                                   5e-324, -5e-324, 1e-300, -1e-17]])
+        assert np.multiply(rad, 180.0 / np.pi).tobytes() == np.degrees(rad).tobytes()
+        # The whole angle path against np.degrees and np.mod, on the oracle
+        # images and on the three views of thermal images.
+        rng = Rng(19)
+        images = oracle_images()
+        for _ in range(10):
+            img = ip.resize_bilinear(generate_sample(ThermalConfig(), rng.randint(2), rng), 128, 128)
+            images += [img.pixels, ip.gaussian_blur(img, 3.0).pixels,
+                       ip.canny(img, 1.4, 0.05, 0.15).pixels]
+        for px in images:
+            gx, gy = self.gradients(px)
+            want = np.degrees(np.arctan2(gy, gx)) % 180.0
+            assert ip._sobel(px)[1].tobytes() == want.tobytes()
+
+    @staticmethod
+    def gradients(px):
+        """_sobel's gx and gy: 0.0 plus the six taps in raster order."""
+        p = np.pad(px, 1, mode="edge")
+        up, mid, down = p[:-2], p[1:-1], p[2:]
+        gx = (0.0 - up[:, :-2] + up[:, 2:] - mid[:, :-2] * 2.0 + mid[:, 2:] * 2.0
+              - down[:, :-2] + down[:, 2:])
+        gy = (0.0 - up[:, :-2] - up[:, 1:-1] * 2.0 - up[:, 2:] + down[:, :-2]
+              + down[:, 1:-1] * 2.0 + down[:, 2:])
+        return gx, gy
+
+    @pytest.mark.parametrize("cfg", [ip.HogConfig(), ip.HogConfig(cell_size=4, bins=7),
+                                     ip.HogConfig(cell_size=16, bins=2),
+                                     ip.HogConfig(cell_size=4, bins=180)],
+                             ids=["default", "cell4_bins7", "cell16_bins2", "cell4_bins180"])
+    def test_cell_histograms(self, cfg):
+        rng = np.random.default_rng(43)
+        # 0 and 180 degrees: a vertical step, and one whose right side falls
+        # by an ulp a row (see test_angle_of_180_is_bin_0)
+        tilted = np.zeros((32, 32))
+        tilted[:, 16:] = 1.0 - 2.0**-53 * np.arange(32)[:, None]
+        assert np.any(ip._sobel(tilted)[1] == 180.0)
+        images = [rng.random(shape) for shape in ((128, 128), (64, 96), (48, 16), (128, 128))]
+        images += [tilted, vertical_step(64).pixels, np.zeros((128, 128)), np.zeros((16, 32))]
+        for px in images:
+            img = GrayImage(px)
+            assert ip._cell_histograms(img, cfg).tobytes() == cell_histograms_mod(img, cfg).tobytes()
+        assert not ip._cell_offsets(128 // cfg.cell_size, 128, cfg.cell_size, cfg.bins).flags.writeable
+
+    def test_overflowing_gradients_give_nan_features_not_an_index_error(self):
+        # Finite pixels near the float limit overflow the Sobel sums to inf
+        # and then NaN; a NaN angle casts to a negative bin index, which must
+        # still land in the histogram, as np.mod's fold placed it.
+        px = np.zeros((16, 16))
+        px[:, ::2] = 1.7e308
+        px[::2, :] = -1.7e308
+        img = GrayImage(px)
+        with np.errstate(all="ignore"):
+            assert np.isnan(ip._cell_histograms(img, ip.HogConfig(cell_size=4))).any()
+            assert np.isnan(ip.hog(img, ip.HogConfig(cell_size=4))).all()
+
+
 class TestPnmIO:
     def test_pgm_round_trip(self):
         img = GrayImage(np.round(Rng(1).uniform_array(48).reshape(6, 8) * 255) / 255.0)

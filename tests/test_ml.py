@@ -422,7 +422,41 @@ def seeded_forest_data(seed: int) -> LabeledDataset:
     return LabeledDataset(X, y)
 
 
+def winner_jumping(scores):
+    """best_split's winner scan before it became one pass: jump to the first
+    later score below the current winner's less 1e-15 until there is none."""
+    scores = np.asarray(scores)
+    win = 0
+    while True:
+        later = np.flatnonzero(scores[win + 1 :] < scores[win] - 1e-15)
+        if len(later) == 0:
+            return win
+        win += 1 + int(later[0])
+
+
 class TestForest:
+    def test_winner_scan_matches_the_jumping_scan(self):
+        # Neighbours that differ by exactly the 1e-15 tolerance (as the scan
+        # computes it), by one ulp less and by one ulp more, mixed with ties
+        # and larger moves, from Gini-sized starting scores.
+        exact = lambda s: s - 1e-15
+        under = lambda s: float(np.nextafter(s - 1e-15, np.inf))
+        over = lambda s: float(np.nextafter(s - 1e-15, -np.inf))
+        assert [rf._winner([s, step(s)]) for s, step in
+                [(0.5, exact), (0.5, under), (0.5, over)]] == [0, 0, 1]
+        rng = np.random.default_rng(47)
+        steps = [exact, under, over, lambda s: s, lambda s: s + 1e-15,
+                 lambda s: s + rng.normal() * 3e-15, lambda s: s - rng.random() * 0.1]
+        wins = set()
+        for _ in range(3000):
+            scores = [float(rng.choice([0.5, 0.48, 0.3125, 0.1, 1e-3, 2e-15, 0.0]))]
+            for _ in range(rng.integers(0, 30)):
+                scores.append(steps[rng.integers(len(steps))](scores[-1]))
+            win = rf._winner(scores)
+            assert win == winner_jumping(scores), scores
+            wins.add(min(win, 2))
+        assert wins == {0, 1, 2}
+
     def test_best_split_matches_loop_on_tie_heavy_cases(self):
         # 1,200 seeded cases: 1 to 40 samples, 1 to 8 columns of the kinds in
         # tie_heavy_column, a random subset of candidate features in random
