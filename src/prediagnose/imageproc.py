@@ -353,8 +353,14 @@ def _blocks(img: GrayImage, cfg: HogConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hog(img: GrayImage, cfg: HogConfig) -> np.ndarray:
-    """HOG descriptor: cell histograms, overlapping blocks, L2-Hys normalization."""
+    """HOG descriptor: cell histograms, overlapping blocks, L2-Hys normalization.
+
+    A finite image whose Sobel sums overflow (pixels near the float limit)
+    has no descriptor: that is a ValueError, not a vector of NaN.
+    """
     _, final = _blocks(img, cfg)
+    if not np.isfinite(final).all():
+        raise ValueError("HOG features are not finite: the image's gradients overflow")
     return final.ravel()
 
 

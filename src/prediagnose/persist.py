@@ -5,28 +5,38 @@ digits, so model equality is byte equality and doubles round-trip exactly.
 -0.0 is written "-0.0", since JSON reads "-0" as the integer 0. NaN and
 infinities are not JSON, so writing one is a ValueError.
 
-Format version 2 packs an SVM's support-vector matrix, the bulk of a clot
-model, as {"shape": [m, d], "float64le_base64": "..."}: the standard base64
-(no line breaks) of its m*d little-endian float64 values in row-major order.
-Parsing 17-digit decimals was nearly all of a clot `predict`; decoding
-base64 costs a fraction of that. The packed values are the doubles
+Format version 3 packs an SVM's support-vector matrix, the bulk of a clot
+model, as {"shape": [m, d], "float64le_hex": "..."}: the lowercase hex of its
+m*d little-endian float64 values in row-major order. It is the file's last
+value, so an SVM file ends in '"}}}\n'. The packed values are the doubles
 themselves, so they round-trip bit for bit and the bytes stay deterministic.
-Every other field keeps its version 1 form. save_model writes version 2
-only; version 1 files, whose support vectors are nested decimal lists,
-still load.
+Every other field keeps its version 1 form. save_model writes version 3
+only. Version 1 files (support vectors as nested decimal lists) and version
+2 files (the same packed matrix as strict base64, "float64le_base64") still
+load.
+
+Loading a file exactly as save_model writes it skips the JSON scan of the
+packed string: the few KB around it are parsed with the string emptied, and
+must be a version 3 SVM envelope whose canonical text is those very bytes,
+so the emptied string can only be $.payload.support_vectors.float64le_hex.
+The hex is then decoded straight from the file's bytes. Any other input, a
+hand-edited version 3 file included, gets the full JSON parse, with the same
+checks and messages.
 
 Memory: save_model builds an SVM's file in one preallocated bytearray and
-base64-encodes the support vectors into it a piece at a time, so the only
-file-sized buffer it makes is its result. load_model holds at most two
-file-sized buffers at once: the bytes and the text decoded from them, then
-the text and the packed string parsed from it, then the packed string and
-the decoded support vectors; each is dropped once the next is made.
+hex-encodes the support vectors into it a piece at a time, so the only
+file-sized buffer it makes is its result. A load as save_model wrote it
+holds the file's bytes and the decoded matrix; the full parse holds at most
+two file-sized buffers at once: the bytes and the text decoded from them,
+then the text and the packed string parsed from it, then the packed string
+and the decoded support vectors; each is dropped once the next is made.
 """
 
 from __future__ import annotations
 
 import binascii
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -38,10 +48,21 @@ from .core import FormatError, TrainingError
 from .forest import ForestHyperparams, ForestModel, check_hyperparams
 from .svm import SvmModel
 
-FORMAT_VERSION = 2
-# Support-vector bytes base64-encoded per step. A multiple of 3, so that no
-# piece but the last has padding and the pieces join into the whole's base64.
+FORMAT_VERSION = 3
+# Support-vector bytes hex-encoded per step. The pieces' hex joins into the
+# whole's at any size; the size only bounds each step's temporary.
 _ENCODE_CHUNK = 3 << 16
+# Per format version that packs the support vectors: the packed string's
+# field, its encoding's name, and the strict decoder of that encoding.
+_PACKED = {
+    2: ("float64le_base64", "base64", functools.partial(binascii.a2b_base64, strict_mode=True)),
+    3: ("float64le_hex", "hex", binascii.a2b_hex),
+}
+# How a version 3 SVM file as save_model writes it starts, and what comes
+# just before and just after its packed string.
+_SVM_START = b'{"format_version": 3, "kind": "svm", '
+_HEX_OPEN = b'"float64le_hex": "'
+_SVM_END = b'"}}}\n'
 _JSON = json.JSONDecoder()  # the decoder json.loads uses
 
 
@@ -105,27 +126,35 @@ def _finite_array(mapping, key, path, ndim: int) -> np.ndarray:
     return arr
 
 
-def _packed_matrix(mapping, key, path) -> np.ndarray:
-    """mapping[key] in its version 2 form, {"shape": [m, d], "float64le_base64":
-    text}, as a finite (m, d) float64 array."""
+def _all_finite(arr: np.ndarray) -> bool:
+    """Whether arr holds no NaN or infinity, checked without an array-sized
+    temporary: min and max propagate NaN."""
+    return arr.size == 0 or math.isfinite(arr.min()) and math.isfinite(arr.max())
+
+
+def _packed_matrix(mapping, key, path, version: int) -> np.ndarray:
+    """mapping[key] in its version 2 or 3 form, {"shape": [m, d], field: text},
+    as a finite (m, d) float64 array. The fast load puts the decoded bytes in
+    place of the text."""
+    field, encoding, decode = _PACKED[version]
     packed = _expect(mapping, key, dict, path)
     path = f"{path}.{key}"
     shape = _expect(packed, "shape", list, path)
     if len(shape) != 2 or not all(type(n) is int and n >= 0 for n in shape):
         raise PersistError(f"field {path}.shape must be two non-negative integers")
-    _expect(packed, "float64le_base64", str, path)
-    text = packed.pop("float64le_base64")  # so the string is freed once it is decoded
+    _expect(packed, field, (str, bytes), path)
+    text = packed.pop(field)  # so the string is freed once it is decoded
     try:
-        raw = binascii.a2b_base64(text, strict_mode=True)
+        raw = text if isinstance(text, bytes) else decode(text)
     except ValueError as exc:  # binascii.Error, or text that is not ASCII
-        raise PersistError(f"field {path}.float64le_base64 is not base64: {exc}") from None
+        raise PersistError(f"field {path}.{field} is not {encoding}: {exc}") from None
     del text
     # Nothing is sized by shape before this check, so a huge shape allocates nothing.
     n_bytes = 8 * shape[0] * shape[1]
     if len(raw) != n_bytes:
-        raise PersistError(f"field {path}.float64le_base64 does not hold {n_bytes} bytes")
+        raise PersistError(f"field {path}.{field} does not hold {n_bytes} bytes")
     arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise PersistError(f"field {path} must be finite numbers in 2 dimensions")
     return arr
 
@@ -156,14 +185,14 @@ def save_model(model, created_with: dict) -> bytes | bytearray:
     if isinstance(model, SvmModel):
         kind = "svm"
         sv = np.ascontiguousarray(model.support_vectors, dtype="<f8")
-        if not np.all(np.isfinite(sv)):
+        if not _all_finite(sv):
             raise ValueError("cannot serialize a non-finite float array")
         payload = {
             "gamma": float(model.gamma),
             "c": float(model.c),
             "bias": float(model.bias),
             "alpha_y": np.asarray(model.alpha_y, dtype=np.float64).tolist(),
-            "support_vectors": {"shape": list(sv.shape), "float64le_base64": ""},
+            "support_vectors": {"shape": list(sv.shape), "float64le_hex": ""},
         }
     elif isinstance(model, ForestModel):
         kind = "forest"
@@ -184,38 +213,70 @@ def save_model(model, created_with: dict) -> bytes | bytearray:
     if sv is None:
         return text.encode()
     # The empty packed string is the file's last value. The file is sized
-    # first, and the base64 is written between its quotes piece by piece, so
-    # no whole-size base64 copy is made beside it.
+    # first, and the hex is written between its quotes piece by piece, so no
+    # whole-size hex copy is made beside it.
     head, _, tail = text.rpartition('""')
     head, tail = head.encode() + b'"', b'"' + tail.encode()
     raw = sv.reshape(-1).view(np.uint8)
-    out = bytearray(len(head) + (len(raw) + 2) // 3 * 4 + len(tail))
+    out = bytearray(len(head) + 2 * len(raw) + len(tail))
     out[:len(head)] = head
     pos = len(head)
     for start in range(0, len(raw), _ENCODE_CHUNK):
-        piece = binascii.b2a_base64(raw[start:start + _ENCODE_CHUNK], newline=False)
+        piece = binascii.b2a_hex(raw[start:start + _ENCODE_CHUNK])
         out[pos:pos + len(piece)] = piece
         pos += len(piece)
     out[pos:] = tail
     return out
 
 
+def _fast_svm_envelope(data):
+    """The envelope of a version 3 SVM file in the canonical form save_model
+    writes, its packed support vectors decoded straight from data's bytes;
+    None for any other bytes.
+
+    Only the bytes around the packed string are parsed, with the string
+    emptied. They must be the canonical text of a version 3 SVM envelope, so
+    they hold '"float64le_hex": ""' at $.payload.support_vectors, and the
+    first such text is where the string was emptied; and the string must be
+    hex digits only, which JSON reads as themselves. So the full parse would
+    have read the same envelope.
+    """
+    if not (data.startswith(_SVM_START) and data.endswith(_SVM_END)):
+        return None
+    start = data.find(_HEX_OPEN) + len(_HEX_OPEN)
+    end = len(data) - len(_SVM_END)
+    if not len(_HEX_OPEN) <= start <= end:
+        return None
+    head = data[:start] + data[end:]
+    try:
+        envelope = _JSON.decode(head.decode("ascii"))
+        packed = envelope["payload"]["support_vectors"]
+        if packed["float64le_hex"] != "" or (_canon(envelope) + "\n").encode() != head:
+            return None
+        packed["float64le_hex"] = binascii.a2b_hex(memoryview(data)[start:end])
+    except (ValueError, TypeError, LookupError, RecursionError):
+        return None
+    return envelope
+
+
 def load_model(data: bytes):
     """Returns (model, created_with).  Anything but a well-formed model with
     finite numbers raises PersistError."""
-    try:
-        # json.loads(data), with the bytes dropped once decoded and the text
-        # once parsed (a caller that keeps its own reference keeps them).
-        text = data.decode(json.detect_encoding(data), "surrogatepass")
-        del data
-        envelope = _JSON.decode(text)
-        del text
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
-        raise PersistError(f"invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise PersistError("invalid JSON: nested too deeply") from None
+    envelope = _fast_svm_envelope(data)
+    if envelope is None:
+        try:
+            # json.loads(data), with the bytes dropped once decoded and the text
+            # once parsed (a caller that keeps its own reference keeps them).
+            text = data.decode(json.detect_encoding(data), "surrogatepass")
+            del data
+            envelope = _JSON.decode(text)
+            del text
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
+            raise PersistError(f"invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise PersistError("invalid JSON: nested too deeply") from None
     version = _expect(envelope, "format_version", int, "$")
-    if version not in (1, FORMAT_VERSION):
+    if version not in (1, *_PACKED):
         raise PersistError(f"unsupported format_version {version}")
     kind = _expect(envelope, "kind", str, "$")
     created_with = _expect(envelope, "created_with", dict, "$")
@@ -230,7 +291,7 @@ def load_model(data: bytes):
         if version == 1:
             sv = _finite_array(payload, "support_vectors", "$.payload", 2)
         else:
-            sv = _packed_matrix(payload, "support_vectors", "$.payload")
+            sv = _packed_matrix(payload, "support_vectors", "$.payload", version)
         if sv.size == 0 or len(sv) != len(alpha_y):
             raise PersistError(f"$.payload.support_vectors of shape {sv.shape} is empty or has a "
                                f"length mismatch with alpha_y ({len(alpha_y)})")

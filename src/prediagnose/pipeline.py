@@ -21,6 +21,10 @@ SKIN_IMAGE_SIZE = 224
 # wider kernel is nearly flat across the image, and each pass pads the image
 # by the radius on both sides, so the cap also bounds that buffer.
 MAX_BLUR_RADIUS = CLOT_IMAGE_SIZE
+# Clot features per image, about 16 times the default 16,200. Each feature costs 8
+# bytes per training row and 16 model-file bytes per support vector, so the
+# cap bounds both; cell_size = 2 with bins = 180 would give 5.7 million.
+MAX_CLOT_FEATURES = 1 << 18
 
 
 @dataclass
@@ -57,6 +61,13 @@ class ClotPipelineConfig:
                              f"{cells} cells across the image")
         if self.hog_view not in ("edge", "intensity", "both"):
             raise ValueError("hog_view must be edge, intensity or both")
+        # clot_features' length: each view's blocks, each of block_size² cells' bins.
+        blocks = cells - self.hog.block_size + 1
+        n_features = (blocks * blocks * self.hog.block_size ** 2 * self.hog.bins
+                      * (2 if self.hog_view == "both" else 1))
+        if n_features > MAX_CLOT_FEATURES:
+            raise ValueError(f"the HOG settings give {n_features} features per image, over the "
+                             f"cap of {MAX_CLOT_FEATURES}; use a larger cell_size or fewer bins")
 
 
 @dataclass

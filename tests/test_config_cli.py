@@ -22,7 +22,8 @@ from prediagnose.core import AudioSignal, FormatError, GrayImage, Rng
 from prediagnose.forest import ForestHyperparams, ForestModel
 from prediagnose.imageproc import HogConfig, gaussian_kernel_1d, write_pgm
 from prediagnose.persist import PersistError, save_model
-from prediagnose.pipeline import MAX_BLUR_RADIUS, CardioPipelineConfig, ClotPipelineConfig
+from prediagnose.pipeline import (MAX_BLUR_RADIUS, MAX_CLOT_FEATURES, CardioPipelineConfig,
+                                  ClotPipelineConfig, clot_features)
 from prediagnose.svm import SvmModel
 
 
@@ -162,19 +163,58 @@ class TestConfigFiles:
             with pytest.raises(ValueError, match="cell_size"):
                 ClotPipelineConfig(hog=HogConfig(cell_size=cell, block_size=1))
 
-    def test_bad_hog_geometry_refused_before_any_image_is_read(self, tmp_path, capsys,
-                                                                 monkeypatch):
+    @staticmethod
+    def train_clot_with_config(tmp_path, capsys, monkeypatch, ini: str):
+        """(exit code, stdout, images read, stderr) of train clot with config ini."""
         import prediagnose.cli as cli
 
         read = []
         monkeypatch.setattr(cli, "read_image_file", lambda path: read.append(path))
-        for name, data in clot_train_data("[imageproc]\ncell_size = 12\n").items():
+        for name, data in clot_train_data(ini).items():
             (tmp_path / name).parent.mkdir(exist_ok=True)
             (tmp_path / name).write_bytes(data)
         code, out, err = run(capsys, "train", "clot", "--data", str(tmp_path / "data"),
                              "--config", str(tmp_path / "c.ini"), "--out", str(tmp_path / "d"))
+        return code, out, read, err
+
+    def test_bad_hog_geometry_refused_before_any_image_is_read(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        code, out, read, err = self.train_clot_with_config(tmp_path, capsys, monkeypatch,
+                                                           "[imageproc]\ncell_size = 12\n")
         assert (code, out, read) == (2, "", [])
         assert "cell_size=12 must divide" in err
+
+    def test_hog_features_over_the_cap_refused_before_any_image_is_read(self, tmp_path, capsys,
+                                                                          monkeypatch):
+        code, out, read, err = self.train_clot_with_config(
+            tmp_path, capsys, monkeypatch, "[imageproc]\ncell_size = 2\nbins = 180\n")
+        assert (code, out, read) == (2, "", [])
+        assert "5715360 features per image, over the cap of 262144" in err
+
+    def test_clot_feature_count_capped(self):
+        # Each setting's feature count is the length of clot_features' vector.
+        # Two views of 31 x 31 blocks of 4 cells give 7,688 features per bin:
+        # 34 bins is the most under the cap, 35 the least over it, and one
+        # view takes twice the bins. The 5.7 million features of cell_size 2
+        # with 180 bins once made a 2.4 GB model from 40 images.
+        img = GrayImage(np.random.default_rng(0).random((128, 128)))
+        for view, bins in (("both", 34), ("intensity", 68)):
+            cfg = ClotPipelineConfig(hog=HogConfig(cell_size=4, bins=bins), hog_view=view)
+            assert len(clot_features(img, cfg)) == 3844 * 68 <= MAX_CLOT_FEATURES
+            with pytest.raises(ValueError, match=f"{3844 * (68 + 2)} features per image"):
+                ClotPipelineConfig(hog=HogConfig(cell_size=4, bins=bins + 1 + (view != "both")),
+                                   hog_view=view)
+        with pytest.raises(ValueError, match=f"over the cap of {MAX_CLOT_FEATURES}"):
+            ClotPipelineConfig(hog=HogConfig(cell_size=2, bins=180))
+
+    @pytest.mark.parametrize("view", ["edge", "intensity", "both"])
+    @pytest.mark.parametrize("cell", [8, 16])
+    def test_feature_search_settings_accepted(self, view, cell):
+        # The views and cell sizes a k-fold search over the clot features
+        # would try (ROADMAP item 4) are all well under the cap.
+        cfg = ClotPipelineConfig(hog=HogConfig(cell_size=cell), hog_view=view)
+        n = len(clot_features(GrayImage(np.full((128, 128), 0.5)), cfg))
+        assert n == {8: 8100, 16: 1764}[cell] * (2 if view == "both" else 1) <= MAX_CLOT_FEATURES
 
     def test_frame_len_capped_at_the_recording_cap(self):
         MfccConfig(frame_len=MAX_DURATION_S)
@@ -205,14 +245,17 @@ def zeros_but(value) -> np.ndarray:
     return values
 
 
-def packed_svm_file(values=None, shape=None, text=lambda t: t) -> bytes:
-    """tiny_svm_file with its packed support vectors replaced: values (little-
-    endian float64) in place of the zeros, shape in place of theirs, and
-    text(t) in place of the base64 text t."""
+def packed_svm_file(values=None, shape=None, text=lambda t: t, version=2) -> bytes:
+    """tiny_svm_file in format version 2 (base64) or 3 (hex) with its packed
+    support vectors replaced: values (little-endian float64) in place of the
+    zeros, shape in place of theirs, and text(t) in place of the packed text t."""
     values = np.zeros((1, CLOT_FEATURES)) if values is None else values
-    t = base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode()
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    field, t = (("float64le_base64", base64.b64encode(raw).decode()) if version == 2
+                else ("float64le_hex", raw.hex()))
     return tiny_svm_file({"pipeline": "clot"}, support_vectors={
-        "shape": list(np.shape(values)) if shape is None else shape, "float64le_base64": text(t)})
+        "shape": list(np.shape(values)) if shape is None else shape, field: text(t)}).replace(
+            b'"format_version": 3', b'"format_version": %d' % version)
 
 
 def tiny_forest_file(feature: int = 0, **payload) -> bytes:
@@ -488,7 +531,24 @@ MALFORMED = {
         model(packed_svm_file().replace(b'"format_version": 2', b'"format_version": 1')), 2),
     "nested_list_in_v2_file": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        model(tiny_svm_file({"pipeline": "clot"}, support_vectors=[[0.0] * CLOT_FEATURES]).replace(
+            b'"format_version": 3', b'"format_version": 2')), 2),
+    "nested_list_in_v3_file": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
         model(tiny_svm_file({"pipeline": "clot"}, support_vectors=[[0.0] * CLOT_FEATURES])), 2),
+    "hex_odd_length": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        model(packed_svm_file(text=lambda t: t[:-1], version=3)), 2),
+    "hex_not_hex_char": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        model(packed_svm_file(text=lambda t: t[:9] + "g" + t[10:], version=3)), 2),
+    "hex_byte_count": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        model(packed_svm_file(np.zeros(CLOT_FEATURES - 1), shape=[1, CLOT_FEATURES], version=3)),
+        2),
+    "hex_nan": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        model(packed_svm_file(zeros_but(np.nan), version=3)), 2),
     "synth_thermal_out_is_a_file": (
         ["synth", "thermal", "--out", "{tmp}/x.pgm", "--n", "2", "--seed", "1"], {}, 2),
     "synth_cardio_out_is_a_file": (
@@ -548,6 +608,13 @@ MALFORMED = {
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
         {**four_samples("clot"), **model(tiny_svm_file({"pipeline": "clot", "cell_size": 12}))},
         2),
+    "config_hog_features_over_the_cap": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        clot_train_data("[imageproc]\ncell_size = 2\nbins = 180\n"), 2),
+    "created_with_hog_features_over_the_cap": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
+        {**four_samples("clot"),
+         **model(tiny_svm_file({"pipeline": "clot", "cell_size": 2, "bins": 180}))}, 2),
     "created_with_block_size_above_the_cells": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
         model(tiny_svm_file({"pipeline": "clot", "block_size": 17})), 2),

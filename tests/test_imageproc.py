@@ -466,14 +466,17 @@ class TestKernelsMatchTheirLongerForms:
     def test_overflowing_gradients_give_nan_features_not_an_index_error(self):
         # Finite pixels near the float limit overflow the Sobel sums to inf
         # and then NaN; a NaN angle casts to a negative bin index, which must
-        # still land in the histogram, as np.mod's fold placed it.
+        # still land in the histogram, as np.mod's fold placed it. hog then
+        # refuses the image rather than return its 324 NaN features.
         px = np.zeros((16, 16))
         px[:, ::2] = 1.7e308
         px[::2, :] = -1.7e308
         img = GrayImage(px)
         with np.errstate(all="ignore"):
             assert np.isnan(ip._cell_histograms(img, ip.HogConfig(cell_size=4))).any()
-            assert np.isnan(ip.hog(img, ip.HogConfig(cell_size=4))).all()
+            assert np.isnan(ip._blocks(img, ip.HogConfig(cell_size=4))[1]).all()
+            with pytest.raises(ValueError, match="gradients overflow"):
+                ip.hog(img, ip.HogConfig(cell_size=4))
 
 
 class TestPnmIO:

@@ -1,11 +1,14 @@
 import base64
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 import stat
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,24 +92,27 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
 
 
-def svm_bytes_reference(model, created_with=None, packed=False) -> bytes:
+def svm_bytes_reference(model, created_with=None, version=1) -> bytes:
     """An SVM model file, one format(v, ".17g") per float, except that -0.0 is
-    "-0.0": format version 1, the source of v1 test files, or with packed=True
-    version 2, whose support vectors are the base64 of their little-endian
-    float64 bytes. The reference for save_model's bytes."""
+    "-0.0", in format version 1, 2 or 3: the source of v1 and v2 test files
+    and the reference for save_model's version 3 bytes. Versions 2 and 3 pack
+    the support vectors as their little-endian float64 bytes, in base64 and
+    in lowercase hex."""
     def num(v):
         return "-0.0" if v == 0 and math.copysign(1.0, v) < 0 else format(float(v), ".17g")
 
     def row(values):
         return "[" + ", ".join(num(v) for v in values) + "]"
 
-    if packed:
-        m, d = model.support_vectors.shape
-        b64 = base64.b64encode(np.asarray(model.support_vectors, dtype="<f8").tobytes()).decode()
-        svs = f'{{"shape": [{m}, {d}], "float64le_base64": "{b64}"}}'
-    else:
+    if version == 1:
         svs = "[" + ", ".join(row(sv) for sv in model.support_vectors) + "]"
-    return (f'{{"format_version": {2 if packed else 1}, "kind": "svm", "created_with": '
+    else:
+        m, d = model.support_vectors.shape
+        raw = np.asarray(model.support_vectors, dtype="<f8").tobytes()
+        field, text = (("float64le_base64", base64.b64encode(raw).decode()) if version == 2
+                       else ("float64le_hex", raw.hex()))
+        svs = f'{{"shape": [{m}, {d}], "{field}": "{text}"}}'
+    return (f'{{"format_version": {version}, "kind": "svm", "created_with": '
             f'{persist._canon(created_with or {})}, "payload": '
             f'{{"gamma": {num(model.gamma)}, "c": {num(model.c)}, "bias": {num(model.bias)}, '
             f'"alpha_y": {row(model.alpha_y)}, "support_vectors": {svs}}}}}\n').encode()
@@ -137,7 +143,7 @@ def assert_same_svm(loaded, model):
                           bits([model.bias, model.gamma, model.c]))
 
 
-CHUNK_VALUES = persist._ENCODE_CHUNK // 8  # doubles base64-encoded per piece
+CHUNK_VALUES = persist._ENCODE_CHUNK // 8  # doubles hex-encoded per piece
 
 
 class TestSvmBytes:
@@ -146,14 +152,15 @@ class TestSvmBytes:
     @example(SvmModel(np.array([EXTREMES, EXTREMES[::-1]]), np.array([-0.0, 5e-324]),
                       -0.0, 1.7976931348623157e308, 5e-324))
     def test_save_model_formats_each_float_with_17_digits(self, model):
-        # save_model writes exactly the reference's version 2 bytes. Version 1
-        # (17 digits per float) and version 2 (packed support vectors) files
-        # both load back bit for bit, and a load followed by a save gives the
-        # same bytes; a model load_model refuses is refused in both forms.
+        # save_model writes exactly the reference's version 3 bytes. Version 1
+        # (17 digits per float), version 2 (support vectors packed in base64)
+        # and version 3 (packed in hex) files all load back bit for bit, and a
+        # load followed by a save gives the version 3 bytes; a model
+        # load_model refuses is refused in every form.
         saved = persist.save_model(model, {})
-        assert saved == svm_bytes_reference(model, packed=True)
+        assert saved == svm_bytes_reference(model, version=3)
         loadable = model.support_vectors.size > 0 and model.gamma >= 0 and model.c > 0
-        for data in (svm_bytes_reference(model), saved):
+        for data in (svm_bytes_reference(model), svm_bytes_reference(model, version=2), saved):
             if loadable:
                 loaded = persist.load_model(data)[0]
                 assert_same_svm(loaded, model)
@@ -164,22 +171,29 @@ class TestSvmBytes:
 
     def test_seeded_clot_model_pinned(self):
         # Several 16,200-feature support vectors and the default created_with
-        # record. The version 1 digest is of the per-float writer that wrote
-        # models before the packed format, so it pins training on its own.
+        # record. The version 1 and 2 digests are of the reference writer in
+        # those formats, which save_model wrote before version 3, so they pin
+        # training on its own; the version 3 digest pins save_model.
         cfg = pl.ClotPipelineConfig()
         train = synththermal.generate_dataset(synththermal.ThermalConfig(), 6, 0.5, Rng(31))
         model = pl.clot_train(train, cfg, threads=1)
         assert len(model.alpha_y) > 1
-        v1 = svm_bytes_reference(model, config_snapshot("clot", cfg))
+        created_with = config_snapshot("clot", cfg)
+        v1 = svm_bytes_reference(model, created_with)
         assert hashlib.sha256(v1).hexdigest() == (
             "cbd973675d372335fa1f1ebbfff65c231256f40db30c28e98b21f86d30509694")
-        v2 = persist.save_model(model, config_snapshot("clot", cfg))
+        v2 = svm_bytes_reference(model, created_with, version=2)
         assert hashlib.sha256(v2).hexdigest() == (
             "10f2bd9d7f461a2b09f9e55fb5f17db9cd570f12355f9f4f9ae4490f0d54f091")
+        v3 = persist.save_model(model, created_with)
+        assert v3 == svm_bytes_reference(model, created_with, version=3)
+        assert hashlib.sha256(v3).hexdigest() == (
+            "d1a10415310143859ad7f647d396df0fb2c519171c233ccaf5a6cc3f73f866c1")
 
-    # Support-vector byte counts 0, 1 and 2 mod 3, below, on and across the
-    # encode chunk (counted in doubles): save_model gives the reference's
-    # bytes, the base64 of the whole matrix, whatever the pieces were.
+    # Support-vector counts below, on and across the encode chunk (counted
+    # in doubles): save_model gives the reference's bytes, the hex of the
+    # whole matrix, whatever the pieces were. The version 2 file of the same
+    # model (base64 byte counts 0, 1 and 2 mod 3) loads to the same model.
     @pytest.mark.parametrize("n_values", [0, 1, 2, 3, CHUNK_VALUES - 1, CHUNK_VALUES,
                                           CHUNK_VALUES + 1, CHUNK_VALUES + 2, 2 * CHUNK_VALUES + 1])
     def test_packed_bytes_across_the_encode_chunk(self, n_values):
@@ -187,11 +201,12 @@ class TestSvmBytes:
         model = SvmModel(np.random.default_rng(n_values).standard_normal(shape),
                          np.ones(shape[0]), 0.5, 0.25, 2.0)
         saved = persist.save_model(model, {})
-        assert saved == svm_bytes_reference(model, packed=True)
+        assert saved == svm_bytes_reference(model, version=3)
         if n_values:
-            loaded = persist.load_model(saved)[0]
-            assert_same_svm(loaded, model)
-            assert persist.save_model(loaded, {}) == saved
+            for data in (saved, svm_bytes_reference(model, version=2)):
+                loaded = persist.load_model(data)[0]
+                assert_same_svm(loaded, model)
+                assert persist.save_model(loaded, {}) == saved
 
     @pytest.mark.parametrize("encode", [
         lambda t: t.encode("utf-16-le"), lambda t: t.encode("utf-16-be"),
@@ -217,6 +232,137 @@ class TestSvmBytes:
             loaded, created_with = persist.load_model(data)
             assert created_with == want["created_with"]
             assert_same_svm(loaded, tiny_svm())
+
+
+# created_with records, some holding the text that comes just before the
+# packed string, as a key or inside a string.
+CREATED_WITH = [{}, {"tool": "test", "seed": 2024}, {"note": "caf\u00e9 \u2603"},
+                {"float64le_hex": "ab"}, {"note": '"float64le_hex": "'},
+                {'"float64le_hex": "': 1}, {"x": {"float64le_hex": ""}}]
+
+
+def load_outcome(data, full_parse=False):
+    """What load_model makes of data: the model's bits and created_with, or
+    the PersistError message. full_parse=True turns the fast path off."""
+    fast = (lambda data: None) if full_parse else persist._fast_svm_envelope
+    with mock.patch.object(persist, "_fast_svm_envelope", fast):
+        try:
+            model, created_with = persist.load_model(data)
+        except persist.PersistError as exc:
+            return str(exc)
+    return (model.support_vectors.shape, bits(model.support_vectors).tobytes(),
+            bits(model.alpha_y).tobytes(), bits([model.bias, model.gamma, model.c]).tobytes(),
+            created_with)
+
+
+def _flip(data: bytes, lo: int, hi: int, i: int, mask: int) -> bytes:
+    """data with the byte at lo + i % (hi - lo) xor mask (data itself if lo == hi)."""
+    if hi <= lo:
+        return data
+    pos = lo + i % (hi - lo)
+    return data[:pos] + bytes([data[pos] ^ mask]) + data[pos + 1:]
+
+
+def _mutations(data: bytes, i: int, mask: int) -> dict:
+    """data, and edits of it that keep it JSON, break it, or move it off the
+    form save_model writes."""
+    start = data.find(b'"float64le_hex": "') + len(b'"float64le_hex": "')
+    end = len(data) - len(b'"}}}\n')
+    text = data.decode()
+    hex_text = text[start:end]
+    return {
+        "none": data,
+        "truncate": data[:i % (len(data) + 1)],
+        "flip_head": _flip(data, 0, start, i, mask),
+        "flip_hex": _flip(data, start, end, i, mask),
+        "flip_tail": _flip(data, end, len(data), i, mask),
+        "upper_hex": text[:start].encode() + hex_text.upper().encode() + text[end:].encode(),
+        "escaped_hex_digit": (text[:start] + "".join(f"\\u{ord(c):04x}" for c in hex_text[:1])
+                              + text[start + 1:]).encode(),
+        "escaped_key": data.replace(b'"gamma"', b'"\\u0067amma"'),
+        "payload_reordered": re.sub(rb'"gamma": ([^,]*), "c": ([^,]*), ', rb'"c": \2, "gamma": \1, ',
+                                    data),
+        "packed_reordered": data[:data.rfind(b'{"shape"')] + b'{"float64le_hex": "'
+                            + data[start:end] + b'", ' + data[data.rfind(b'"shape"'):
+                                                             data.rfind(b', "float64le_hex"')]
+                            + b"}}}\n",
+        "duplicate_kind": data.replace(b'"kind": "svm", ', b'"kind": "svm", "kind": "svm", ', 1),
+        "duplicate_packed": data.replace(b'{"shape"', b'{"float64le_hex": "00", "shape"'),
+        "duplicate_packed_last": data[:-5] + b'", "float64le_hex": "00"}}}\n',
+        # The text before the packed string, first found after the field itself.
+        "decoy_after_unspaced_field": data[:start - 3] + b':""}}, "zz": {"y": {"float64le_hex": "'
+                                      + data[start:],
+        "decoy_after_base64_field": data[:start - len(b'"float64le_hex": "')]
+                                    + b'"float64le_base64": ""}}, "zz": {"y": {"float64le_hex": "'
+                                    + data[start:],
+        "space_in_hex": data[:start + 2] + b" " + data[start + 2:],
+        "line_break_in_hex": data[:start + 2] + b"\n" + data[start + 2:],
+        "version_2": data.replace(b'"format_version": 3', b'"format_version": 2', 1),
+        "spaced": data.replace(b", ", b",  ", 1),
+        "bom": b"\xef\xbb\xbf" + data,
+        "utf16": text.encode("utf-16"),
+        "trailing_space": data + b" ",
+    }
+
+
+class TestFastLoad:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(svm_models(), st.sampled_from(CREATED_WITH), st.integers(0, 1 << 20),
+           st.integers(1, 255))
+    def test_fast_path_loads_what_the_full_parse_loads(self, model, created_with, i, mask):
+        # Whatever the edit, load_model gives the full parse's model and
+        # created_with, or its error message.
+        data = bytes(persist.save_model(model, created_with))
+        for name, mutated in _mutations(data, i, mask).items():
+            assert load_outcome(mutated) == load_outcome(mutated, full_parse=True), name
+
+    def test_only_canonical_files_take_the_fast_path(self):
+        # Payload keys in another order are still canonical text, and hex
+        # digits in either case decode; any other edit gets the full parse.
+        data = bytes(persist.save_model(tiny_svm(), {"tool": "test"}))
+        edits = _mutations(data, 0, 1)
+        for name in ("none", "payload_reordered", "upper_hex"):
+            assert persist._fast_svm_envelope(edits[name]) is not None, name
+        for name in ("escaped_key", "spaced", "duplicate_kind", "packed_reordered",
+                     "escaped_hex_digit", "space_in_hex", "decoy_after_unspaced_field",
+                     "decoy_after_base64_field", "bom", "trailing_space", "version_2"):
+            assert persist._fast_svm_envelope(edits[name]) is None, name
+
+    @pytest.mark.parametrize("created_with", CREATED_WITH)
+    def test_save_model_files_take_the_fast_path(self, created_with):
+        # Every file save_model writes, unless created_with holds the text
+        # just before the packed string, loads without the full parse.
+        data = persist.save_model(tiny_svm(), created_with)
+        envelope = persist._fast_svm_envelope(data)
+        if '"float64le_hex": "' in persist._canon(created_with):
+            assert envelope is None
+        else:
+            expected = json.loads(data)
+            packed = expected["payload"]["support_vectors"]
+            packed["float64le_hex"] = bytes.fromhex(packed["float64le_hex"])
+            assert envelope == expected
+        assert load_outcome(data) == load_outcome(data, full_parse=True)
+        assert_same_svm(persist.load_model(data)[0], tiny_svm())
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(svm_models(), st.sampled_from(CREATED_WITH))
+    def test_json_loads_reads_the_envelope(self, model, created_with):
+        # A model file is JSON: json.loads reads exactly the envelope written.
+        raw = np.asarray(model.support_vectors, dtype="<f8").tobytes()
+        assert json.loads(persist.save_model(model, created_with)) == {
+            "format_version": 3, "kind": "svm", "created_with": created_with,
+            "payload": {"gamma": model.gamma, "c": model.c, "bias": model.bias,
+                        "alpha_y": model.alpha_y.tolist(),
+                        "support_vectors": {"shape": list(model.support_vectors.shape),
+                                            "float64le_hex": raw.hex()}}}
+
+    def test_json_loads_reads_the_forest_envelope(self):
+        model = tiny_forest()
+        assert json.loads(persist.save_model(model, {"k": "v"})) == {
+            "format_version": 3, "kind": "forest", "created_with": {"k": "v"},
+            "payload": {"n_features": model.n_features,
+                        "hyperparams": dataclasses.asdict(model.hyperparams),
+                        "trees": model.trees}}
 
 
 def big_svm() -> SvmModel:
@@ -247,20 +393,30 @@ class TestMemory:
         # The bytes, the text, the packed string and the decoded matrix: each
         # is dropped once the next is made.
         path = tmp_path / "big.pdmodel.json"
-        persist.save_model_file(path, big_svm(), {})
+        path.write_bytes(svm_bytes_reference(big_svm(), version=2))
         (model, _), peak = traced_peak(lambda: persist.load_model_file(path))
         assert peak < 2.2 * path.stat().st_size
         assert_same_svm(model, big_svm())
 
+    def test_v3_load_holds_the_file_and_the_matrix(self, tmp_path):
+        # The hex is decoded straight from the file's bytes: no text copy of
+        # the file, no packed string and no finiteness mask beside them.
+        path = tmp_path / "big.pdmodel.json"
+        persist.save_model_file(path, big_svm(), {})
+        (model, _), peak = traced_peak(lambda: persist.load_model_file(path))
+        assert peak < path.stat().st_size + big_svm().support_vectors.nbytes + 500_000
+        assert_same_svm(model, big_svm())
+
 
 def assert_writes_golden(model, created_with, name):
-    """save_model writes the frozen version 2 golden file, and the frozen
-    version 1 golden file loads and saves to the same bytes."""
-    v2 = (GOLDEN / f"{name}.v2.pdmodel.json").read_bytes()
-    assert persist.save_model(model, created_with) == v2
-    loaded, meta = persist.load_model((GOLDEN / f"{name}.pdmodel.json").read_bytes())
-    assert meta == created_with
-    assert persist.save_model(loaded, meta) == v2
+    """save_model writes the frozen version 3 golden file, and the frozen
+    version 1 and 2 golden files load and save to the same bytes."""
+    v3 = (GOLDEN / f"{name}.v3.pdmodel.json").read_bytes()
+    assert persist.save_model(model, created_with) == v3
+    for old in (f"{name}.pdmodel.json", f"{name}.v2.pdmodel.json"):
+        loaded, meta = persist.load_model((GOLDEN / old).read_bytes())
+        assert meta == created_with
+        assert persist.save_model(loaded, meta) == v3
 
 
 class TestGolden:
@@ -269,6 +425,11 @@ class TestGolden:
 
     def test_forest_golden_bytes(self):
         assert_writes_golden(tiny_forest(), {"tool": "test", "seed": 77}, "forest_tiny")
+        # Version 3 changed only the SVM's packed field: a forest's file
+        # differs from version 2 in the version digit alone.
+        v2 = (GOLDEN / "forest_tiny.v2.pdmodel.json").read_bytes()
+        assert (GOLDEN / "forest_tiny.v3.pdmodel.json").read_bytes() == v2.replace(
+            b'{"format_version": 2, ', b'{"format_version": 3, ')
 
     def test_golden_loads_and_predicts_identically(self):
         fresh = tiny_svm()
@@ -355,20 +516,24 @@ class TestRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
-def packed_sv(values, shape=None, text=None) -> dict:
-    """A version 2 support-vector field holding values as little-endian
-    float64; shape defaults to that of values, and text(t) edits the base64."""
+def packed_sv(values, shape=None, text=None, version=2) -> dict:
+    """A version 2 (base64) or 3 (hex) support-vector field holding values as
+    little-endian float64; shape defaults to that of values, and text(t)
+    edits the packed text."""
     values = np.asarray(values, dtype="<f8")
-    t = base64.b64encode(values.tobytes()).decode()
+    if version == 2:
+        field, t = "float64le_base64", base64.b64encode(values.tobytes()).decode()
+    else:
+        field, t = "float64le_hex", values.tobytes().hex()
     return {"shape": list(values.shape) if shape is None else shape,
-            "float64le_base64": t if text is None else text(t)}
+            field: t if text is None else text(t)}
 
 
 class TestSchemaErrors:
     def test_unsupported_version(self):
-        for version in (b"0", b"3"):
+        for version in (b"0", b"4"):
             data = persist.save_model(tiny_svm(), {}).replace(
-                b'"format_version": 2', b'"format_version": ' + version
+                b'"format_version": 3', b'"format_version": ' + version
             )
             with pytest.raises(persist.PersistError, match="format_version"):
                 persist.load_model(data)
@@ -439,11 +604,12 @@ class TestSchemaErrors:
         ("support_vectors", [[]] * 8),
     ])
     def test_svm_field_not_finite_or_out_of_range(self, field, value):
-        # tiny_svm has 6 support vectors of 2 features. A version 2 file
-        # refuses support vectors as nested lists whatever they hold.
+        # tiny_svm has 6 support vectors of 2 features. Version 2 and 3
+        # files refuse support vectors as nested lists whatever they hold.
         import json
 
-        for data in (svm_bytes_reference(tiny_svm()), persist.save_model(tiny_svm(), {})):
+        for data in (svm_bytes_reference(tiny_svm()), svm_bytes_reference(tiny_svm(), version=2),
+                     persist.save_model(tiny_svm(), {})):
             obj = json.loads(data)
             obj["payload"][field] = value
             with pytest.raises(persist.PersistError, match=rf"\$\.payload\.{field}|gamma|c ="):
@@ -479,13 +645,55 @@ class TestSchemaErrors:
             "shape_three_entries", "shape_negative", "shape_bool", "shape_float", "text_missing",
             "nested_list"])
     def test_packed_support_vectors_rejected(self, packed, message):
-        # tiny_svm has 6 support vectors of 2 features: 96 bytes.
+        # tiny_svm has 6 support vectors of 2 features: 96 bytes, here in a
+        # version 2 file.
+        import json
+
+        obj = json.loads(svm_bytes_reference(tiny_svm(), version=2))
+        obj["payload"]["support_vectors"] = packed
+        with pytest.raises(persist.PersistError,
+                           match=rf"(?=.*\$\.payload\.support_vectors)(?=.*{message})"):
+            persist.load_model(json.dumps(obj).encode())
+
+    @pytest.mark.parametrize("packed, message", [
+        (packed_sv(np.full((6, 2), np.inf), version=3), "must be finite"),
+        (packed_sv(np.array([[1.0, 2.0]] * 5 + [[-np.inf, 0.0]]), version=3), "must be finite"),
+        (packed_sv(np.array([[np.nan, 0.0]] * 6), version=3), "must be finite"),
+        (packed_sv(np.ones(11), shape=[6, 2], version=3), "does not hold 96 bytes"),
+        (packed_sv(np.ones(13), shape=[6, 2], version=3), "does not hold 96 bytes"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:-1], version=3), "is not hex"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t + "0", version=3), "is not hex"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "g" + t[11:], version=3),
+         "is not hex"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "  " + t[12:], version=3),
+         "is not hex"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:64] + "\n" + t[64:], version=3),
+         "is not hex"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "\u00e9" + t[11:], version=3),
+         "is not hex"),
+        (packed_sv(np.ones((6, 2)), text=lambda t: [t], version=3), "wrong type"),
+        (packed_sv(np.ones((6, 2))), "missing field"),
+    ], ids=["inf", "minus_inf", "nan", "short", "long", "odd_length", "odd_length_long",
+            "not_hex_char", "spaces", "line_break_inserted", "not_ascii", "text_not_a_string",
+            "base64_field"])
+    def test_hex_support_vectors_rejected(self, packed, message):
+        # The version 3 field is lowercase or uppercase hex digits only, of
+        # exactly the 96 bytes of tiny_svm's 6 support vectors of 2 features.
         import json
 
         obj = json.loads(persist.save_model(tiny_svm(), {}))
         obj["payload"]["support_vectors"] = packed
         with pytest.raises(persist.PersistError,
                            match=rf"(?=.*\$\.payload\.support_vectors)(?=.*{message})"):
+            persist.load_model(json.dumps(obj).encode())
+
+    def test_hex_support_vectors_in_v2_file_rejected(self):
+        import json
+
+        obj = json.loads(svm_bytes_reference(tiny_svm(), version=2))
+        obj["payload"]["support_vectors"] = packed_sv(tiny_svm().support_vectors, version=3)
+        with pytest.raises(persist.PersistError,
+                           match=r"missing field \$\.payload\.support_vectors\.float64le_base64"):
             persist.load_model(json.dumps(obj).encode())
 
     def test_packed_support_vectors_in_v1_file_rejected(self):
@@ -499,21 +707,24 @@ class TestSchemaErrors:
     @pytest.mark.parametrize("shape", [[2**40, 2**40], [2**17, 2**10], [1, 2**40]])
     def test_huge_packed_shape_allocates_nothing(self, shape):
         # The shape must not size any allocation before the decoded byte
-        # count is checked against it.
+        # count is checked against it, in a version 2 file, in a version 3
+        # file as save_model writes one, and in one that it does not.
         import json
         import tracemalloc
 
-        obj = json.loads(persist.save_model(tiny_svm(), {}))
+        shape_text = persist._canon(shape).encode()
+        v3 = persist.save_model(tiny_svm(), {}).replace(b"[6, 2]", shape_text)
+        obj = json.loads(svm_bytes_reference(tiny_svm(), version=2))
         obj["payload"]["support_vectors"]["shape"] = shape
-        data = json.dumps(obj).encode()
-        tracemalloc.start()
-        try:
-            with pytest.raises(persist.PersistError, match="does not hold"):
-                persist.load_model(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        for data in (json.dumps(obj).encode(), v3, v3.replace(b"[", b"[ ")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(persist.PersistError, match="does not hold"):
+                    persist.load_model(data)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
 
     @pytest.mark.parametrize("mutate", [
         lambda payload: payload.update(trees=[]),
@@ -568,11 +779,9 @@ class TestSchemaErrors:
 
 
 class TestCrossVersionCli:
-    def test_v1_and_v2_files_give_identical_output(self, tmp_path, capsys):
-        # One seeded clot model, written by the version 1 reference writer
-        # and by save_model; every command must print the same bytes.
-        import re
-
+    def test_v1_v2_and_v3_files_give_identical_output(self, tmp_path, capsys):
+        # One seeded clot model, written by the version 1 and 2 reference
+        # writer and by save_model; every command must print the same bytes.
         from prediagnose.cli import main
 
         def run(*argv) -> str:
@@ -583,18 +792,21 @@ class TestCrossVersionCli:
         run("synth", "thermal", "--out", tmp_path / "test", "--n", "4", "--seed", "32")
         run("synth", "thermal", "--out", tmp_path / "seq", "--n", "2", "--seed", "33",
             "--frames", "5")
-        v2 = tmp_path / "v2.pdmodel.json"
-        run("train", "clot", "--data", tmp_path / "train", "--out", v2)
-        model, created_with = persist.load_model_file(v2)
-        v1 = tmp_path / "v1.pdmodel.json"
-        v1.write_bytes(svm_bytes_reference(model, created_with))
-        assert v1.read_bytes().startswith(b'{"format_version": 1')
-        assert v2.read_bytes().startswith(b'{"format_version": 2')
+        v3 = tmp_path / "v3.pdmodel.json"
+        run("train", "clot", "--data", tmp_path / "train", "--out", v3)
+        model, created_with = persist.load_model_file(v3)
+        paths = []
+        for version in (1, 2):
+            paths.append(tmp_path / f"v{version}.pdmodel.json")
+            paths[-1].write_bytes(svm_bytes_reference(model, created_with, version))
+        paths.append(v3)
+        for version, path in enumerate(paths, 1):
+            assert path.read_bytes().startswith(b'{"format_version": %d' % version)
         outputs = [[run("predict", "clot", "--model", path, "--input",
                         tmp_path / "test" / "sample0001.pgm"),
                     run("predict", "clot", "--model", path, "--sequence",
                         tmp_path / "seq" / "seq0000"),
                     run("eval", "--model", path, "--data", tmp_path / "test")]
-                   for path in (v1, v2)]
-        assert "latency_ms" not in "".join(outputs[1]) and '"score"' in outputs[1][0]
-        assert outputs[0] == outputs[1]
+                   for path in paths]
+        assert "latency_ms" not in "".join(outputs[2]) and '"score"' in outputs[2][0]
+        assert outputs[0] == outputs[1] == outputs[2]

@@ -148,7 +148,8 @@ def _replaced(obj, path, value):
 _GOLDEN = Path(__file__).parent / "golden"
 VALID_MODELS = [json.loads((_GOLDEN / name).read_bytes())
                 for name in ("svm_tiny.pdmodel.json", "forest_tiny.pdmodel.json",
-                             "svm_tiny.v2.pdmodel.json", "forest_tiny.v2.pdmodel.json")]
+                             "svm_tiny.v2.pdmodel.json", "forest_tiny.v2.pdmodel.json",
+                             "svm_tiny.v3.pdmodel.json", "forest_tiny.v3.pdmodel.json")]
 
 
 @st.composite
@@ -200,15 +201,15 @@ def test_packed_support_vectors_round_trip(sv):
 
 
 @PROPERTY
-@given(FINITE_MATRICES, st.sampled_from([3, 6, 9, 24, 48, 3 << 16]))
+@given(FINITE_MATRICES, st.sampled_from([1, 3, 7, 8, 24, 49, 3 << 16]))
 def test_packed_support_vectors_do_not_depend_on_the_encode_chunk(sv, chunk):
-    # Pieces of any multiple of 3 bytes join into the base64 of the whole
-    # matrix, which is what the file held when it was encoded in one call.
+    # Pieces of any size join into the hex of the whole matrix, which is
+    # what the file holds when it is encoded in one call.
     model = SvmModel(sv, np.ones(len(sv)), 0.5, 0.25, 2.0)
     with mock.patch.object(persist, "_ENCODE_CHUNK", chunk):
         data = persist.save_model(model, {})
-    packed = data.split(b'"float64le_base64": "')[1].partition(b'"')[0]
-    assert packed == binascii.b2a_base64(np.ascontiguousarray(sv, "<f8").tobytes(), newline=False)
+    packed = data.split(b'"float64le_hex": "')[1].partition(b'"')[0]
+    assert packed == binascii.b2a_hex(np.ascontiguousarray(sv, "<f8").tobytes())
     assert data == persist.save_model(model, {})
 
 
