@@ -45,7 +45,8 @@ _TYPES = {key: typ for keys in _SCHEMA.values() for key, typ in keys.items()}
 
 def _parse_file(path) -> dict[str, object]:
     """Typed values of every key in the file, all sections merged.  Values are
-    read literally: "%" is a character, not the start of an interpolation."""
+    read literally: "%" is a character, not the start of an interpolation.
+    "none", in any case, is None."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -60,6 +61,9 @@ def _parse_file(path) -> dict[str, object]:
             if key not in _SCHEMA[section]:
                 raise FormatError(f"unknown config key {key!r} in [{section}]")
             typ = _SCHEMA[section][key]
+            if raw.lower() == "none":  # only a nullable field takes it: see _checked
+                values[key] = None
+                continue
             try:
                 values[key] = raw if typ is str else typ(raw)
             except ValueError as exc:

@@ -99,7 +99,7 @@ def _replicate_border(p: np.ndarray, ry: int, rx: int) -> None:
 def _pad_edge(px: np.ndarray, ry: int, rx: int) -> np.ndarray:
     """np.pad(px, ((ry, ry), (rx, rx)), mode="edge"), without np.pad's overhead."""
     h, w = px.shape
-    p = np.empty((h + 2 * ry, w + 2 * rx))
+    p = np.empty((h + 2 * ry, w + 2 * rx), dtype=px.dtype)
     p[ry : ry + h, rx : rx + w] = px
     _replicate_border(p, ry, rx)
     return p
@@ -174,23 +174,39 @@ def _sobel(px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gy += down[:, :-2]
     gy += np.multiply(down[:, 1:-1], 2.0, out=tap)
     gy += down[:, 2:]
+    mag, ang = _polar(gx, gy, tap)
+    del p, up, mid, down, gy  # _mod180's image-sized temporary takes their place
+    return mag, _mod180(ang)
+
+
+def _polar(gx: np.ndarray, gy: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Magnitude sqrt(gx*gx + gy*gy), in gx's buffer, and angle in degrees in
+    [-180, 180], in out's, of each gradient; gy's buffer is overwritten too."""
     # np.degrees(x) is x * (180/pi), at several times a multiply's cost
-    ang = np.multiply(np.arctan2(gy, gx, out=tap), 180.0 / np.pi, out=tap)
+    ang = np.multiply(np.arctan2(gy, gx, out=out), 180.0 / np.pi, out=out)
     gx *= gx
     gy *= gy
     gx += gy
-    del p, up, mid, down, gy  # _mod180's image-sized temporary takes their place
-    return np.sqrt(gx, out=gx), _mod180(ang)
+    return np.sqrt(gx, out=gx), ang
 
 
 def _nms(mag: np.ndarray, ang: np.ndarray) -> np.ndarray:
-    """Non-maximum suppression with angles quantized to 0/45/90/135 degrees."""
+    """Non-maximum suppression with angles quantized to 0/45/90/135 degrees.
+
+    A pixel's direction class is round(ang / 45) as an int8, with 4 (ang in
+    [0, 180], so only 180 degrees' class wraps) folded to 0: the classes of
+    the float rule, compared at an eighth of the bytes.  A NaN angle, which
+    only an overflowed gradient gives, counts as 4 before the cast, since a
+    NaN has no integer value; its magnitude is NaN too, and no comparison
+    keeps a NaN, so the mask is the float rule's.
+    """
     h, w = mag.shape
     padded = _pad_edge(mag, 1, 1)
-    # round(ang / 45) % 4 as a float: ang is in [0, 180], so only 4 wraps
-    direction = np.divide(ang, 45.0)
-    np.round(direction, out=direction)
-    np.copyto(direction, 0.0, where=direction == 4.0)
+    quarters = np.divide(ang, 45.0)
+    np.fmin(quarters, 4.0, out=quarters)
+    np.round(quarters, out=quarters)
+    direction = quarters.astype(np.int8)
+    direction &= 3
     keep = np.zeros(mag.shape, dtype=bool)
     sel = np.empty_like(keep)
     test = np.empty_like(keep)
@@ -299,33 +315,110 @@ def _cell_offsets(cy: int, w: int, cell: int, bins: int) -> np.ndarray:
     return offsets
 
 
-def _cell_histograms(img: GrayImage, cfg: HogConfig) -> np.ndarray:
-    """Per-cell orientation histograms with linear interpolation between bins."""
-    mag, pos = _sobel(img.pixels)
-    bins = cfg.bins
-    pos /= 180.0 / bins
-    h, w = mag.shape
-    cy, cx = h // cfg.cell_size, w // cfg.cell_size
+def _bin_shares(mag: np.ndarray, ang: np.ndarray, bins: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lower bin, whether the upper bin wraps to bin 0, and the lower and upper
+    interpolation shares of each gradient's magnitude, for angles in [0, 180];
+    the upper shares take ang's buffer."""
+    pos = np.divide(ang, 180.0 / bins, out=ang)
     lo = np.floor(pos)
     index = lo.astype(np.intp)
     # An angle of 180.0 is bin 0.  pos is at most bins, so this is index %= bins,
     # and a NaN angle (a gradient that overflowed), cast to a negative index,
     # lands in bin 0 too rather than outside the histogram.
     np.copyto(index, 0, where=index.view(np.uintp) >= bins)
-    bands = index.reshape(cy, cfg.cell_size, w)  # a view: h is a multiple of the cell
-    bands += _cell_offsets(cy, w, cfg.cell_size, bins)
     upper_wraps = lo == bins - 1
     frac = np.subtract(pos, lo, out=pos)
     lower_share = np.subtract(1, frac, out=lo)
     lower_share *= mag
+    return index, upper_wraps, lower_share, np.multiply(frac, mag, out=frac)
+
+
+# The bits of an edge map's one nonzero pixel value
+_ONE_BITS = np.float64(1.0).view(np.uint64)
+
+
+def _cell_histograms(img: GrayImage, cfg: HogConfig) -> np.ndarray:
+    """Per-cell orientation histograms with linear interpolation between bins.
+
+    An edge map, an image whose pixels are all +0.0 or 1.0 as every canny
+    output's are, takes _edge_histograms, which gives the same bits at a
+    small part of the cost; any other image takes _gradient_histograms.
+    """
+    bits = img.pixels.view(np.uint64)
+    edge = bits == _ONE_BITS
+    # All pixels are +0.0 or 1.0 when every pixel with nonzero bits is a 1.0
+    # (a -0.0 pixel is not, and takes the float path)
+    if np.count_nonzero(edge) == np.count_nonzero(bits):
+        return _edge_histograms(edge, cfg)
+    return _gradient_histograms(img.pixels, cfg)
+
+
+def _gradient_histograms(px: np.ndarray, cfg: HogConfig) -> np.ndarray:
+    """_cell_histograms of any image, from its float Sobel gradients."""
+    mag, ang = _sobel(px)
+    bins = cfg.bins
+    h, w = mag.shape
+    cy, cx = h // cfg.cell_size, w // cfg.cell_size
+    index, upper_wraps, lower_share, upper_share = _bin_shares(mag, ang, bins)
+    bands = index.reshape(cy, cfg.cell_size, w)  # a view: h is a multiple of the cell
+    bands += _cell_offsets(cy, w, cfg.cell_size, bins)
     # Every pixel's lower-bin share, then every pixel's upper-bin share, each
     # in raster order: the order of additions fixes the rounding.
     hist = np.zeros(cy * cx * bins)
     np.add.at(hist, index.ravel(), lower_share.ravel())
     index += 1
     np.subtract(index, bins, out=index, where=upper_wraps)
-    upper_share = np.multiply(frac, mag, out=frac)
     np.add.at(hist, index.ravel(), upper_share.ravel())
+    return hist.reshape(cy, cx, bins)
+
+
+@functools.lru_cache(maxsize=4)
+def _edge_bin_table(bins: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lower bin, upper bin, lower share and upper share of each integer
+    gradient (gx, gy) in [-4, 4]², at index 9*gy + gx + 40, computed by the
+    float path's own operations.  Read-only, like _cell_offsets."""
+    gy, gx = np.mgrid[-4:5, -4:5].reshape(2, 81).astype(np.float64)
+    mag, ang = _polar(gx, gy, np.empty(81))
+    lower, upper_wraps, lower_share, upper_share = _bin_shares(mag, _mod180(ang), bins)
+    upper = lower + 1
+    np.subtract(upper, bins, out=upper, where=upper_wraps)
+    table = lower, upper, lower_share, upper_share
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def _edge_histograms(edge: np.ndarray, cfg: HogConfig) -> np.ndarray:
+    """_gradient_histograms of an edge map (edge holds its nonzero pixels),
+    bit for bit, from integer gradients.
+
+    On pixels of 0 and 1 every Sobel sum is an integer in [-4, 4], exact in
+    int8 as in float64, so each gradient is one of the 81 that
+    _edge_bin_table holds.  Only pixels whose gradient is nonzero add to the
+    histogram: the float path adds +0.0 for the others, which leaves a sum of
+    non-negative shares as it is.  The rest add in the float path's order,
+    the lower shares and then the upper ones, each in raster order.
+    """
+    h, w = edge.shape
+    cell, bins = cfg.cell_size, cfg.bins
+    cy, cx = h // cell, w // cell
+    p = _pad_edge(edge.view(np.int8), 1, 1)
+    across = p[:, 2:] - p[:, :-2]  # right minus left neighbor
+    gx = across[:-2] + across[2:]
+    gx += 2 * across[1:-1]
+    smooth = p[:, :-2] + p[:, 2:]
+    smooth += 2 * p[:, 1:-1]
+    gy = smooth[2:] - smooth[:-2]  # below minus above
+    code = gy * 9
+    code += gx
+    at = np.flatnonzero(code)
+    code = code.ravel()[at] + 40
+    cells = _cell_offsets(cy, w, cell, bins)[:, 0][at // (w * cell), at % w]
+    lower, upper, lower_share, upper_share = _edge_bin_table(bins)
+    hist = np.zeros(cy * cx * bins)
+    np.add.at(hist, cells + lower[code], lower_share[code])
+    np.add.at(hist, cells + upper[code], upper_share[code])
     return hist.reshape(cy, cx, bins)
 
 
@@ -354,6 +447,12 @@ def _blocks(img: GrayImage, cfg: HogConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def hog(img: GrayImage, cfg: HogConfig) -> np.ndarray:
     """HOG descriptor: cell histograms, overlapping blocks, L2-Hys normalization.
+
+    An edge map (every pixel +0.0 or 1.0, as canny gives) skips the float
+    Sobel and arctan2: its gradients are small integers, looked up in an
+    81-entry table that the float path's own operations filled, and its
+    zero gradients, which add +0.0, are skipped.  So its descriptor has the
+    float path's bits.  Any other image takes the float path.
 
     A finite image whose Sobel sums overflow (pixels near the float limit)
     has no descriptor: that is a ValueError, not a vector of NaN.

@@ -84,6 +84,16 @@ class TestConfigFiles:
         with pytest.raises(FormatError, match="bad value"):
             cfgmod.load_config(ClotPipelineConfig, path)
 
+    def test_none_sets_a_nullable_field(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[ml]\nsvm_gamma = none\nmtry = None\n")
+        assert cfgmod.load_config(ClotPipelineConfig, path).svm_gamma is None
+        assert cfgmod.load_config(CardioPipelineConfig, path).mtry is None
+        for line in ("[ml]\nsvm_c = NONE", "[imageproc]\nhog_view = none"):
+            path.write_text(line + "\n")
+            with pytest.raises(PersistError, match="=None is not"):
+                cfgmod.load_config(ClotPipelineConfig, path)
+
     @pytest.mark.parametrize("line", ["[ml]\nsvm_c = nan", "[ml]\nsvm_gamma = -inf",
                                       "[imageproc]\ncanny_sigma = inf",
                                       "[audioproc]\nhop = NaN"],
@@ -468,6 +478,9 @@ MALFORMED = {
     "config_canny_sigma_inf": (
         ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
         clot_train_data("[imageproc]\ncanny_sigma = inf\n"), 2),
+    "config_svm_c_none": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        clot_train_data("[ml]\nsvm_c = none\n"), 2),
     "config_svm_gamma_negative": (
         ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
         clot_train_data("[ml]\nsvm_gamma = -1\n"), 3),
@@ -1048,6 +1061,23 @@ class TestExitCodes:
         )
         assert code == 3
         assert "training error" in err
+
+
+@pytest.mark.parametrize("pipeline, ini, key", [
+    ("clot", "[ml]\nsvm_gamma = none\n", "svm_gamma"),
+    ("cardio", "[ml]\nmtry = None\n", "mtry"),
+], ids=["svm_gamma", "mtry"])
+def test_none_in_a_config_file_trains(pipeline, ini, key, tmp_path, capsys):
+    # A nullable field set to none trains, and created_with records null.
+    files = (clot_train_data if pipeline == "clot" else cardio_train_data)(ini)
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    model = tmp_path / "m.pdmodel.json"
+    code, _, err = run(capsys, "train", pipeline, "--data", str(tmp_path / "data"),
+                       "--config", str(tmp_path / "c.ini"), "--out", str(model))
+    assert (code, err) == (0, "")
+    assert json.loads(model.read_bytes())["created_with"][key] is None
 
 
 @pytest.fixture(scope="module")

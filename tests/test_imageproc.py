@@ -1,7 +1,11 @@
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage  # the oracle for the blur, Sobel and hysteresis kernels
 
 from prediagnose.core import FormatError, GrayImage, Rng
@@ -534,3 +538,143 @@ class TestPnmIO:
         data = b"P6\n1 1\n255\n" + bytes([100, 200, 50])
         img = ip.read_ppm(data)
         assert img.pixels[0, 0] == pytest.approx((0.299 * 100 + 0.587 * 200 + 0.114 * 50) / 255)
+
+
+@st.composite
+def hog_shapes(draw):
+    """A HOG setting and an image shape it fits, down to one cell."""
+    cfg = ip.HogConfig(cell_size=draw(st.integers(2, 16)), block_size=draw(st.integers(1, 3)),
+                       bins=draw(st.integers(2, 180)))
+    cy = draw(st.integers(cfg.block_size, 4))
+    cx = draw(st.integers(cfg.block_size, 4))
+    return cfg, (cy * cfg.cell_size, cx * cfg.cell_size)
+
+
+@st.composite
+def edge_maps(draw):
+    """An image of 0.0 and 1.0 pixels: all zero, all one, a checkerboard of
+    squares 1 to 3 pixels wide, or a random mask of any density."""
+    cfg, (h, w) = draw(hog_shapes())
+    kind = draw(st.sampled_from(["zeros", "ones", "checkerboard", "random"]))
+    if kind == "checkerboard":
+        side = draw(st.integers(1, 3))
+        mask = (np.arange(h)[:, None] // side + np.arange(w) // side) % 2 == 1
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        density = {"zeros": 0.0, "ones": 1.0}.get(kind) or draw(st.floats(0.0, 1.0))
+        mask = rng.random((h, w)) < density
+    return cfg, mask.astype(np.float64)
+
+
+def float_path(img, cfg):
+    """_cell_histograms by the float path alone, whatever the image."""
+    return ip._gradient_histograms(img.pixels, cfg)
+
+
+class TestEdgeMapPath:
+    """An image of 0.0 and 1.0 pixels takes the integer path, which gives the
+    float path's bits; any other image takes the float path."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(edge_maps())
+    def test_edge_maps_match_the_float_path(self, case):
+        cfg, px = case
+        img = GrayImage(px)
+        want = float_path(img, cfg)
+        with mock.patch.object(ip, "_cell_histograms", float_path):
+            want_hog = ip.hog(img, cfg)
+        with mock.patch.object(ip, "_gradient_histograms",
+                               side_effect=AssertionError("an edge map took the float path")):
+            got = ip._cell_histograms(img, cfg)
+            got_hog = ip.hog(img, cfg)
+        assert got.tobytes() == want.tobytes()
+        assert got_hog.tobytes() == want_hog.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(hog_shapes(), st.integers(0, 2**32 - 1),
+           st.sampled_from(["half", "two", "one_below_one", "negative_zero"]))
+    def test_near_edge_maps_take_the_float_path(self, setting, seed, kind):
+        cfg, shape = setting
+        rng = np.random.default_rng(seed)
+        px = (rng.random(shape) < rng.random()).astype(np.float64)
+        px.flat[rng.integers(px.size)] = 1.0  # so that "half" and "two" scale a pixel
+        if kind == "half":
+            px *= 0.5
+        elif kind == "two":
+            px *= 2.0
+        elif kind == "one_below_one":
+            px[rng.integers(shape[0]), rng.integers(shape[1])] = 1.0 - 2.0**-53
+        else:
+            px[rng.random(shape) < 0.5] = -0.0
+            px.flat[rng.integers(px.size)] = -0.0
+        img = GrayImage(px)
+        with mock.patch.object(ip, "_edge_histograms",
+                               side_effect=AssertionError("took the edge-map path")):
+            assert ip._cell_histograms(img, cfg).tobytes() == float_path(img, cfg).tobytes()
+
+    @pytest.mark.parametrize("cfg", [ip.HogConfig(), ip.HogConfig(cell_size=16, bins=180),
+                                     ip.HogConfig(cell_size=4, block_size=3, bins=2)],
+                             ids=["default", "cell16_bins180", "cell4_block3_bins2"])
+    def test_canny_maps_of_thermal_images(self, cfg):
+        rng = Rng(101)
+        for _ in range(10):
+            img = ip.resize_bilinear(generate_sample(ThermalConfig(), rng.randint(2), rng), 128, 128)
+            edges = ip.canny(img, 1.4, 0.05, 0.15)
+            assert edges.pixels.any()
+            got = ip._cell_histograms(edges, cfg)
+            assert got.tobytes() == float_path(edges, cfg).tobytes()
+
+    def test_table_is_read_only(self):
+        assert not any(column.flags.writeable for column in ip._edge_bin_table(9))
+
+
+def nms_reference(mag, ang):
+    """_nms with float direction classes: round(ang / 45), with 4.0 set to
+    0.0, compared as float64."""
+    h, w = mag.shape
+    padded = np.pad(mag, 1, mode="edge")
+    direction = np.round(ang / 45.0)
+    direction[direction == 4.0] = 0.0
+    keep = np.zeros(mag.shape, dtype=bool)
+    for d, (dy, dx) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1))):
+        n1 = padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
+        n2 = padded[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
+        keep |= (direction == d) & (mag > n1) & (mag >= n2)
+    return keep
+
+
+class TestNmsClasses:
+    def test_angles_on_and_next_to_class_boundaries(self):
+        # Each boundary, the doubles up to 3 ulps either side of it inside
+        # [0, 180], and the class centres; the quotient by 45 of a double
+        # next to a boundary may round onto it.
+        angles = [0.0, 45.0, 90.0, 135.0]
+        for bound in (22.5, 67.5, 112.5, 157.5, 180.0):
+            below = above = bound
+            angles.append(bound)
+            for _ in range(3):
+                below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+                angles += [below] + ([above] if above <= 180.0 else [])
+        angles = np.array(angles)
+        assert (np.round(angles / 45.0) % 1 == 0).all()
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            mag = rng.random((24, 24)).round(1)  # ties between neighbours
+            ang = rng.choice(angles, size=mag.shape)
+            assert np.array_equal(ip._nms(mag, ang), nms_reference(mag, ang))
+
+    def test_overflowed_gradients_without_warnings(self):
+        # Pixels near the float limit overflow the Sobel sums to inf, and
+        # inf - inf gives NaN: NaN and inf magnitudes, NaN angles.
+        rng = np.random.default_rng(59)
+        px = rng.random((32, 32))
+        px[rng.random(px.shape) < 0.2] = 1.7e308
+        px[rng.random(px.shape) < 0.2] = -1.7e308
+        with np.errstate(all="ignore"):
+            mag, ang = ip._sobel(px)
+        assert np.isnan(mag).any() and np.isinf(mag).any() and np.isnan(ang).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keep = ip._nms(mag, ang)
+        assert np.array_equal(keep, nms_reference(mag, ang))
+        assert keep.any()
