@@ -98,7 +98,7 @@ class _Modality(NamedTuple):
     score: Callable  # (model, feature matrix) -> one score per row
     threshold: float  # a score at or above it is label 1
     score_name: str  # the score's key in predict output
-    refit: Callable  # model -> (LabeledDataset -> a model fit with model's hyperparameters)
+    refit: Callable  # model -> (data -> a model fit with its hyperparameters, not holding it)
     title: str  # the eval report's title
     standin: str | None = None  # the classifier a stand-in pipeline names
 
@@ -110,10 +110,10 @@ def _modality(kind: str) -> _Modality:
     this module after import (bench/spans.py wraps them) are the ones called.
     """
     svm = dict(model_class=SvmModel, score=svm_decision_batch, threshold=0.0, score_name="score",
-               refit=lambda model: _fit_with(train_svm_smo, model.c, model.gamma))
+               refit=lambda model: functools.partial(train_svm_smo, c=model.c, gamma=model.gamma))
     forest = dict(model_class=ForestModel, score=forest_predict_batch, threshold=0.5,
-                  score_name="prob",
-                  refit=lambda model: _fit_with(train_random_forest, model.hyperparams))
+                  score_name="prob", refit=lambda model: functools.partial(
+                      train_random_forest, hp=model.hyperparams))
     return {
         "clot": _Modality(read=read_image_file, config=ClotPipelineConfig, features=clot_features,
                           train=clot_train, predict=clot_predict_frame, **svm,
@@ -125,12 +125,6 @@ def _modality(kind: str) -> _Modality:
                           train=skin_standin_train, predict=skin_standin_classify, **svm,
                           title=f"Skin STAND-IN ({SKIN_STANDIN_NAME})", standin=SKIN_STANDIN_NAME),
     }[kind]
-
-
-def _fit_with(fit: Callable, *hyperparams) -> Callable:
-    """fit(data, *hyperparams) as a function of data alone, holding the
-    hyperparameters and not the model they were taken from."""
-    return lambda data: fit(data, *hyperparams)
 
 
 def _standin_tag(m: _Modality) -> dict:

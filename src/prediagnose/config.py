@@ -3,8 +3,8 @@
 Sections mirror module names; unknown sections or keys are hard errors.  Every
 default lives in its config dataclass: the INI loader, the snapshot written to
 a model's ``created_with`` and the config rebuilt from it all walk the
-dataclass fields, with the fields of a nested config (``hog``, ``mfcc``)
-flattened in place.
+dataclass fields, a nested config's (``hog``, ``mfcc``, ``forest``) flattened
+in place, and each value read is checked against its field's annotation.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
         "min_samples_leaf": int, "mtry": int, "seed": int, "window": int,
     },
 }
-# Keys are unique across sections, so one flat table types every value.
-_TYPES = {key: typ for keys in _SCHEMA.values() for key, typ in keys.items()}
 
 
 def _parse_file(path) -> dict[str, object]:
@@ -85,14 +83,17 @@ def config_from_snapshot(cls, values: dict):
         if dataclasses.is_dataclass(hint):
             kwargs[f.name] = config_from_snapshot(hint, values)
         elif f.name in values:
-            kwargs[f.name] = _checked(f.name, values[f.name], type(None) in typing.get_args(hint))
+            kwargs[f.name] = _checked(f.name, values[f.name], hint)
     return cls(**kwargs)
 
 
-def _checked(key: str, value, nullable: bool):
-    typ = _TYPES[key]
-    if value is None and nullable:
+def _checked(key: str, value, hint):
+    """value, if it has the type of the field annotation hint: ``float | None``
+    is a nullable float."""
+    args = typing.get_args(hint)
+    if value is None and type(None) in args:
         return value
+    typ = args[0] if args else hint
     if isinstance(value, bool) or not isinstance(value, (int, float) if typ is float else typ):
         raise PersistError(f"config value {key}={value!r} is not {typ.__name__}")
     # NaN fails both comparisons; an int beyond the float range fails one

@@ -11,13 +11,13 @@ from .core import LabeledDataset, Rng, TrainingError
 
 @dataclass
 class ForestHyperparams:
-    """Defaults live in CardioPipelineConfig."""
+    """The cardio pipeline's forest settings ([ml] in its INI file)."""
 
-    n_trees: int
-    max_depth: int
-    min_samples_leaf: int
-    mtry: int | None  # ceil(sqrt(d)) when None
-    seed: int
+    n_trees: int = 100
+    max_depth: int = 12
+    min_samples_leaf: int = 2
+    mtry: int | None = None  # ceil(sqrt(d)) when None
+    seed: int = 0
 
 
 @dataclass

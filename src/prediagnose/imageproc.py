@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -471,29 +472,29 @@ def hog(img: GrayImage, cfg: HogConfig) -> np.ndarray:
 MAX_PIXELS = 6000 * 6000
 
 
+# A header token after any whitespace and '#' comments (each to its newline).
+# Possessive, so no backtracking reads a token out of a comment's tail.
+_PNM_TOKEN = re.compile(rb"(?>\s|#[^\n]*+)*+([^\s#]++)")
+
+
+def _pnm_header_tokens(data: bytes) -> tuple[list[bytes], int]:
+    """The width, height and maxval tokens after a PNM magic, and the offset
+    just past the last."""
+    tokens, i = [], 2
+    for _ in range(3):
+        if not (match := _PNM_TOKEN.match(data, i)):
+            raise FormatError("truncated header")
+        tokens.append(match[1])
+        i = match.end()
+    return tokens, i
+
+
 def _read_pnm(data: bytes, magic: bytes, channels: int) -> np.ndarray:
     """The (height, width, channels) 8-bit samples of a binary PNM file, a view
     of data.  A raster over MAX_PIXELS is a FormatError, raised from the header."""
     if data[:2] != magic:
         raise FormatError(f"expected {magic.decode()} magic, got {data[:2]!r}")
-    # Tokenizer tolerating whitespace and '#' comments.
-    tokens = []
-    i = 2
-    while len(tokens) < 3:
-        if i >= len(data):
-            raise FormatError("truncated header")
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
+    tokens, i = _pnm_header_tokens(data)
     try:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as exc:

@@ -301,14 +301,11 @@ def load_model(data: bytes):
         if n_features < 1:
             raise PersistError(f"field $.payload.n_features = {n_features} is below 1")
         hp_obj = _expect(payload, "hyperparams", dict, "$.payload")
-        hp = ForestHyperparams(
-            n_trees=_expect(hp_obj, "n_trees", int, "$.payload.hyperparams"),
-            max_depth=_expect(hp_obj, "max_depth", int, "$.payload.hyperparams"),
-            min_samples_leaf=_expect(hp_obj, "min_samples_leaf", int, "$.payload.hyperparams"),
-            mtry=(None if hp_obj.get("mtry") is None
-                  else _expect(hp_obj, "mtry", int, "$.payload.hyperparams")),
-            seed=_expect(hp_obj, "seed", int, "$.payload.hyperparams"),
-        )
+        # Every setting is an int; one whose default is None may be null or absent.
+        hp = ForestHyperparams(**{
+            f.name: None if f.default is None and hp_obj.get(f.name) is None
+            else _expect(hp_obj, f.name, int, "$.payload.hyperparams")
+            for f in dataclasses.fields(ForestHyperparams)})
         trees_obj = _expect(payload, "trees", list, "$.payload")
         if not trees_obj or hp.n_trees < 1:
             raise PersistError("a forest needs at least one tree in $.payload.trees and "

@@ -74,11 +74,7 @@ class ClotPipelineConfig:
 class CardioPipelineConfig:
     mfcc: MfccConfig = field(default_factory=MfccConfig)
     denoise_levels: int = 4
-    n_trees: int = 100
-    max_depth: int = 12
-    min_samples_leaf: int = 2
-    mtry: int | None = None
-    seed: int = 0
+    forest: ForestHyperparams = field(default_factory=ForestHyperparams)
 
 
 def clot_features(img: GrayImage, cfg: ClotPipelineConfig) -> np.ndarray:
@@ -151,8 +147,7 @@ def cardio_train(recordings: list[tuple[AudioSignal, int]],
     if too_short:
         raise TrainingError(f"recordings shorter than one MFCC frame at indices {too_short}")
     data = _training_set(cardio_features, recordings, cfg, threads)
-    hp = ForestHyperparams(cfg.n_trees, cfg.max_depth, cfg.min_samples_leaf, cfg.mtry, cfg.seed)
-    return train_random_forest(data, hp)
+    return train_random_forest(data, cfg.forest)
 
 
 def cardio_predict(model: ForestModel, recording: AudioSignal,

@@ -67,7 +67,8 @@ def _rbf_kernel(a: np.ndarray, a_sq: np.ndarray, b: np.ndarray, b_sq: np.ndarray
     sq = a_sq[:, None] + b_sq[None, :]
     sq -= dots
     np.maximum(sq, 0.0, out=sq)
-    sq *= -gamma
+    with np.errstate(over="ignore"):  # -inf gives 0.0, as does any value below about -745
+        sq *= -gamma
     return np.exp(sq, out=sq)
 
 

@@ -17,7 +17,7 @@ from prediagnose import synthcardio as sc
 from prediagnose import synththermal as st
 from prediagnose.cli import main
 from prediagnose.core import LabeledDataset, Rng
-from prediagnose.forest import best_split, forest_predict
+from prediagnose.forest import ForestHyperparams, best_split, forest_predict
 from prediagnose.svm import svm_decision, svm_decision_batch, train_svm_smo
 from prediagnose.voting import sequence_vote
 
@@ -211,7 +211,7 @@ def test_10_single_sample_latency():
     pl.clot_predict_frame(clot_model, img, pcfg)
     clot_ms = (time.perf_counter() - start) * 1000.0
 
-    ccfg = pl.CardioPipelineConfig(n_trees=100)
+    ccfg = pl.CardioPipelineConfig(forest=ForestHyperparams(n_trees=100))
     cardio_model = pl.cardio_train(
         sc.generate_cardio_dataset("heart", 10, 0.5, 2.0, 4000, Rng(62)), ccfg, threads=1
     )

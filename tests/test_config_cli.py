@@ -1,6 +1,7 @@
 import ast
 import base64
 import dataclasses
+import hashlib
 import importlib
 import inspect
 import json
@@ -9,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,7 @@ from prediagnose.persist import PersistError, save_model
 from prediagnose.pipeline import (MAX_BLUR_RADIUS, MAX_CLOT_FEATURES, CardioPipelineConfig,
                                   ClotPipelineConfig, clot_features)
 from prediagnose.svm import SvmModel
+from prediagnose.synththermal import ThermalConfig
 
 
 def run(capsys, *argv):
@@ -38,7 +41,7 @@ class TestConfigFiles:
         clot = cfgmod.load_config(ClotPipelineConfig, None)
         assert clot.svm_c == 10.0 and clot.window == 5
         cardio = cfgmod.load_config(CardioPipelineConfig, None)
-        assert cardio.mfcc.n_coeffs == 13 and cardio.n_trees == 100
+        assert cardio.mfcc.n_coeffs == 13 and cardio.forest.n_trees == 100
 
     def test_overrides(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -50,7 +53,7 @@ class TestConfigFiles:
         assert clot.canny_sigma == 2.0 and clot.svm_c == 3.5
         assert clot.window == 7 and clot.hog_view == "edge"
         cardio = cfgmod.load_config(CardioPipelineConfig, path)
-        assert cardio.n_trees == 20
+        assert cardio.forest.n_trees == 20
 
     def test_keys_the_config_does_not_use_are_named_on_stderr(self, tmp_path, capsys):
         # One file may serve every pipeline: keys of another are ignored, not rejected.
@@ -59,7 +62,7 @@ class TestConfigFiles:
         assert cfgmod.load_config(ClotPipelineConfig, path).svm_c == 3.5
         err = capsys.readouterr().err
         assert err == f"config {path}: ClotPipelineConfig does not use hop, n_trees; ignored\n"
-        assert cfgmod.load_config(CardioPipelineConfig, path).n_trees == 5
+        assert cfgmod.load_config(CardioPipelineConfig, path).forest.n_trees == 5
         assert capsys.readouterr().err.endswith("does not use svm_c; ignored\n")
         path.write_text("[ml]\nn_trees = 5\n[audioproc]\nhop = 0.02\n")
         cfgmod.load_config(CardioPipelineConfig, path)
@@ -88,7 +91,7 @@ class TestConfigFiles:
         path = tmp_path / "cfg.ini"
         path.write_text("[ml]\nsvm_gamma = none\nmtry = None\n")
         assert cfgmod.load_config(ClotPipelineConfig, path).svm_gamma is None
-        assert cfgmod.load_config(CardioPipelineConfig, path).mtry is None
+        assert cfgmod.load_config(CardioPipelineConfig, path).forest.mtry is None
         for line in ("[ml]\nsvm_c = NONE", "[imageproc]\nhog_view = none"):
             path.write_text(line + "\n")
             with pytest.raises(PersistError, match="=None is not"):
@@ -231,9 +234,30 @@ class TestConfigFiles:
         with pytest.raises(ValueError, match="recording cap"):
             MfccConfig(frame_len=float(np.nextafter(MAX_DURATION_S, np.inf)))
 
+    def test_schema_keys_and_types_are_the_config_fields(self):
+        # _SCHEMA's INI keys and parse types, against every field of the
+        # three configs with the nested ones flattened, and each annotation's
+        # base type (float | None parses as float), in both directions.
+        fields, classes = {}, set()
+
+        def walk(cls):
+            classes.add(cls.__name__)
+            for name, hint in typing.get_type_hints(cls).items():
+                if dataclasses.is_dataclass(hint):
+                    walk(hint)
+                else:
+                    base = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+                    assert fields.setdefault(name, base) is base, name
+        for cls in (ThermalConfig, ClotPipelineConfig, CardioPipelineConfig):
+            walk(cls)
+        assert classes == CONFIG_CLASSES
+        schema = [(key, typ) for keys in cfgmod._SCHEMA.values() for key, typ in keys.items()]
+        assert len(dict(schema)) == len(schema)  # no key in two sections
+        assert dict(schema) == fields
+
     def test_snapshot_none_only_where_the_field_allows_it(self):
         assert cfgmod.config_from_snapshot(ClotPipelineConfig, {"svm_gamma": None}).svm_gamma is None
-        assert cfgmod.config_from_snapshot(CardioPipelineConfig, {"mtry": None}).mtry is None
+        assert cfgmod.config_from_snapshot(CardioPipelineConfig, {"mtry": None}).forest.mtry is None
         assert cfgmod.config_from_snapshot(ClotPipelineConfig, {"svm_c": 3}).svm_c == 3
 
 
@@ -805,9 +829,9 @@ class TestModalityRecord:
         calls = {}
         for name in ("cardio_features", "cardio_train", "cardio_predict", "forest_predict_batch",
                      "train_random_forest"):
-            def counted(*args, fn=getattr(prediagnose.cli, name), name=name):
+            def counted(*args, fn=getattr(prediagnose.cli, name), name=name, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
-                return fn(*args)
+                return fn(*args, **kwargs)
             monkeypatch.setattr(f"prediagnose.cli.{name}", counted)
         data, model = twelve_ws / "wav", tmp_path / "m.pdmodel.json"
         (tmp_path / "c.ini").write_text("[ml]\nn_trees = 5\n")
@@ -972,7 +996,7 @@ class TestParserReuse:
 
 
 CONFIG_CLASSES = {"ThermalConfig", "ClotPipelineConfig", "HogConfig", "CardioPipelineConfig",
-                  "MfccConfig"}
+                  "MfccConfig", "ForestHyperparams"}
 
 
 def own_members():
@@ -1159,6 +1183,20 @@ class TestThermalFlow:
         doc = json.loads(out)
         assert doc["n_frames"] == 5 and doc["label"] in (0, 1)
 
+    def test_huge_gamma_runs_without_an_overflow_warning(self, thermal_ws, capsys, tmp_path):
+        # gamma * |a - b|^2 overflows to inf off the diagonal, and the kernel
+        # is exp(-inf) = 0.0, as exp gives for any product above about 745.
+        # A warning would be an error here (filterwarnings in pyproject.toml).
+        (tmp_path / "c.ini").write_text("[ml]\nsvm_gamma = 1e308\n")
+        model = tmp_path / "m.pdmodel.json"
+        for argv in (["train", "clot", "--data", thermal_ws / "train",
+                      "--config", tmp_path / "c.ini", "--out", model],
+                     ["eval", "--model", model, "--data", thermal_ws / "test"],
+                     ["predict", "clot", "--model", model,
+                      "--input", next((thermal_ws / "test").glob("*.pgm"))]):
+            code, _, err = run(capsys, *map(str, argv))
+            assert code == 0 and "Warning" not in err
+
     def test_model_pipeline_mismatch_is_2(self, thermal_ws, capsys):
         workspace = thermal_ws
         model = workspace / "clot.pdmodel.json"
@@ -1223,6 +1261,18 @@ class TestCardioFlow:
         assert code == 0
         report = json.loads(out)
         assert report["confusion"]["tp"] + report["confusion"]["fn"] == 5
+
+    def test_model_file_trained_with_forest_settings_pinned(self, twelve_ws, capsys, tmp_path):
+        # Every [ml] forest key reaches the fit, created_with and the
+        # hyperparameters: the file's sha256 pins their values and order.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[ml]\nn_trees = 5\nmax_depth = 6\nmin_samples_leaf = 1\nmtry = 3\n"
+                       "seed = 4\n")
+        model = tmp_path / "m.pdmodel.json"
+        assert run(capsys, "train", "cardio", "--data", str(twelve_ws / "wav"),
+                   "--config", str(cfg), "--out", str(model))[0] == 0
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == (
+            "980137fa8f1f9abb3d3587d511b1ae0c5c25f060be86dda0404013280e1dff0c")
 
     def test_model_recording_task_loads_and_predicts(self, tmp_path, capsys):
         # Cardio models once recorded a "task" in created_with; the key is now ignored.

@@ -17,14 +17,6 @@ from prediagnose import forest as rf
 from prediagnose import persist
 from prediagnose import svm as sv
 from prediagnose import voting
-from prediagnose.pipeline import CardioPipelineConfig
-
-
-def forest_hp(**overrides) -> rf.ForestHyperparams:
-    """The cardio pipeline's default forest hyperparameters, with overrides."""
-    cfg = dataclasses.replace(CardioPipelineConfig(), **overrides)
-    return rf.ForestHyperparams(cfg.n_trees, cfg.max_depth, cfg.min_samples_leaf, cfg.mtry,
-                                cfg.seed)
 
 
 def kernel_rbf(x, y, gamma: float) -> float:
@@ -155,6 +147,19 @@ X = np.array([pl.clot_features(img, cfg) for img, _ in test])
 rows = np.array([sv.svm_decision(model, x) for x in X])
 print(hashlib.sha256(rows.tobytes()).hexdigest())
 print(hashlib.sha256(sv.svm_decision_batch(model, X).tobytes()).hexdigest())
+"""
+
+# sha256 of svm_decision_batch on fixed 40 x 40 rows of 16,200 features (the
+# clot feature count) at gamma 1/d, in a program that imports prediagnose first.
+BLAS_SCORES = """
+import hashlib
+import prediagnose
+import numpy as np
+from prediagnose.svm import SvmModel, svm_decision_batch
+rng = np.random.default_rng(0)
+d = 16200
+model = SvmModel(rng.random((40, d)), rng.standard_normal(40), 0.0, 1.0 / d, 1.0)
+print(hashlib.sha256(svm_decision_batch(model, rng.random((40, d))).tobytes()).hexdigest())
 """
 
 
@@ -333,6 +338,20 @@ class TestSmo:
         out = subprocess.run([sys.executable, "-c", DECISION_SCORES, gamma], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert out.split() == [row_digest, batch_digest]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two cores")
+    def test_scores_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS orders a product's sums by its thread count, and two
+        # threads once moved these scores' last bits. Importing prediagnose
+        # sets one thread, whatever the environment asked for.
+        src = str(Path(prediagnose.__file__).parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            digests.add(subprocess.run([sys.executable, "-c", BLAS_SCORES], env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+        assert len(digests) == 1
 
 
 def brute_force_split(X, y, features, min_leaf):
@@ -538,7 +557,7 @@ class TestForest:
         X = rng.gaussian_array(40).reshape(20, 2)
         y = (X[:, 0] > 0).astype(int)
         data = LabeledDataset(X, y)
-        hp = forest_hp(n_trees=25, max_depth=8, min_samples_leaf=1)
+        hp = rf.ForestHyperparams(n_trees=25, max_depth=8, min_samples_leaf=1)
         model = rf.train_random_forest(data, hp)
         preds = [rf.forest_predict(model, x)[1] for x in X]
         assert np.mean(np.array(preds) == y) >= 0.95
@@ -546,14 +565,14 @@ class TestForest:
     def test_forest_validation(self):
         with pytest.raises(TrainingError):
             rf.train_random_forest(LabeledDataset(np.zeros((0, 2)), np.zeros(0, dtype=int)),
-                                   forest_hp())
+                                   rf.ForestHyperparams())
         data = LabeledDataset(np.zeros((4, 2)), np.array([0, 1, 0, 1]))
         with pytest.raises(TrainingError):
-            rf.train_random_forest(data, forest_hp(mtry=5))
+            rf.train_random_forest(data, rf.ForestHyperparams(mtry=5))
 
     def test_predict_shape_check(self):
         data = LabeledDataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
-        model = rf.train_random_forest(data, forest_hp(n_trees=3, min_samples_leaf=1))
+        model = rf.train_random_forest(data, rf.ForestHyperparams(n_trees=3, min_samples_leaf=1))
         with pytest.raises(ValueError):
             rf.forest_predict(model, np.zeros(3))
 
@@ -561,7 +580,7 @@ class TestForest:
                                    np.zeros((1, 1, 2))], ids=["1d", "3_cols", "1_col", "3d"])
     def test_predict_batch_shape_check(self, X):
         data = LabeledDataset(np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([0, 1]))
-        model = rf.train_random_forest(data, forest_hp(n_trees=3, min_samples_leaf=1))
+        model = rf.train_random_forest(data, rf.ForestHyperparams(n_trees=3, min_samples_leaf=1))
         with pytest.raises(ValueError, match="expected rows of 2 features"):
             rf.forest_predict_batch(model, X)
 

@@ -459,7 +459,8 @@ class TestGolden:
 
 def small_cardio_forest():
     recordings = generate_cardio_dataset("lung", 8, 0.5, 2.0, 4000, Rng(5))
-    return pl.cardio_train(recordings, pl.CardioPipelineConfig(n_trees=5), threads=1)
+    cfg = pl.CardioPipelineConfig(forest=ForestHyperparams(n_trees=5))
+    return pl.cardio_train(recordings, cfg, threads=1)
 
 
 class TestRoundTrip:

@@ -18,7 +18,7 @@ from prediagnose import persist
 from prediagnose.audioproc import read_wav
 from prediagnose.core import AudioSignal, FormatError, GrayImage
 from prediagnose.forest import ForestModel
-from prediagnose.imageproc import read_pgm, read_ppm
+from prediagnose.imageproc import _pnm_header_tokens, read_pgm, read_ppm
 from prediagnose.svm import SvmModel
 from prediagnose.synththermal import load_manifest
 
@@ -69,6 +69,49 @@ def test_read_pgm_any_bytes(data):
 @given(pnm_bytes(b"P6", 3))
 def test_read_ppm_any_bytes(data):
     _valid_image_or_format_error(read_ppm, data)
+
+
+def pnm_header_tokens_loop(data: bytes) -> tuple[list[bytes], int]:
+    """The byte-by-byte header tokenizer that _pnm_header_tokens replaced,
+    kept as its reference: the three tokens after the magic, each ended by
+    whitespace, '#' or the end, with '#' comments skipped to their newline,
+    and the offset just past the last token."""
+    tokens = []
+    i = 2
+    while len(tokens) < 3:
+        if i >= len(data):
+            raise FormatError("truncated header")
+        c = data[i : i + 1]
+        if c == b"#":
+            while i < len(data) and data[i : i + 1] != b"\n":
+                i += 1
+        elif c.isspace():
+            i += 1
+        else:
+            j = i
+            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
+                j += 1
+            tokens.append(data[i:j])
+            i = j
+    return tokens, i
+
+
+# Every ASCII whitespace byte, bytes just outside that set, comments and tokens.
+HEADER_PIECE = st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x85",
+                                b"\xa0", b"\x00", b"#", b"# c 7", b"#\n", b"1", b"25", b"x"])
+
+
+@PROPERTY
+@given(st.one_of(st.binary(max_size=40), st.lists(HEADER_PIECE, max_size=16).map(b"".join)))
+def test_pnm_header_tokens_match_the_byte_loop(header):
+    data = b"P5" + header
+    try:
+        expected = pnm_header_tokens_loop(data)
+    except FormatError:
+        with pytest.raises(FormatError, match="truncated header"):
+            _pnm_header_tokens(data)
+    else:
+        assert _pnm_header_tokens(data) == expected
 
 
 def _chunk(chunk_id: bytes, body: bytes, size: int | None = None) -> bytes:
