@@ -272,23 +272,24 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     model, created_with, kind, m = _load_model(args.model)
     cfg = cfgmod.config_from_snapshot(m.config, created_with)
-    if args.kfold:
-        # The folds take only the model's hyperparameters, so the model, its
-        # support vectors included, is freed before any input is read.
-        refit = m.refit(model)
-        del model
     base = Path(args.data)
     rows = load_manifest(base)
+    labels = np.array([lab for _, lab in rows])
+    if args.kfold:
+        # k is checked on the manifest's labels before any input is read, and the
+        # folds refit from the model's hyperparameters alone, so it is freed first.
+        folds = stratified_kfold(labels, args.kfold, Rng(args.seed))
+        refit = m.refit(model)
+        del model
     # Each input is decoded and featurized in one step, so only the inputs
     # being worked on are ever held decoded, never the whole set.
     feats = _feature_matrix(lambda name, c: m.features(m.read(base / name), c),
                             [name for name, _ in rows], cfg, args.threads)
-    labels = np.array([lab for _, lab in rows])
     if args.kfold:
         # Retrain per fold with the model's recorded hyperparameters and pool
         # held-out predictions into one report.
         scores = np.zeros(len(labels))
-        for train_idx, test_idx in stratified_kfold(labels, args.kfold, Rng(args.seed)):
+        for train_idx, test_idx in folds:
             fold_model = refit(LabeledDataset(feats[train_idx], labels[train_idx]))
             scores[test_idx] = m.score(fold_model, feats[test_idx])
             del fold_model  # with its training copy, before the next fold's refit

@@ -4,7 +4,7 @@ Sections mirror module names; unknown sections or keys are hard errors.  Every
 default lives in its config dataclass: the INI loader, the snapshot written to
 a model's ``created_with`` and the config rebuilt from it all walk the
 dataclass fields, a nested config's (``hog``, ``mfcc``, ``forest``) flattened
-in place, and each value read is checked against its field's annotation.
+in place, and each value read is typed and checked by its field's annotation.
 """
 
 from __future__ import annotations
@@ -17,28 +17,26 @@ import typing
 
 from .core import FormatError
 from .persist import PersistError
+from .pipeline import CardioPipelineConfig, ClotPipelineConfig
+from .synththermal import ThermalConfig
 
-_SCHEMA: dict[str, dict[str, type]] = {
-    "synththermal": {
-        "width": int, "height": int, "vessel_width": int, "base_temp": float,
-        "axial_gradient": float, "clot_amplitude": float, "clot_sigma": float,
-        "noise_sigma": float, "clot_margin": int,
-    },
-    "imageproc": {
-        "canny_sigma": float, "canny_low": float, "canny_high": float,
-        "intensity_blur_sigma": float,
-        "cell_size": int, "block_size": int, "bins": int, "hog_view": str,
-    },
-    "audioproc": {
-        "frame_len": float, "hop": float, "pre_emphasis": float,
-        "n_filters": int, "n_coeffs": int, "log_floor": float,
-        "denoise_levels": int,
-    },
-    "ml": {
-        "svm_c": float, "svm_gamma": float, "n_trees": int, "max_depth": int,
-        "min_samples_leaf": int, "mtry": int, "seed": int, "window": int,
-    },
+# Each section's INI keys; a key's type is its config field's annotation.
+_SCHEMA: dict[str, tuple[str, ...]] = {
+    "synththermal": ("width", "height", "vessel_width", "base_temp", "axial_gradient",
+                     "clot_amplitude", "clot_sigma", "noise_sigma", "clot_margin"),
+    "imageproc": ("canny_sigma", "canny_low", "canny_high", "intensity_blur_sigma",
+                  "cell_size", "block_size", "bins", "hog_view"),
+    "audioproc": ("frame_len", "hop", "pre_emphasis", "n_filters", "n_coeffs", "log_floor",
+                  "denoise_levels"),
+    "ml": ("svm_c", "svm_gamma", "n_trees", "max_depth", "min_samples_leaf", "mtry", "seed",
+           "window"),
 }
+
+# Each key's field annotation, nested configs flattened as config_snapshot flattens them.
+_HINTS: dict[str, object] = {}
+for _cls in (ThermalConfig, ClotPipelineConfig, CardioPipelineConfig):
+    for _name, _t in typing.get_type_hints(_cls).items():
+        _HINTS.update(typing.get_type_hints(_t) if dataclasses.is_dataclass(_t) else {_name: _t})
 
 
 def _parse_file(path) -> dict[str, object]:
@@ -58,12 +56,12 @@ def _parse_file(path) -> dict[str, object]:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise FormatError(f"unknown config key {key!r} in [{section}]")
-            typ = _SCHEMA[section][key]
+            typ = (typing.get_args(_HINTS[key]) or (_HINTS[key],))[0]  # float | None: float
             if raw.lower() == "none":  # only a nullable field takes it: see _checked
                 values[key] = None
                 continue
             try:
-                values[key] = raw if typ is str else typ(raw)
+                values[key] = typ(raw)
             except ValueError as exc:
                 raise FormatError(f"bad value for {section}.{key}: {raw!r}") from exc
             if typ is float and not math.isfinite(values[key]):

@@ -128,10 +128,6 @@ class AudioSignal:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         self.sample_rate = int(self.sample_rate)
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass
 class LabeledDataset:

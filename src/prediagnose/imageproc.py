@@ -426,17 +426,26 @@ def _edge_histograms(edge: np.ndarray, cfg: HogConfig) -> np.ndarray:
 _EPS = 1e-6  # keeps an all-zero block's normalization finite
 
 
+def hog_length(h: int, w: int, cfg: HogConfig) -> int:
+    """Length of an h x w image's HOG descriptor, block_size² cells of bins per
+    block position; a ValueError if cells do not tile it or a block does not fit."""
+    cell, bs = cfg.cell_size, cfg.block_size
+    for side in (h, w):
+        if side % cell:
+            raise ValueError(f"cell_size={cell} must divide the {side}-pixel image side")
+    cells = min(h, w) // cell
+    if bs > cells:
+        raise ValueError(f"block_size={bs} must be at most the {cells} cells across the image")
+    return (h // cell - bs + 1) * (w // cell - bs + 1) * bs * bs * cfg.bins
+
+
 def _blocks(img: GrayImage, cfg: HogConfig) -> tuple[np.ndarray, np.ndarray]:
     """Return (clipped blocks before final renormalization, final blocks)."""
-    h, w = img.pixels.shape
-    if h % cfg.cell_size or w % cfg.cell_size:
-        raise ValueError("image dimensions must be divisible by cell_size")
+    hog_length(*img.pixels.shape, cfg)  # refuses a bad geometry before any histogram
     hist = _cell_histograms(img, cfg)
     cy, cx, bins = hist.shape
     bs = cfg.block_size
     by, bx = cy - bs + 1, cx - bs + 1
-    if by < 1 or bx < 1:
-        raise ValueError("image too small for the configured block size")
     # (by, bx) windows of (bs, bs, bins), each flattened in (row, column, bin) order
     clipped = np.empty((by, bx, bs * bs * bins))
     np.copyto(clipped.reshape(by, bx, bs, bs, bins),

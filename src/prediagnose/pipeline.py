@@ -11,7 +11,7 @@ import numpy as np
 from .audioproc import MfccConfig, aggregate_features, mfcc, wavelet_denoise
 from .core import AudioSignal, GrayImage, LabeledDataset, TrainingError
 from .forest import ForestHyperparams, ForestModel, forest_predict, train_random_forest
-from .imageproc import HogConfig, canny, gaussian_blur, hog, resize_bilinear
+from .imageproc import HogConfig, canny, gaussian_blur, hog, hog_length, resize_bilinear
 from .svm import SvmModel, svm_predict, train_svm_smo
 from .voting import sequence_vote
 
@@ -51,20 +51,11 @@ class ClotPipelineConfig:
                                  f"{MAX_BLUR_RADIUS} pixels")
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("window must be odd and >= 1")
-        # hog would refuse these only once an image is decoded and featurized.
-        cells = CLOT_IMAGE_SIZE // self.hog.cell_size
-        if CLOT_IMAGE_SIZE % self.hog.cell_size:
-            raise ValueError(f"cell_size={self.hog.cell_size} must divide the "
-                             f"{CLOT_IMAGE_SIZE}-pixel image side")
-        if self.hog.block_size > cells:
-            raise ValueError(f"block_size={self.hog.block_size} must be at most the "
-                             f"{cells} cells across the image")
+        # hog would refuse a bad geometry only once an image is decoded and featurized.
+        per_view = hog_length(CLOT_IMAGE_SIZE, CLOT_IMAGE_SIZE, self.hog)
         if self.hog_view not in ("edge", "intensity", "both"):
             raise ValueError("hog_view must be edge, intensity or both")
-        # clot_features' length: each view's blocks, each of block_size² cells' bins.
-        blocks = cells - self.hog.block_size + 1
-        n_features = (blocks * blocks * self.hog.block_size ** 2 * self.hog.bins
-                      * (2 if self.hog_view == "both" else 1))
+        n_features = per_view * (2 if self.hog_view == "both" else 1)
         if n_features > MAX_CLOT_FEATURES:
             raise ValueError(f"the HOG settings give {n_features} features per image, over the "
                              f"cap of {MAX_CLOT_FEATURES}; use a larger cell_size or fewer bins")
@@ -75,6 +66,10 @@ class CardioPipelineConfig:
     mfcc: MfccConfig = field(default_factory=MfccConfig)
     denoise_levels: int = 4
     forest: ForestHyperparams = field(default_factory=ForestHyperparams)
+
+    def __post_init__(self):
+        if self.denoise_levels < 1:  # wavelet_denoise would refuse it only once a recording is read
+            raise ValueError(f"denoise_levels={self.denoise_levels} must be >= 1")
 
 
 def clot_features(img: GrayImage, cfg: ClotPipelineConfig) -> np.ndarray:

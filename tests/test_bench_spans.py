@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import prediagnose
+from prediagnose.cli import build_parser
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -67,15 +68,26 @@ def public_functions() -> set[str]:
     return names
 
 
+def bench_steps() -> list:
+    """Every command step of every workload the benchmark runs, at both sizes."""
+    workloads = runpy.run_path(str(BENCH / "workloads.py"))
+    return [step for size in workloads["SIZES"] for name in workloads["WHY"]
+            for w in [workloads["build"](name, size, 1)] for step in w.setup + w.cycle]
+
+
 def command_spans() -> set[str]:
     """bench/worker.py wraps each CLI command in a span named cli.<step kind>."""
-    workloads = runpy.run_path(str(BENCH / "workloads.py"))
-    spans = set()
-    for size in workloads["SIZES"]:
-        for name in workloads["WHY"]:
-            w = workloads["build"](name, size, 1)
-            spans |= {f"cli.{step.kind}" for step in w.setup + w.cycle}
-    return spans
+    return {f"cli.{step.kind}" for step in bench_steps()}
+
+
+def test_bench_command_lines_parse():
+    # A flag the benchmark passes but the CLI no longer takes would
+    # otherwise fail only a benchmark run.
+    steps = bench_steps()
+    assert len(steps) > 20
+    for step in steps:
+        args = build_parser().parse_args(step.argv)
+        assert args.command == step.kind.removesuffix("_seq"), step.argv
 
 
 @pytest.mark.parametrize("table", ["LAYER_STATS", "SETUP_STATS", "BYTES", "SKIP", "within"])

@@ -204,6 +204,23 @@ class TestConfigFiles:
         assert (code, out, read) == (2, "", [])
         assert "5715360 features per image, over the cap of 262144" in err
 
+    @pytest.mark.parametrize("levels", [-1, 0])
+    def test_denoise_levels_under_one_refused_before_any_recording_is_read(
+            self, levels, tmp_path, capsys, monkeypatch):
+        # -1 once ended in "negative shift count", and both only after a
+        # recording was decoded.
+        import prediagnose.cli as cli
+
+        read = []
+        monkeypatch.setattr(cli, "read_wav_file", lambda path: read.append(path))
+        for name, data in cardio_train_data(f"[audioproc]\ndenoise_levels = {levels}\n").items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_bytes(data)
+        code, out, err = run(capsys, "train", "cardio", "--data", str(tmp_path / "data"),
+                             "--config", str(tmp_path / "c.ini"), "--out", str(tmp_path / "d"))
+        assert (code, out, read) == (2, "", [])
+        assert f"denoise_levels={levels} must be >= 1" in err
+
     def test_clot_feature_count_capped(self):
         # Each setting's feature count is the length of clot_features' vector.
         # Two views of 31 x 31 blocks of 4 cells give 7,688 features per bin:
@@ -235,9 +252,9 @@ class TestConfigFiles:
             MfccConfig(frame_len=float(np.nextafter(MAX_DURATION_S, np.inf)))
 
     def test_schema_keys_and_types_are_the_config_fields(self):
-        # _SCHEMA's INI keys and parse types, against every field of the
-        # three configs with the nested ones flattened, and each annotation's
-        # base type (float | None parses as float), in both directions.
+        # _SCHEMA's INI keys against every field of the three configs with
+        # the nested ones flattened, in both directions.  A key's type is its
+        # field's annotation, which _parse_file reads, so _SCHEMA holds no type.
         fields, classes = {}, set()
 
         def walk(cls):
@@ -246,14 +263,13 @@ class TestConfigFiles:
                 if dataclasses.is_dataclass(hint):
                     walk(hint)
                 else:
-                    base = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-                    assert fields.setdefault(name, base) is base, name
+                    assert fields.setdefault(name, hint) == hint, name
         for cls in (ThermalConfig, ClotPipelineConfig, CardioPipelineConfig):
             walk(cls)
         assert classes == CONFIG_CLASSES
-        schema = [(key, typ) for keys in cfgmod._SCHEMA.values() for key, typ in keys.items()]
-        assert len(dict(schema)) == len(schema)  # no key in two sections
-        assert dict(schema) == fields
+        schema = [key for keys in cfgmod._SCHEMA.values() for key in keys]
+        assert len(set(schema)) == len(schema)  # no key in two sections
+        assert set(schema) == fields.keys()
 
     def test_snapshot_none_only_where_the_field_allows_it(self):
         assert cfgmod.config_from_snapshot(ClotPipelineConfig, {"svm_gamma": None}).svm_gamma is None
@@ -602,6 +618,12 @@ MALFORMED = {
     "config_denoise_levels_beyond_signal": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
         cardio_train_data("[audioproc]\ndenoise_levels = 40\n"), 2),
+    "config_denoise_levels_negative": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        cardio_train_data("[audioproc]\ndenoise_levels = -1\n"), 2),
+    "config_denoise_levels_zero": (
+        ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        cardio_train_data("[audioproc]\ndenoise_levels = 0\n"), 2),
     "config_n_filters_beyond_fft": (
         ["train", "cardio", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
         cardio_train_data("[audioproc]\nn_filters = 100000000\n"), 2),
@@ -679,6 +701,12 @@ MALFORMED = {
     "created_with_denoise_levels_beyond_signal": (
         ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
         model(cardio_created_with(b'"denoise_levels": 40')), 2),
+    "created_with_denoise_levels_negative": (
+        ["predict", "cardio", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.wav"],
+        model(cardio_created_with(b'"denoise_levels": -1')), 2),
+    "created_with_denoise_levels_zero": (
+        ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
+        {**cardio_train_data(""), **model(cardio_created_with(b'"denoise_levels": 0'))}, 2),
     "created_with_hop_under_one_sample": (
         ["eval", "--model", "{tmp}/m.pdmodel.json", "--data", "{tmp}/data"],
         {**cardio_train_data(""), **model(cardio_created_with(b'"hop": 0.00001'))}, 2),
@@ -920,6 +948,22 @@ class TestEvalMemory:
             tracemalloc.stop()
         assert code == 0 and len(live) == k
         assert max(live) < (n + (n - n // k)) * row + margin
+
+
+class TestKfoldSplitFirst:
+    def test_k_over_a_class_size_refused_before_any_input_is_read(self, twelve_ws, tmp_path,
+                                                                   capsys, monkeypatch):
+        # The folds come from the manifest's labels, so a k that a class
+        # cannot fill is refused before the first image is decoded.
+        import prediagnose.cli as cli
+
+        (tmp_path / "m.pdmodel.json").write_bytes(tiny_svm_file({"pipeline": "clot"}))
+        read, decode = [], cli.read_image_file
+        monkeypatch.setattr(cli, "read_image_file", lambda path: read.append(path) or decode(path))
+        code, out, err = run(capsys, "eval", "--model", str(tmp_path / "m.pdmodel.json"),
+                             "--data", str(twelve_ws / "img"), "--kfold", "50")
+        assert (code, out, read) == (2, "", [])
+        assert "class 0 has 6 members, fewer than k=50" in err
 
 
 def fresh_python(*argv: str) -> str:

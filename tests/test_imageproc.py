@@ -566,6 +566,33 @@ def edge_maps(draw):
     return cfg, mask.astype(np.float64)
 
 
+class TestHogLength:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(hog_shapes())
+    def test_is_the_descriptor_length(self, setting):
+        # Of any image, and of an edge map, which takes the integer path.
+        cfg, (h, w) = setting
+        px = np.random.default_rng(h * w).random((h, w))
+        for img in (GrayImage(px), GrayImage((px < 0.5).astype(np.float64))):
+            assert ip.hog_length(h, w, cfg) == len(ip.hog(img, cfg))
+
+    @pytest.mark.parametrize("shape, cfg, message", [
+        ((30, 32), ip.HogConfig(), "cell_size=8 must divide the 30-pixel image side"),
+        ((40, 36), ip.HogConfig(), "cell_size=8 must divide the 36-pixel image side"),
+        ((8, 64), ip.HogConfig(), "block_size=2 must be at most the 1 cells across the image"),
+        ((64, 16), ip.HogConfig(cell_size=4, block_size=5),
+         "block_size=5 must be at most the 4 cells across the image"),
+    ])
+    def test_bad_geometry_refused_before_any_histogram(self, shape, cfg, message, monkeypatch):
+        built = []
+        monkeypatch.setattr(ip, "_cell_histograms", lambda img, cfg: built.append(img))
+        with pytest.raises(ValueError, match=message):
+            ip.hog_length(*shape, cfg)
+        with pytest.raises(ValueError, match=message):
+            ip.hog(GrayImage(np.zeros(shape)), cfg)
+        assert built == []
+
+
 def float_path(img, cfg):
     """_cell_histograms by the float path alone, whatever the image."""
     return ip._gradient_histograms(img.pixels, cfg)

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -160,6 +161,24 @@ rng = np.random.default_rng(0)
 d = 16200
 model = SvmModel(rng.random((40, d)), rng.standard_normal(40), 0.0, 1.0 / d, 1.0)
 print(hashlib.sha256(svm_decision_batch(model, rng.random((40, d))).tobytes()).hexdigest())
+"""
+
+# sha256 of an SMO fit's model file and its svm_decision_batch scores on 40
+# held-out rows: 500 training rows of 16,200 features (the clot feature count)
+# at the variance-scale gamma, in a program that imports prediagnose first.
+SMO_BLAS = """
+import hashlib
+import prediagnose
+import numpy as np
+from prediagnose.core import LabeledDataset, Rng
+from prediagnose.persist import save_model
+from prediagnose.svm import svm_decision_batch, train_svm_smo
+d = 16200
+X = Rng(17).uniform_array(540 * d).reshape(540, d)
+model = train_svm_smo(LabeledDataset(X[:500], np.arange(500) % 2), c=10.0, gamma=None)
+digest = hashlib.sha256(save_model(model, {"pipeline": "clot"}))
+digest.update(svm_decision_batch(model, X[500:]).tobytes())
+print(digest.hexdigest())
 """
 
 
@@ -352,6 +371,47 @@ class TestSmo:
             digests.add(subprocess.run([sys.executable, "-c", BLAS_SCORES], env=env,
                                        capture_output=True, text=True, check=True).stdout)
         assert len(digests) == 1
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two cores")
+    def test_fit_does_not_depend_on_the_blas_thread_count(self):
+        # The Gram matrix of the fit and the scores are BLAS products; with
+        # numpy loaded before prediagnose, 2 and 4 threads moved this digest.
+        src = str(Path(prediagnose.__file__).parents[1])
+        digests = set()
+        for threads in ("1", "2", "4"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            digests.add(subprocess.run([sys.executable, "-c", SMO_BLAS], env=env,
+                                       capture_output=True, text=True, check=True).stdout)
+        assert len(digests) == 1
+
+
+def blas_threads() -> int | None:
+    """The thread count of the OpenBLAS numpy loaded, read through its own
+    getter as bench/worker.py reads it; None if no getter is found."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            getter = getattr(handle, sym, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
+def test_in_process_tests_run_one_blas_thread():
+    # tests/conftest.py imports prediagnose before any test module loads
+    # numpy, so the pinned digests computed in this process use one thread.
+    threads = blas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS thread-count getter found")
+    assert threads == 1
 
 
 def brute_force_split(X, y, features, min_leaf):
