@@ -18,7 +18,7 @@ import numpy as np
 from . import config as cfgmod
 from .audioproc import MAX_DURATION_S, read_wav_file
 from .core import FormatError, LabeledDataset, Rng, TrainingError
-from .evaluation import evaluate, report_table, report_to_dict, roc_to_csv, stratified_kfold
+from .evaluation import class_counts, evaluate, report_table, roc_to_csv, stratified_kfold
 from .forest import ForestModel, forest_predict_batch, train_random_forest
 from .imageproc import read_image_file
 from .persist import PersistError, _canon, load_model_file, save_model_file
@@ -94,9 +94,8 @@ class _Modality(NamedTuple):
     features: Callable  # (sample, cfg) -> feature vector
     train: Callable  # (samples, cfg, threads) -> model
     predict: Callable  # (model, sample, cfg) -> (score, label)
-    model_class: type
+    model_class: type  # its threshold: a score at or above it is label 1
     score: Callable  # (model, feature matrix) -> one score per row
-    threshold: float  # a score at or above it is label 1
     score_name: str  # the score's key in predict output
     refit: Callable  # model -> (data -> a model fit with its hyperparameters, not holding it)
     title: str  # the eval report's title
@@ -109,9 +108,9 @@ def _modality(kind: str) -> _Modality:
     Built when a command runs rather than at import, so functions rebound in
     this module after import (bench/spans.py wraps them) are the ones called.
     """
-    svm = dict(model_class=SvmModel, score=svm_decision_batch, threshold=0.0, score_name="score",
+    svm = dict(model_class=SvmModel, score=svm_decision_batch, score_name="score",
                refit=lambda model: functools.partial(train_svm_smo, c=model.c, gamma=model.gamma))
-    forest = dict(model_class=ForestModel, score=forest_predict_batch, threshold=0.5,
+    forest = dict(model_class=ForestModel, score=forest_predict_batch,
                   score_name="prob", refit=lambda model: functools.partial(
                       train_random_forest, hp=model.hyperparams))
     return {
@@ -275,12 +274,13 @@ def _cmd_eval(args) -> int:
     base = Path(args.data)
     rows = load_manifest(base)
     labels = np.array([lab for _, lab in rows])
+    # k and the classes are checked on the manifest's labels before any input is read.
     if args.kfold:
-        # k is checked on the manifest's labels before any input is read, and the
-        # folds refit from the model's hyperparameters alone, so it is freed first.
+        # The folds refit from the model's hyperparameters alone, so it is freed first.
         folds = stratified_kfold(labels, args.kfold, Rng(args.seed))
         refit = m.refit(model)
         del model
+    class_counts(labels)
     # Each input is decoded and featurized in one step, so only the inputs
     # being worked on are ever held decoded, never the whole set.
     feats = _feature_matrix(lambda name, c: m.features(m.read(base / name), c),
@@ -295,10 +295,10 @@ def _cmd_eval(args) -> int:
             del fold_model  # with its training copy, before the next fold's refit
     else:
         scores = m.score(model, feats)
-    report = evaluate(labels, (scores >= m.threshold).astype(int), scores)
+    report = evaluate(labels, scores, m.model_class.threshold)
     if args.roc_csv:
-        Path(args.roc_csv).write_text(roc_to_csv(report.roc_points))
-    _emit({**report_to_dict(report), "pipeline": kind, **_standin_tag(m)})
+        Path(args.roc_csv).write_text(roc_to_csv(report["roc_points"]))
+    _emit({**report, "pipeline": kind, **_standin_tag(m)})
     print(report_table(report, m.title), file=sys.stderr)
     return EXIT_OK
 

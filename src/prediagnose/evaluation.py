@@ -2,43 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .core import Rng
 
 
-@dataclass
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-@dataclass
-class Metrics:
-    accuracy: float
-    precision: float
-    recall: float
-    specificity: float
-    f1: float
-
-
-@dataclass
-class EvalReport:
-    confusion: ConfusionMatrix
-    metrics: Metrics
-    auc: float
-    roc_points: list[tuple[float, float]]
-
-
-def confusion(labels, predictions) -> ConfusionMatrix:
+def confusion(labels, predictions) -> dict:
+    """The counts {tp, fp, fn, tn} of {0,1} predictions against labels."""
     labels = np.asarray(labels)
     predictions = np.asarray(predictions)
     if labels.shape != predictions.shape:
@@ -49,22 +19,34 @@ def confusion(labels, predictions) -> ConfusionMatrix:
     fp = int(np.sum((labels == 0) & (predictions == 1)))
     fn = int(np.sum((labels == 1) & (predictions == 0)))
     tn = int(np.sum((labels == 0) & (predictions == 0)))
-    return ConfusionMatrix(tp, fp, fn, tn)
+    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
 
 
-def metrics(cm: ConfusionMatrix) -> Metrics:
+def metrics(tp: int, fp: int, fn: int, tn: int) -> dict:
     """Standard derived metrics; zero-denominator cases are defined as 0."""
-    if cm.total == 0:
+    total = tp + fp + fn + tn
+    if total == 0:
         raise ValueError("empty confusion matrix")
-    accuracy = (cm.tp + cm.tn) / cm.total
-    precision = cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp > 0 else 0.0
-    recall = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn > 0 else 0.0
-    specificity = cm.tn / (cm.tn + cm.fp) if cm.tn + cm.fp > 0 else 0.0
-    return Metrics(accuracy, precision, recall, specificity, f1_score(precision, recall))
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    specificity = tn / (tn + fp) if tn + fp > 0 else 0.0
+    return {"accuracy": (tp + tn) / total, "precision": precision, "recall": recall,
+            "specificity": specificity, "f1": f1_score(precision, recall)}
 
 
 def f1_score(precision: float, recall: float) -> float:
     return 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+
+
+def class_counts(labels) -> tuple[int, int]:
+    """(positives, negatives) among {0,1} labels, refusing a set without both:
+    it has no ROC curve."""
+    labels = np.asarray(labels)
+    n_pos = int(np.sum(labels == 1))
+    n_neg = int(np.sum(labels == 0))
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("both classes must be present")
+    return n_pos, n_neg
 
 
 def roc_auc(labels, scores) -> tuple[float, list[tuple[float, float]]]:
@@ -79,10 +61,7 @@ def roc_auc(labels, scores) -> tuple[float, list[tuple[float, float]]]:
         raise ValueError("label/score length mismatch")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    n_pos = int(np.sum(labels == 1))
-    n_neg = int(np.sum(labels == 0))
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("both classes must be present")
+    n_pos, n_neg = class_counts(labels)
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_labels = labels[order]
@@ -120,31 +99,24 @@ def stratified_kfold(labels, k: int, rng: Rng) -> list[tuple[list[int], list[int
     return [(sorted(all_idx - set(f)), sorted(f)) for f in folds]
 
 
-def evaluate(labels, predictions, scores) -> EvalReport:
-    cm = confusion(labels, predictions)
+def evaluate(labels, scores, threshold: float) -> dict:
+    """The eval report: a score at or above threshold is label 1."""
+    scores = np.asarray(scores, dtype=np.float64)
+    cm = confusion(labels, (scores >= threshold).astype(int))
     auc, points = roc_auc(labels, scores)
-    return EvalReport(confusion=cm, metrics=metrics(cm), auc=auc, roc_points=points)
+    return {"confusion": cm, **metrics(**cm), "auc": auc,
+            "roc_points": [[fpr, tpr] for fpr, tpr in points]}
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "confusion": asdict(report.confusion),
-        **asdict(report.metrics),
-        "auc": report.auc,
-        "roc_points": [[fpr, tpr] for fpr, tpr in report.roc_points],
-    }
-
-
-def report_table(report: EvalReport, title: str) -> str:
+def report_table(report: dict, title: str) -> str:
     """Human-readable metric table for terminal output."""
-    m = report.metrics
     rows = [
-        ("Accuracy", f"{m.accuracy * 100:.1f}%"),
-        ("Precision", f"{m.precision * 100:.1f}%"),
-        ("Recall (Sensitivity)", f"{m.recall * 100:.1f}%"),
-        ("Specificity", f"{m.specificity * 100:.1f}%"),
-        ("F1-Score", f"{m.f1:.2f}"),
-        ("AUC", f"{report.auc:.2f}"),
+        ("Accuracy", f"{report['accuracy'] * 100:.1f}%"),
+        ("Precision", f"{report['precision'] * 100:.1f}%"),
+        ("Recall (Sensitivity)", f"{report['recall'] * 100:.1f}%"),
+        ("Specificity", f"{report['specificity'] * 100:.1f}%"),
+        ("F1-Score", f"{report['f1']:.2f}"),
+        ("AUC", f"{report['auc']:.2f}"),
     ]
     width = max(len(name) for name, _ in rows)
     lines = [title, "-" * (width + 10)]

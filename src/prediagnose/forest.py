@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,6 +25,8 @@ class ForestHyperparams:
 class ForestModel:
     """Each tree is the node object its model file holds: a leaf {"leaf": [n0, n1]},
     or a split {"feature": f, "threshold": t, "left": ..., "right": ...} (x[f] <= t goes left)."""
+
+    threshold: ClassVar[float] = 0.5  # a positive-vote fraction at or above it is label 1
 
     trees: list[dict]
     n_features: int
@@ -165,4 +168,4 @@ def forest_predict_batch(model: ForestModel, X: np.ndarray) -> np.ndarray:
 def forest_predict(model: ForestModel, x: np.ndarray) -> tuple[float, int]:
     """forest_predict_batch of one row, and the {0,1} majority label (ties -> 1)."""
     prob = float(forest_predict_batch(model, [x])[0])
-    return prob, int(prob >= 0.5)
+    return prob, int(prob >= model.threshold)

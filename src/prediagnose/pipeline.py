@@ -49,6 +49,9 @@ class ClotPipelineConfig:
             if not 0 < 3.0 * sigma <= MAX_BLUR_RADIUS:  # checked before any blur allocates
                 raise ValueError(f"{name}={sigma} must be > 0 with a 3-sigma radius of at most "
                                  f"{MAX_BLUR_RADIUS} pixels")
+        if not 0 < self.canny_low < self.canny_high:  # canny would refuse them after a read
+            raise ValueError(f"canny_low={self.canny_low} and canny_high={self.canny_high} must "
+                             "satisfy 0 < canny_low < canny_high")
         if self.window < 1 or self.window % 2 == 0:
             raise ValueError("window must be odd and >= 1")
         # hog would refuse a bad geometry only once an image is decoded and featurized.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,6 +25,8 @@ _NORM_BLOCK_BYTES = 1 << 20  # bytes of rows _sq_norms squares at a time
 class SvmModel:
     """A trained RBF SVM. When training keeps every sample, support_vectors is
     the training feature matrix itself, not a copy, so the two share memory."""
+
+    threshold: ClassVar[float] = 0.0  # a decision score at or above it is label 1
 
     support_vectors: np.ndarray  # (m, d)
     alpha_y: np.ndarray  # alpha_i * y_i, y in {-1, +1}
@@ -167,9 +170,9 @@ def svm_decision(model: SvmModel, x: np.ndarray) -> float:
 
 
 def svm_predict(model: SvmModel, x: np.ndarray) -> tuple[float, int]:
-    """Decision score and {0,1} label; ties (score == 0) go to the positive class."""
+    """Decision score and {0,1} label; a score at the threshold is label 1."""
     score = svm_decision(model, x)
-    return score, int(score >= 0.0)
+    return score, int(score >= model.threshold)
 
 
 def svm_decision_batch(model: SvmModel, X: np.ndarray) -> np.ndarray:

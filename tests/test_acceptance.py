@@ -140,10 +140,10 @@ def test_05_auc_oracle():
 
 def test_06_reference_f1_reproduction():
     # reference cardiopulmonary precision/recall pairs and their F1
-    lung = ev.metrics(ev.ConfusionMatrix(tp=861, fp=139, fn=144, tn=856))
-    assert lung.precision == pytest.approx(0.861, abs=5e-4)
-    assert lung.recall == pytest.approx(0.857, abs=5e-4)
-    assert round(lung.f1, 2) == 0.86
+    lung = ev.metrics(tp=861, fp=139, fn=144, tn=856)
+    assert lung["precision"] == pytest.approx(0.861, abs=5e-4)
+    assert lung["recall"] == pytest.approx(0.857, abs=5e-4)
+    assert round(lung["f1"], 2) == 0.86
     assert round(ev.f1_score(0.861, 0.857), 2) == 0.86
     assert round(ev.f1_score(0.838, 0.840), 2) == 0.84
     _report(6, "reference F1 values (0.86 lung, 0.84 heart) reproduced")

@@ -5,8 +5,10 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -21,13 +23,14 @@ from prediagnose import config as cfgmod
 from prediagnose.cli import MAX_THREADS, build_parser, main
 from prediagnose.audioproc import MAX_DURATION_S, MfccConfig, write_wav
 from prediagnose.core import AudioSignal, FormatError, GrayImage, Rng
-from prediagnose.forest import ForestHyperparams, ForestModel
+from prediagnose.evaluation import evaluate
+from prediagnose.forest import ForestHyperparams, ForestModel, forest_predict
 from prediagnose.imageproc import HogConfig, gaussian_kernel_1d, write_pgm
 from prediagnose.persist import PersistError, save_model
 from prediagnose.pipeline import (MAX_BLUR_RADIUS, MAX_CLOT_FEATURES, CardioPipelineConfig,
                                   ClotPipelineConfig, clot_features)
-from prediagnose.svm import SvmModel
-from prediagnose.synththermal import ThermalConfig
+from prediagnose.svm import SvmModel, svm_predict
+from prediagnose.synththermal import ThermalConfig, load_manifest
 
 
 def run(capsys, *argv):
@@ -203,6 +206,14 @@ class TestConfigFiles:
             tmp_path, capsys, monkeypatch, "[imageproc]\ncell_size = 2\nbins = 180\n")
         assert (code, out, read) == (2, "", [])
         assert "5715360 features per image, over the cap of 262144" in err
+
+    @pytest.mark.parametrize("ini", ["canny_low = 0.3\ncanny_high = 0.1\n", "canny_low = 0\n"])
+    def test_bad_canny_thresholds_refused_before_any_image_is_read(self, ini, tmp_path, capsys,
+                                                                   monkeypatch):
+        code, out, read, err = self.train_clot_with_config(tmp_path, capsys, monkeypatch,
+                                                           "[imageproc]\n" + ini)
+        assert (code, out, read) == (2, "", [])
+        assert "must satisfy 0 < canny_low < canny_high" in err
 
     @pytest.mark.parametrize("levels", [-1, 0])
     def test_denoise_levels_under_one_refused_before_any_recording_is_read(
@@ -655,6 +666,15 @@ MALFORMED = {
     "created_with_canny_sigma_negative": (
         ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
         model(tiny_svm_file({"pipeline": "clot", "canny_sigma": -1.4})), 2),
+    "config_canny_low_above_high": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        clot_train_data("[imageproc]\ncanny_low = 0.3\ncanny_high = 0.1\n"), 2),
+    "config_canny_low_zero": (
+        ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
+        clot_train_data("[imageproc]\ncanny_low = 0\n"), 2),
+    "created_with_canny_low_above_high": (
+        ["predict", "clot", "--model", "{tmp}/m.pdmodel.json", "--input", "{tmp}/x.pgm"],
+        model(tiny_svm_file({"pipeline": "clot", "canny_low": 0.3, "canny_high": 0.1})), 2),
     "config_bins_finer_than_a_degree": (
         ["train", "clot", "--data", "{tmp}/data", "--config", "{tmp}/c.ini", "--out", "{tmp}/d"],
         clot_train_data("[imageproc]\nbins = 4000000000\n"), 2),
@@ -826,13 +846,107 @@ class TestSequenceOrder:
 
 @pytest.fixture(scope="module")
 def twelve_ws(tmp_path_factory):
-    """Twelve-sample thermal and heart sets, in img/ and wav/."""
+    """Twelve-sample thermal, heart and lung sets, in img/, wav/ and lung/."""
     base = tmp_path_factory.mktemp("twelve")
     assert main(["synth", "thermal", "--out", str(base / "img"), "--n", "12",
                  "--seed", "12"]) == 0
-    assert main(["synth", "cardio", "--task", "heart", "--out", str(base / "wav"), "--n", "12",
-                 "--seed", "12", "--rate", "4000", "--duration", "2.0"]) == 0
+    for task, out in (("heart", "wav"), ("lung", "lung")):
+        assert main(["synth", "cardio", "--task", task, "--out", str(base / out), "--n", "12",
+                     "--seed", "12", "--rate", "4000", "--duration", "2.0"]) == 0
     return base
+
+
+# sha256 of each output of the CLI flow on the twelve-sample sets: stdout
+# (predict's without its latency_ms) and stderr of each command, each ROC CSV
+# and each model file, with the temporary directories written as {ws} and
+# {tmp}; "" pins an empty output.  A change meant to keep every output
+# byte-identical keeps these.
+GOLDEN_FLOW = {
+    "clot.train.out": "1ffbf50122833baadd905a0d8d42a03ec2287495332ac70ba1b407935df00b40",
+    "clot.train.err": "",
+    "clot.model": "69834811b3d31acc032c151c48bf7ae1dc3d241e1faf50aee93b68adbe824c2a",
+    "clot.eval.out": "f3bba96257a8739edd7370a299a365b6b9d90b9da9537bfc541dc8e69960b54a",
+    "clot.eval.err": "99465e8ef29c6e6ad55870e79729a55f8ef7854d96a6a86007f4b01e73017a4e",
+    "clot.eval.roc": "a20e22daa1c1d82c28e9b75f863300acfaecf2f3b3af794c4fd168335a5a3b6d",
+    "clot.kfold.out": "a0b449a779ec48434498a4e060f45a64f82fe4f6d89cb3b6f27a92920017df8c",
+    "clot.kfold.err": "d628ea8ef3dc20ad8864894ac93b1e393d82fa4ada46163be4a3d8a0fd426c7c",
+    "clot.kfold.roc": "a8407e875004c0cb767900a6ed2c9a151836454bb22be9b0aec04042e213b81a",
+    "clot.predict.out": "c125fc2fef14dbbc17e30dea77ffbc0e9ccc1fb48cb514096016497c68c941c8",
+    "clot.predict.err": "",
+    "skin.train.out": "bba3d41fe9283c4823684f605022f469d3d5b42f5801202be445361d0e23a653",
+    "skin.train.err": "",
+    "skin.model": "02df77144abc124b6d0687c0beab0f312cf0b614d847c310617abb75a9d84373",
+    "skin.eval.out": "eaa3f9d824ab98c91ed2b01e8d65592a7f04400a3b233c23699c67f3d4d6dcc5",
+    "skin.eval.err": "b46b36c92632dce48d41b92f3dcc633609abec276f76eadbb6167e7ab3787103",
+    "skin.eval.roc": "a20e22daa1c1d82c28e9b75f863300acfaecf2f3b3af794c4fd168335a5a3b6d",
+    "skin.kfold.out": "6b72b9b171ab7862fa862c6a2c77ea0f4a6f2795a90a623892b10051a1c72f16",
+    "skin.kfold.err": "733d9bdbe7dd0ad8129d63f4f4cd07d4d1af74061061cd02da7df62b59c6192e",
+    "skin.kfold.roc": "094935df80d99265a5b73a1ab2e6faaeb0db13bcf9410451e4bccbb3932bca2e",
+    "skin.predict.out": "3d10c2eb56ab75c319233dcd108b889adc03cd2d916226ba594f0662b0864c71",
+    "skin.predict.err": "",
+    "heart.train.out": "267c255c8ef17b8edd1207e914354589a036fd21b09d3769bebaab768d9e3bda",
+    "heart.train.err": "",
+    "heart.model": "63f3b8f558d445dccd66d980e9f6061e02148deadfddefec517ca70dfbbf2ab7",
+    "heart.eval.out": "3e6ea8f60a3a3e98d74d6969744e107b141efae45f9a856c498843216c7ad6d6",
+    "heart.eval.err": "ea8bcefcbd07f448d098cda7944e740c0db9669ec647e544cc93531060aa0542",
+    "heart.eval.roc": "e73f8539a06d3121b8179baa69d7a36e103163e951926f39ecf5a7cf4118f584",
+    "heart.kfold.out": "57d3e1823e259b24ce923ac76ea315f6dbb7f75f88e64586419890190081c987",
+    "heart.kfold.err": "ea8bcefcbd07f448d098cda7944e740c0db9669ec647e544cc93531060aa0542",
+    "heart.kfold.roc": "bc443a454ccbf4e8690a79dc7ee42e3555fc2546b530105d67b82a41e4e7ebe6",
+    "heart.predict.out": "d8b5c18e3b3c797b023da23fd0af6ae7ae8bbb350f06daacdef8f57acfdfc4cd",
+    "heart.predict.err": "",
+    "lung.train.out": "0bc4c4eda236b113736ba41cbbb4d2329f7209f7faacddc6615c2379961d3092",
+    "lung.train.err": "",
+    "lung.model": "8d4a4e94e2b84635ce228b6ca47824b871bcab75fbc1def4c526bb491ae46421",
+    "lung.eval.out": "56b171dc03202f42175de0c547e06a0eaabdc618568bc585a2e24235f626d5ea",
+    "lung.eval.err": "ea8bcefcbd07f448d098cda7944e740c0db9669ec647e544cc93531060aa0542",
+    "lung.eval.roc": "59eab27e328f18f96d67180ab5eec98cc7ea68bd5ccb8eb361694e8b66c7612f",
+    "lung.kfold.out": "8ad593586f40bd34e174711922813195ea2bb3e34f179f0d9cf183e8976ffee6",
+    "lung.kfold.err": "75153c2977dd3ce89ef2acf37f32fa61f9f2d63b421bd5d4eb4aefbf9d16da64",
+    "lung.kfold.roc": "45ea9851eb63401d3ec9466995305cf4c641d7fa3ecb76636bdf1201b149c95c",
+    "lung.predict.out": "dbd3c070cd9815376bd11bd22c6b86db7d3c658820b95bf8f45304bddfc64a40",
+    "lung.predict.err": "",
+    "clot.sequence.out": "9ddb8904ea0a7dcdbf5e4b681819d3310415a26720abbdca0c1292e969959126",
+    "clot.sequence.err": "",
+    "report.out": "dedc2674a95f201df8f5ab452725292d45b0ec8bb69f6c7ed1f1d203d28619d0",
+    "report.err": "",
+}
+
+
+class TestGoldenFlow:
+    def test_every_output_of_the_flow_is_pinned(self, twelve_ws, tmp_path, capsys):
+        digests = {}
+
+        def sha(text: str) -> str:
+            for path, name in ((twelve_ws, "{ws}"), (tmp_path, "{tmp}")):
+                text = text.replace(str(path), name)
+            return text and hashlib.sha256(text.encode()).hexdigest()
+
+        def step(name, *argv) -> str:
+            code, out, err = run(capsys, *map(str, argv))
+            assert code == 0, (name, err)
+            out = re.sub(r', "latency_ms": [^}]*', "", out)
+            digests[f"{name}.out"], digests[f"{name}.err"] = sha(out), sha(err)
+            return out
+
+        reports = []
+        for tag, kind, data in (("clot", "clot", "img"), ("skin", "skin", "img"),
+                                ("heart", "cardio", "wav"), ("lung", "cardio", "lung")):
+            data, model = twelve_ws / data, tmp_path / f"{tag}.pdmodel.json"
+            step(f"{tag}.train", "train", kind, "--data", data, "--out", model)
+            digests[f"{tag}.model"] = sha(model.read_text())
+            for name, extra in ((f"{tag}.eval", ()), (f"{tag}.kfold", ("--kfold", "3"))):
+                roc = tmp_path / f"{name}.csv"
+                reports.append(tmp_path / f"{name}.json")
+                reports[-1].write_text(step(name, "eval", "--model", model, "--data", data,
+                                            *extra, "--roc-csv", roc))
+                digests[f"{name}.roc"] = sha(roc.read_text())
+            step(f"{tag}.predict", "predict", kind, "--model", model,
+                 "--input", min(set(data.iterdir()) - {data / "manifest.csv"}))
+        step("clot.sequence", "predict", "clot", "--model", tmp_path / "clot.pdmodel.json",
+             "--sequence", twelve_ws / "img")
+        step("report", "report", "--inputs", *reports, "--out", tmp_path / "report.json")
+        assert digests == GOLDEN_FLOW
 
 
 class TestModalityRecord:
@@ -950,6 +1064,37 @@ class TestEvalMemory:
         assert max(live) < (n + (n - n // k)) * row + margin
 
 
+class TestOneThresholdPerModel:
+    def test_a_score_at_the_threshold_is_label_1(self):
+        svm = SvmModel(np.zeros((1, 2)), np.zeros(1), 0.0, 1.0, 1.0)  # every score is 0.0
+        assert svm_predict(svm, np.zeros(2)) == (SvmModel.threshold, 1)
+        split = ForestModel([{"leaf": [1, 0]}, {"leaf": [0, 1]}], 1, ForestHyperparams())
+        assert forest_predict(split, np.zeros(1)) == (ForestModel.threshold, 1)
+        for t in (SvmModel.threshold, ForestModel.threshold):
+            assert evaluate([1, 0], [t, t - 1.0], t)["confusion"] == {
+                "tp": 1, "fp": 0, "fn": 0, "tn": 1}
+
+    @pytest.mark.parametrize("kind, data, model_class", [("clot", "img", SvmModel),
+                                                         ("cardio", "wav", ForestModel)])
+    def test_predict_and_eval_label_by_the_model_class_threshold(
+            self, kind, data, model_class, twelve_ws, tmp_path, capsys, monkeypatch):
+        data, model = twelve_ws / data, tmp_path / "m.pdmodel.json"
+        assert run(capsys, "train", kind, "--data", str(data), "--out", str(model))[0] == 0
+        positive = next(data / name for name, label in load_manifest(data) if label == 1)
+
+        def labels() -> tuple[int, int]:
+            """predict's label of a positive sample, and eval's count of label-1 predictions."""
+            predicted = json.loads(run(capsys, "predict", kind, "--model", str(model),
+                                       "--input", str(positive))[1])["label"]
+            cm = json.loads(run(capsys, "eval", "--model", str(model),
+                                "--data", str(data))[1])["confusion"]
+            return predicted, cm["tp"] + cm["fp"]
+
+        assert labels() == (1, 6)
+        monkeypatch.setattr(model_class, "threshold", math.inf)  # above every score
+        assert labels() == (0, 0)
+
+
 class TestKfoldSplitFirst:
     def test_k_over_a_class_size_refused_before_any_input_is_read(self, twelve_ws, tmp_path,
                                                                    capsys, monkeypatch):
@@ -964,6 +1109,21 @@ class TestKfoldSplitFirst:
                              "--data", str(twelve_ws / "img"), "--kfold", "50")
         assert (code, out, read) == (2, "", [])
         assert "class 0 has 6 members, fewer than k=50" in err
+
+    def test_one_class_set_refused_before_any_input_is_read(self, tmp_path, capsys, monkeypatch):
+        # A set without both classes has no ROC curve, and plain eval reads
+        # that from the manifest too.
+        import prediagnose.cli as cli
+
+        assert run(capsys, "synth", "thermal", "--out", str(tmp_path / "img"), "--n", "6",
+                   "--positive-frac", "1", "--seed", "3")[0] == 0
+        (tmp_path / "m.pdmodel.json").write_bytes(tiny_svm_file({"pipeline": "clot"}))
+        read, decode = [], cli.read_image_file
+        monkeypatch.setattr(cli, "read_image_file", lambda path: read.append(path) or decode(path))
+        code, out, err = run(capsys, "eval", "--model", str(tmp_path / "m.pdmodel.json"),
+                             "--data", str(tmp_path / "img"))
+        assert (code, out, read) == (2, "", [])
+        assert "both classes must be present" in err
 
 
 def fresh_python(*argv: str) -> str:

@@ -21,8 +21,8 @@ def concordance_auc(labels, scores):
 class TestConfusionMetrics:
     def test_confusion_counts(self):
         cm = ev.confusion([1, 1, 0, 0, 1], [1, 0, 0, 1, 1])
-        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 1, 1, 1)
-        assert cm.total == 5
+        assert (cm["tp"], cm["fp"], cm["fn"], cm["tn"]) == (2, 1, 1, 1)
+        assert sum(cm.values()) == 5
 
     def test_confusion_validation(self):
         with pytest.raises(ValueError):
@@ -31,17 +31,17 @@ class TestConfusionMetrics:
             ev.confusion([], [])
 
     def test_metrics_simple(self):
-        m = ev.metrics(ev.ConfusionMatrix(tp=8, fp=2, fn=1, tn=9))
-        assert m.accuracy == pytest.approx(0.85)
-        assert m.precision == pytest.approx(0.8)
-        assert m.recall == pytest.approx(8 / 9)
-        assert m.specificity == pytest.approx(9 / 11)
-        assert m.f1 == pytest.approx(2 * 0.8 * (8 / 9) / (0.8 + 8 / 9))
+        m = ev.metrics(tp=8, fp=2, fn=1, tn=9)
+        assert m["accuracy"] == pytest.approx(0.85)
+        assert m["precision"] == pytest.approx(0.8)
+        assert m["recall"] == pytest.approx(8 / 9)
+        assert m["specificity"] == pytest.approx(9 / 11)
+        assert m["f1"] == pytest.approx(2 * 0.8 * (8 / 9) / (0.8 + 8 / 9))
 
     def test_metrics_zero_denominators(self):
-        m = ev.metrics(ev.ConfusionMatrix(tp=0, fp=0, fn=3, tn=5))
-        assert m.precision == 0.0 and m.f1 == 0.0
-        assert m.recall == 0.0
+        m = ev.metrics(tp=0, fp=0, fn=3, tn=5)
+        assert m["precision"] == 0.0 and m["f1"] == 0.0
+        assert m["recall"] == 0.0
 
     def test_f1_from_reported_precision_recall_pairs(self):
         # two-decimal F1 values recovered from rounded precision/recall pairs
@@ -49,7 +49,7 @@ class TestConfusionMetrics:
         assert round(ev.f1_score(0.838, 0.840), 2) == 0.84
 
     def test_report_table_formatting(self):
-        report = ev.evaluate([1, 0, 1, 0], [1, 0, 1, 1], [0.9, 0.1, 0.8, 0.6])
+        report = ev.evaluate([1, 0, 1, 0], [0.9, 0.1, 0.8, 0.6], 0.5)
         table = ev.report_table(report, "Demo")
         assert table.startswith("Demo")
         assert "Accuracy" in table and "AUC" in table
@@ -125,8 +125,7 @@ class TestKfold:
             ev.stratified_kfold([0, 0, 0, 1], 2, Rng(0))
 
     def test_report_roundtrip_dict(self):
-        report = ev.evaluate([1, 0, 1, 0], [1, 0, 0, 0], [0.9, 0.2, 0.4, 0.1])
-        d = ev.report_to_dict(report)
+        d = ev.evaluate([1, 0, 1, 0], [0.9, 0.2, 0.4, 0.1], 0.5)
         assert d["confusion"] == {"tp": 1, "fp": 0, "fn": 1, "tn": 2}
         assert d["accuracy"] == pytest.approx(0.75)
         assert d["auc"] == pytest.approx(1.0)
