@@ -17,7 +17,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .audioproc import MAX_DURATION_S, read_wav_file
-from .core import FormatError, LabeledDataset, Rng, TrainingError
+from .core import FormatError, LabeledDataset, Rng, TrainingError, require_both_classes
 from .evaluation import class_counts, evaluate, report_table, roc_to_csv, stratified_kfold
 from .forest import ForestModel, forest_predict_batch, train_random_forest
 from .imageproc import read_image_file
@@ -41,8 +41,7 @@ from .pipeline import (
 )
 from .svm import SvmModel, svm_decision_batch, train_svm_smo
 from .synthcardio import MIN_DURATION_S, SAMPLE_RATES, write_cardio_dataset
-from .synththermal import (MAX_FRAMES, ThermalConfig, load_dataset, load_manifest,
-                           write_thermal_dataset)
+from .synththermal import MAX_FRAMES, ThermalConfig, load_manifest, write_thermal_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -211,7 +210,10 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     m = _modality(args.pipeline)
     cfg = cfgmod.load_config(m.config, args.config)
-    samples = load_dataset(args.data, m.read)
+    base = Path(args.data)
+    rows = load_manifest(base)
+    require_both_classes([lab for _, lab in rows])  # from the manifest, before any input is read
+    samples = [(m.read(base / name), lab) for name, lab in rows]
     model = m.train(samples, cfg, args.threads)
     preds = [m.predict(model, x, cfg)[1] for x, _ in samples]
     labels = [lab for _, lab in samples]

@@ -20,6 +20,12 @@ class TrainingError(ValueError):
     """Raised when a classifier cannot be trained (e.g. single-class data)."""
 
 
+def require_both_classes(labels) -> None:
+    """TrainingError unless the {0,1} labels hold both classes."""
+    if len(np.unique(labels)) < 2:
+        raise TrainingError("training data must contain both classes")
+
+
 class Rng:
     """SplitMix64 generator.
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,29 +88,39 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _replicate_border(p: np.ndarray, ry: int, rx: int) -> None:
-    """Fill the outer ry rows and rx columns of p with copies of the rows and
-    columns inside them: np.pad's mode="edge", in place."""
-    h, w = p.shape
-    p[:ry] = p[ry]
-    p[h - ry :] = p[h - ry - 1]
-    p[:, :rx] = p[:, rx : rx + 1]
-    p[:, w - rx :] = p[:, w - rx - 1 : w - rx]
-
-
-def _pad_edge(px: np.ndarray, ry: int, rx: int) -> np.ndarray:
-    """np.pad(px, ((ry, ry), (rx, rx)), mode="edge"), without np.pad's overhead."""
+def _pad_edge(px: np.ndarray, r: int) -> np.ndarray:
+    """np.pad(px, r, mode="edge"), without np.pad's overhead."""
     h, w = px.shape
-    p = np.empty((h + 2 * ry, w + 2 * rx), dtype=px.dtype)
-    p[ry : ry + h, rx : rx + w] = px
-    _replicate_border(p, ry, rx)
+    p = np.empty((h + 2 * r, w + 2 * r), dtype=px.dtype)
+    p[r : r + h, r : r + w] = px
+    p[:r] = p[r]
+    p[r + h :] = p[r + h - 1]
+    p[:, :r] = p[:, r : r + 1]
+    p[:, r + w :] = p[:, r + w - 1 : r + w]
     return p
+
+
+# The stencils below run on the flat row-major buffer of an image padded by r
+# on every side.  With row stride W = w + 2r, the padded pixel (y + dy, x + dx)
+# of output pixel (y, x) sits at flat index y*W + x + dy*W + dx, so each tap
+# (dy, dx) is one contiguous run of n = h*W - 2r lanes, and pixel (y, x) is
+# lane y*W + x.  Lanes y*W + w .. y*W + W - 1 straddle the wrap into the next
+# row: they are computed from real padded pixels and then thrown away.  A run
+# is one 1-D loop for numpy, where a 2-D slice of a padded array is h short ones.
+def _flat_taps(p: np.ndarray, r: int) -> tuple[int, Callable[[int, int], np.ndarray]]:
+    """The lane count n of p, an image padded by r on every side, and
+    tap(dy, dx), the run of p's flat buffer at offset (dy, dx), 0 <= dy, dx <= 2r."""
+    width = p.shape[1]
+    n = (p.shape[0] - 2 * r) * width - 2 * r
+    flat = p.reshape(-1)
+    return n, lambda dy, dx: flat[dy * width + dx : dy * width + dx + n]
 
 
 def _correlate(padded: np.ndarray, k: np.ndarray, out: np.ndarray, pair: np.ndarray) -> None:
     """Correlate along axis 0 with a symmetric kernel: padded holds the input
-    with r = len(k)//2 rows of border on each side, and pair is scratch of
-    out's shape.
+    with r = len(k)//2 entries of border on each side, and pair is scratch of
+    out's shape.  gaussian_blur runs it down whole padded rows, then along the
+    flat buffer of the result, where a step along axis 0 is one pixel across.
 
     Each output is x[i]*k[r] + sum over j = -r..-1 of (x[i+j] + x[i-j])*k[r+j],
     added in that order: scipy.ndimage.correlate1d's order for a symmetric
@@ -129,14 +140,19 @@ def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     k = gaussian_kernel_1d(sigma)
     r = len(k) // 2
     h, w = img.pixels.shape
-    # The column pass writes into the middle of the row pass's padded input.
-    rows = np.empty((h, w + 2 * r))
-    pair = np.empty((h, w))
-    _correlate(_pad_edge(img.pixels, r, 0), k, rows[:, r : r + w], pair)
-    _replicate_border(rows, 0, r)
-    out = np.empty((h, w))
-    _correlate(rows.T, k, out.T, pair.T)  # on transposed views: along each row
-    return GrayImage(out)
+    width = w + 2 * r
+    p = _pad_edge(img.pixels, r)
+    # Down the columns first, the border columns too: each is its edge
+    # column, so its pass is the edge column's, as padding after the pass gives.
+    down = np.empty((h, width))
+    pair = np.empty((h, width))
+    _correlate(p, k, down, pair)
+    # Then across, along the flat rows, into p's buffer, which is free now.
+    n = h * width - 2 * r
+    across = p.reshape(-1)[: h * width]
+    _correlate(down.reshape(-1), k, across[:n], pair.reshape(-1)[:n])
+    del down, pair
+    return GrayImage(across.reshape(h, width)[:, :w].copy())
 
 
 def _mod180(deg: np.ndarray) -> np.ndarray:
@@ -160,23 +176,31 @@ def _sobel(px: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each gradient is 0.0 plus its six nonzero taps in raster order, the order
     scipy.ndimage.correlate adds them in, so the two agree bit for bit.
     """
-    p = _pad_edge(px, 1, 1)
-    up, mid, down = p[:-2], p[1:-1], p[2:]
-    tap = np.empty(px.shape)
-    gx = np.subtract(0.0, up[:, :-2])
-    gx += up[:, 2:]
-    gx -= np.multiply(mid[:, :-2], 2.0, out=tap)
-    gx += np.multiply(mid[:, 2:], 2.0, out=tap)
-    gx -= down[:, :-2]
-    gx += down[:, 2:]
-    gy = np.subtract(0.0, up[:, :-2])
-    gy -= np.multiply(up[:, 1:-1], 2.0, out=tap)
-    gy -= up[:, 2:]
-    gy += down[:, :-2]
-    gy += np.multiply(down[:, 1:-1], 2.0, out=tap)
-    gy += down[:, 2:]
-    mag, ang = _polar(gx, gy, tap)
-    del p, up, mid, down, gy  # _mod180's image-sized temporary takes their place
+    h, w = px.shape
+    p = _pad_edge(px, 1)
+    n, tap = _flat_taps(p, 1)
+    wide = [np.empty((h, w + 2)) for _ in range(3)]  # gx, gy and a tap's product
+    gx, gy, t = (a.reshape(-1)[:n] for a in wide)
+    np.subtract(0.0, tap(0, 0), out=gx)
+    gx += tap(0, 2)
+    gx -= np.multiply(tap(1, 0), 2.0, out=t)
+    gx += np.multiply(tap(1, 2), 2.0, out=t)
+    gx -= tap(2, 0)
+    gx += tap(2, 2)
+    np.subtract(0.0, tap(0, 0), out=gy)
+    gy -= np.multiply(tap(0, 1), 2.0, out=t)
+    gy -= tap(0, 2)
+    gy += tap(2, 0)
+    gy += np.multiply(tap(2, 1), 2.0, out=t)
+    gy += tap(2, 2)
+    _polar(gx, gy, t)
+    # The magnitudes, in gx's lanes, are cut out into p's buffer and the
+    # angles, in t's, into gy's, which are free now.
+    mag = p.reshape(-1)[: h * w].reshape(h, w)
+    np.copyto(mag, wide[0][:, :w])
+    ang = wide[1].reshape(-1)[: h * w].reshape(h, w)
+    np.copyto(ang, wide[2][:, :w])
+    del wide, gx, gy, t  # frees gx's and t's buffers before _mod180's temporary
     return mag, _mod180(ang)
 
 
@@ -202,25 +226,29 @@ def _nms(mag: np.ndarray, ang: np.ndarray) -> np.ndarray:
     keeps a NaN, so the mask is the float rule's.
     """
     h, w = mag.shape
-    padded = _pad_edge(mag, 1, 1)
+    n, tap = _flat_taps(_pad_edge(mag, 1), 1)
     quarters = np.divide(ang, 45.0)
     np.fmin(quarters, 4.0, out=quarters)
     np.round(quarters, out=quarters)
-    direction = quarters.astype(np.int8)
-    direction &= 3
-    keep = np.zeros(mag.shape, dtype=bool)
-    sel = np.empty_like(keep)
-    test = np.empty_like(keep)
+    # Classes by lane, as the taps are; a wrap lane's class decides only its own lane.
+    direction = np.zeros((h, w + 2), dtype=np.int8)
+    np.copyto(direction[:, :w], quarters, casting="unsafe")
+    del quarters
+    classes = direction.reshape(-1)[:n]
+    classes &= 3
+    keep = np.zeros((h, w + 2), dtype=bool)
+    kept = keep.reshape(-1)[:n]
+    sel = np.empty(n, dtype=bool)
+    test = np.empty_like(sel)
+    centre = tap(1, 1)
     # Neighbor offsets along the gradient direction (y, x), image y grows down.
     for d, (dy, dx) in enumerate(((0, 1), (1, 1), (1, 0), (1, -1))):
-        n1 = padded[1 + dy : 1 + dy + h, 1 + dx : 1 + dx + w]
-        n2 = padded[1 - dy : 1 - dy + h, 1 - dx : 1 - dx + w]
         # strict toward the forward neighbor so tied plateaus thin to one line
-        np.equal(direction, d, out=sel)
-        sel &= np.greater(mag, n1, out=test)
-        sel &= np.greater_equal(mag, n2, out=test)
-        keep |= sel
-    return keep
+        np.equal(classes, d, out=sel)
+        sel &= np.greater(centre, tap(1 + dy, 1 + dx), out=test)
+        sel &= np.greater_equal(centre, tap(1 - dy, 1 - dx), out=test)
+        kept |= sel
+    return keep[:, :w].copy()
 
 
 # Dilation passes before _hysteresis labels the weak mask instead: on Canny
@@ -404,7 +432,7 @@ def _edge_histograms(edge: np.ndarray, cfg: HogConfig) -> np.ndarray:
     h, w = edge.shape
     cell, bins = cfg.cell_size, cfg.bins
     cy, cx = h // cell, w // cell
-    p = _pad_edge(edge.view(np.int8), 1, 1)
+    p = _pad_edge(edge.view(np.int8), 1)
     across = p[:, 2:] - p[:, :-2]  # right minus left neighbor
     gx = across[:-2] + across[2:]
     gx += 2 * across[1:-1]

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .audioproc import MfccConfig, aggregate_features, mfcc, wavelet_denoise
-from .core import AudioSignal, GrayImage, LabeledDataset, TrainingError
+from .core import AudioSignal, GrayImage, LabeledDataset, TrainingError, require_both_classes
 from .forest import ForestHyperparams, ForestModel, forest_predict, train_random_forest
 from .imageproc import HogConfig, canny, gaussian_blur, hog, hog_length, resize_bilinear
 from .svm import SvmModel, svm_predict, train_svm_smo
@@ -107,8 +107,7 @@ def _stack_rows(rows, n: int) -> np.ndarray:
 def _training_set(features, train: list, cfg, threads: int) -> LabeledDataset:
     """Feature matrix and labels of (sample, label) pairs; both classes required."""
     labels = [lab for _, lab in train]
-    if len(set(labels)) < 2:
-        raise TrainingError("training data must contain both classes")
+    require_both_classes(labels)
     return LabeledDataset(_feature_matrix(features, [x for x, _ in train], cfg, threads),
                           np.array(labels))
 

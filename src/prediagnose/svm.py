@@ -9,7 +9,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import LabeledDataset, TrainingError
+from .core import LabeledDataset, TrainingError, require_both_classes
 
 _TOL = 1e-3  # SMO stops once the KKT gap is below this
 _TAU = 1e-12  # curvature used for a pair whose kernel curvature is not positive
@@ -118,8 +118,7 @@ def train_svm_smo(data: LabeledDataset, c: float, gamma: float | None) -> SvmMod
         raise TrainingError(f"{len(X)} training samples need {need} bytes for the Gram matrix, "
                             f"over the cap of {MAX_GRAM_BYTES}")
     y01 = data.labels
-    if len(np.unique(y01)) < 2:
-        raise TrainingError("training data must contain both classes")
+    require_both_classes(y01)
     y = (2 * y01 - 1).astype(np.float64)
     n = len(y)
     if gamma is None:

@@ -195,9 +195,3 @@ def load_manifest(data_dir) -> list[tuple[str, int]]:
     if not rows:
         raise FormatError("empty manifest")
     return rows
-
-
-def load_dataset(data_dir, read) -> list[tuple[object, int]]:
-    """(read(path), label) for each manifest row, in manifest order."""
-    base = Path(data_dir)
-    return [(read(base / name), label) for name, label in load_manifest(base)]

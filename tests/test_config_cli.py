@@ -1126,6 +1126,29 @@ class TestKfoldSplitFirst:
         assert "both classes must be present" in err
 
 
+class TestTrainClassesFirst:
+    @pytest.mark.parametrize("pipeline, reader, synth", [
+        ("clot", "read_image_file", ["thermal"]),
+        ("cardio", "read_wav_file", ["cardio", "--task", "heart", "--rate", "4000",
+                                     "--duration", "2"]),
+    ])
+    def test_one_class_set_refused_before_any_input_is_read(self, pipeline, reader, synth,
+                                                             tmp_path, capsys, monkeypatch):
+        # The manifest's labels show that a set has one class, so train
+        # refuses it without decoding and featurizing every input first.
+        import prediagnose.cli as cli
+
+        assert run(capsys, "synth", *synth, "--out", str(tmp_path / "data"), "--n", "6",
+                   "--positive-frac", "1", "--seed", "3")[0] == 0
+        read, decode = [], getattr(cli, reader)
+        monkeypatch.setattr(cli, reader, lambda path: read.append(path) or decode(path))
+        code, out, err = run(capsys, "train", pipeline, "--data", str(tmp_path / "data"),
+                             "--out", str(tmp_path / "m.pdmodel.json"))
+        assert (code, out, read) == (3, "", [])
+        assert "training error: training data must contain both classes" in err
+        assert not (tmp_path / "m.pdmodel.json").exists()
+
+
 def fresh_python(*argv: str) -> str:
     """stdout of a fresh interpreter that imports this package from its source
     tree; a nonzero exit fails the test."""

@@ -705,3 +705,87 @@ class TestNmsClasses:
             keep = ip._nms(mag, ang)
         assert np.array_equal(keep, nms_reference(mag, ang))
         assert keep.any()
+
+
+def nms_loop_reference(mag, ang):
+    """_nms one pixel at a time: each pixel against its two neighbours along
+    its direction class, read from the edge-padded magnitude, strict toward
+    the forward one."""
+    h, w = mag.shape
+    padded = np.pad(mag, 1, mode="edge")
+    steps = ((0, 1), (1, 1), (1, 0), (1, -1))
+    keep = np.zeros((h, w), dtype=bool)
+    for y in range(h):
+        for x in range(w):
+            dy, dx = steps[int(np.round(ang[y, x] / 45.0)) % 4]
+            m = padded[y + 1, x + 1]
+            keep[y, x] = m > padded[y + 1 + dy, x + 1 + dx] and m >= padded[y + 1 - dy, x + 1 - dx]
+    return keep
+
+
+class TestNmsWrapLanes:
+    def test_every_pixel_against_its_own_neighbours(self):
+        # _nms reads each neighbour as a shifted run of one flat padded
+        # buffer; a wrong offset would compare a pixel at the end of a row
+        # with the start of the next.  Every oracle shape (1xN, Nx1 and 3x3
+        # among them), with the raw magnitudes, ties on a coarse grid, and
+        # plateaus as wide as the image.
+        rng = np.random.default_rng(61)
+        bounds = np.array([0.0, 22.5, 45.0, 67.5, 90.0, 112.5, 135.0, 157.5, 180.0])
+        for px in oracle_images():
+            ang = rng.random(px.shape) * 180.0
+            on_bound = rng.random(px.shape) < 0.2
+            ang[on_bound] = rng.choice(bounds, size=int(on_bound.sum()))
+            for mag in (px, np.round(px * 4.0) / 4.0, np.floor(px * 2.0)):
+                want = nms_loop_reference(mag, ang)
+                assert ip._nms(mag, ang).tobytes() == want.tobytes()
+
+
+def strided_views(px):
+    """px and views of it that are not C-contiguous: transposed, every other
+    row from the second column, and mirrored left to right."""
+    return [px, px.T, px[::2, 1:], px[:, ::-1]]
+
+
+class TestKernelOutputs:
+    """Each kernel leaves its input as it was and returns fresh C-contiguous
+    arrays, whatever the input's layout."""
+
+    @staticmethod
+    def check(inputs, outputs):
+        for out in outputs:
+            assert out.flags.c_contiguous
+            for arr in inputs:
+                assert not np.shares_memory(out, arr)
+
+    def test_blur_sobel_nms_canny(self):
+        rng = np.random.default_rng(67)
+        for px in strided_views(rng.random((20, 17))):
+            before = px.copy()
+            blurred = ip.gaussian_blur(GrayImage(px), 1.4).pixels
+            mag, ang = ip._sobel(px)
+            edges = ip.canny(GrayImage(px), 1.4, 0.05, 0.15).pixels
+            assert np.array_equal(px, before)
+            self.check([px], [blurred, mag, ang, edges])
+            self.check([mag], [ang])
+            assert blurred.shape == mag.shape == ang.shape == edges.shape == px.shape
+            mag_t, ang_t = mag.T, ang.T  # non-contiguous magnitude and angle
+            for m, a in ((mag, ang), (mag_t, ang_t)):
+                m_before, a_before = m.copy(), a.copy()
+                keep = ip._nms(m, a)
+                assert np.array_equal(m, m_before) and np.array_equal(a, a_before)
+                self.check([m, a], [keep])
+                assert keep.shape == m.shape
+
+    @pytest.mark.parametrize("edge_map", [False, True], ids=["intensity", "edge_map"])
+    def test_hog(self, edge_map):
+        rng = np.random.default_rng(71)
+        big = rng.random((64, 49))
+        if edge_map:
+            big = (big > 0.7).astype(np.float64)  # takes the integer gradient path
+        for px in (big[::2, 1:], big[:, 1:], big[:, 1:].T, big[:, :0:-1]):
+            before = px.copy()
+            feats = ip.hog(GrayImage(px), ip.HogConfig())
+            assert np.array_equal(px, before)
+            self.check([px], [feats])
+            assert feats.tobytes() == ip.hog(GrayImage(before), ip.HogConfig()).tobytes()

@@ -216,6 +216,19 @@ class TestSkinPipeline:
         assert label in (0, 1)
         assert pl.SKIN_STANDIN_NAME == "skin-standin-hog-svm"
 
+    def test_one_call_peaks_under_two_and_a_half_megabytes(self):
+        # The skin path runs the float Sobel on a 224x224 image, where one
+        # float64 array is 401 KB.  One call on a 300x260 image peaked at
+        # 2.20 MB; the bound leaves about 0.3 MB, under one such array.
+        img = GrayImage(Rng(5).uniform_array(300 * 260).reshape(300, 260))
+        tracemalloc.start()
+        try:
+            pl.skin_features(img, pl.SkinPipelineConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_500_000
+
     def test_standin_single_class_rejected(self):
         img = st.generate_sample(THERMAL_CFG, 0, Rng(4))
         with pytest.raises(TrainingError):

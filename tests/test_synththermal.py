@@ -9,6 +9,11 @@ from prediagnose.imageproc import read_image_file
 CFG = st.ThermalConfig()
 
 
+def read_dataset(data_dir):
+    """(image, label) for each manifest row, in manifest order, as train reads them."""
+    return [(read_image_file(data_dir / name), label) for name, label in st.load_manifest(data_dir)]
+
+
 class TestRenderScene:
     def test_closed_form_pixels(self):
         cfg = st.ThermalConfig(noise_sigma=0.0)
@@ -112,7 +117,7 @@ class TestGenerate:
 class TestDatasetIO:
     def test_write_load_round_trip(self, tmp_path):
         st.write_thermal_dataset(tmp_path, CFG, 6, 0.5, seed=21, frames=0)
-        samples = st.load_dataset(tmp_path, read_image_file)
+        samples = read_dataset(tmp_path)
         assert len(samples) == 6
         assert sum(lab for _, lab in samples) == 3
         assert all(img.pixels.shape == (128, 128) for img, _ in samples)
@@ -137,7 +142,7 @@ class TestDatasetIO:
         rows = st.load_manifest(tmp_path)
         assert len(rows) == 6
         assert rows[0][0].startswith("seq0000/")
-        samples = st.load_dataset(tmp_path, read_image_file)
+        samples = read_dataset(tmp_path)
         assert len(samples) == 6
 
     def test_sequence_written_one_frame_at_a_time(self, tmp_path):
@@ -202,4 +207,4 @@ class TestDatasetIO:
         data.mkdir()
         (data / "manifest.csv").write_text(f"filename,label\n{name.format(abs=outside)},1\n")
         with pytest.raises(FormatError, match="outside"):
-            st.load_dataset(data, read_image_file)
+            st.load_manifest(data)
