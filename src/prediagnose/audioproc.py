@@ -84,7 +84,10 @@ def read_wav(data: bytes) -> AudioSignal:
     ints = np.frombuffer(raw[: n_frames * 2 * n_channels], dtype="<i2")
     if len(ints) == 0:
         raise FormatError("empty data chunk")
-    samples = ints.astype(np.float64).reshape(-1, n_channels).mean(axis=1) / 32768.0
+    samples = ints.astype(np.float64)
+    if n_channels > 1:  # the mean of one channel is its samples, bit for bit
+        samples = samples.reshape(-1, n_channels).mean(axis=1)
+    samples /= 32768.0
     return AudioSignal(samples, sample_rate)
 
 

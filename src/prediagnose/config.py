@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import math
 import sys
-import typing
+from typing import get_args, get_type_hints
 
 from .core import FormatError
 from .persist import PersistError
@@ -32,11 +33,21 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
            "window"),
 }
 
+
+@functools.cache
+def _fields(cls) -> tuple[tuple[str, object, bool], ...]:
+    """(name, annotation, nested config or not) of each field of the config
+    dataclass cls in declaration order: its annotations, resolved once per process."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], dataclasses.is_dataclass(hints[f.name]))
+                 for f in dataclasses.fields(cls))
+
+
 # Each key's field annotation, nested configs flattened as config_snapshot flattens them.
 _HINTS: dict[str, object] = {}
 for _cls in (ThermalConfig, ClotPipelineConfig, CardioPipelineConfig):
-    for _name, _t in typing.get_type_hints(_cls).items():
-        _HINTS.update(typing.get_type_hints(_t) if dataclasses.is_dataclass(_t) else {_name: _t})
+    for _name, _t, _nested in _fields(_cls):
+        _HINTS.update({n: t for n, t, _ in _fields(_t)} if _nested else {_name: _t})
 
 
 def _parse_file(path) -> dict[str, object]:
@@ -56,7 +67,7 @@ def _parse_file(path) -> dict[str, object]:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise FormatError(f"unknown config key {key!r} in [{section}]")
-            typ = (typing.get_args(_HINTS[key]) or (_HINTS[key],))[0]  # float | None: float
+            typ = (get_args(_HINTS[key]) or (_HINTS[key],))[0]  # float | None: float
             if raw.lower() == "none":  # only a nullable field takes it: see _checked
                 values[key] = None
                 continue
@@ -74,21 +85,19 @@ def config_from_snapshot(cls, values: dict):
     ``created_with`` record, or a parsed INI file) when present, else its
     default.  A value of the wrong type, or a float that is not finite, raises
     PersistError; None passes only where the field's annotation allows it."""
-    hints = typing.get_type_hints(cls)
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        hint = hints[f.name]
-        if dataclasses.is_dataclass(hint):
-            kwargs[f.name] = config_from_snapshot(hint, values)
-        elif f.name in values:
-            kwargs[f.name] = _checked(f.name, values[f.name], hint)
+    for name, hint, nested in _fields(cls):
+        if nested:
+            kwargs[name] = config_from_snapshot(hint, values)
+        elif name in values:
+            kwargs[name] = _checked(name, values[name], hint)
     return cls(**kwargs)
 
 
 def _checked(key: str, value, hint):
     """value, if it has the type of the field annotation hint: ``float | None``
     is a nullable float."""
-    args = typing.get_args(hint)
+    args = get_args(hint)
     if value is None and type(None) in args:
         return value
     typ = args[0] if args else hint

@@ -135,9 +135,18 @@ def _correlate(padded: np.ndarray, k: np.ndarray, out: np.ndarray, pair: np.ndar
         out += pair
 
 
+# A pipeline blurs at one or two sigmas (Canny's and the intensity view's).
+@functools.lru_cache(maxsize=4)
+def _blur_kernel(sigma: float) -> np.ndarray:
+    """gaussian_kernel_1d(sigma), shared by every blur at sigma, so read-only."""
+    k = gaussian_kernel_1d(sigma)
+    k.flags.writeable = False
+    return k
+
+
 def gaussian_blur(img: GrayImage, sigma: float) -> GrayImage:
     """Separable Gaussian blur with edge replication at borders."""
-    k = gaussian_kernel_1d(sigma)
+    k = _blur_kernel(sigma)
     r = len(k) // 2
     h, w = img.pixels.shape
     width = w + 2 * r

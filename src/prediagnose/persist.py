@@ -23,10 +23,18 @@ The hex is then decoded straight from the file's bytes. Any other input, a
 hand-edited version 3 file included, gets the full JSON parse, with the same
 checks and messages.
 
+What a load scans: a packed matrix once, for its rows' squared norms, which
+the model keeps for its first score. A NaN or infinity makes its row's norm
+NaN or infinite, so finite norms clear the matrix; only a non-finite norm,
+which a huge finite row also gives, rescans it element by element. A forest's
+trees are walked once, each node checked, its JSON path spelled out only for
+an error message.
+
 Memory: save_model builds an SVM's file in one preallocated bytearray and
 hex-encodes the support vectors into it a piece at a time, so the only
 file-sized buffer it makes is its result. A load as save_model wrote it
-holds the file's bytes and the decoded matrix; the full parse holds at most
+holds the file's bytes and the decoded matrix, and, for the norms, a block
+of about 256 KB of squared rows; the full parse holds at most
 two file-sized buffers at once: the bytes and the text decoded from them,
 then the text and the packed string parsed from it, then the packed string
 and the decoded support vectors; each is dropped once the next is made.
@@ -40,6 +48,7 @@ import functools
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +73,7 @@ _SVM_START = b'{"format_version": 3, "kind": "svm", '
 _HEX_OPEN = b'"float64le_hex": "'
 _SVM_END = b'"}}}\n'
 _JSON = json.JSONDecoder()  # the decoder json.loads uses
+_FLOAT_MAX = sys.float_info.max
 
 
 class PersistError(FormatError):
@@ -134,8 +144,8 @@ def _all_finite(arr: np.ndarray) -> bool:
 
 def _packed_matrix(mapping, key, path, version: int) -> np.ndarray:
     """mapping[key] in its version 2 or 3 form, {"shape": [m, d], field: text},
-    as a finite (m, d) float64 array. The fast load puts the decoded bytes in
-    place of the text."""
+    as an (m, d) float64 array, not yet checked to be finite. The fast load
+    puts the decoded bytes in place of the text."""
     field, encoding, decode = _PACKED[version]
     packed = _expect(mapping, key, dict, path)
     path = f"{path}.{key}"
@@ -153,30 +163,49 @@ def _packed_matrix(mapping, key, path, version: int) -> np.ndarray:
     n_bytes = 8 * shape[0] * shape[1]
     if len(raw) != n_bytes:
         raise PersistError(f"field {path}.{field} does not hold {n_bytes} bytes")
-    arr = np.frombuffer(raw, dtype="<f8").reshape(shape)
-    if not _all_finite(arr):
-        raise PersistError(f"field {path} must be finite numbers in 2 dimensions")
-    return arr
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
+def _node_path(path) -> str:
+    """The JSON path text of a tree node: path is the tree's index in
+    $.payload.trees, or (the parent's path, ".left" or ".right")."""
+    steps = []
+    while type(path) is tuple:
+        path, step = path
+        steps.append(step)
+    return f"$.payload.trees[{path}]" + "".join(reversed(steps))
 
 
 def _tree_from_dict(obj, path, n_features: int) -> dict:
-    """A fresh copy of the tree node obj, every node checked; unknown keys are dropped."""
+    """A fresh copy of the tree node obj, every node checked; unknown keys are
+    dropped. path is as _node_path takes it, joined only for a message."""
     if not isinstance(obj, dict):
-        raise PersistError(f"field {path} must be an object")
+        raise PersistError(f"field {_node_path(path)} must be an object")
     if "leaf" in obj:
         leaf = obj["leaf"]
-        if not (isinstance(leaf, list) and len(leaf) == 2
-                and all(type(n) is int and n >= 0 for n in leaf) and sum(leaf) > 0):
-            raise PersistError(f"field {path}.leaf must be [n0, n1]: two non-negative "
-                               "integers with a positive sum")
-        return {"leaf": list(leaf)}
-    feature = _expect(obj, "feature", int, path)
-    if not 0 <= feature < n_features:
-        raise PersistError(f"field {path}.feature = {feature} is outside [0, {n_features})")
-    return {"feature": feature, "threshold": _real(obj, "threshold", path),
-            "left": _tree_from_dict(_expect(obj, "left", dict, path), f"{path}.left", n_features),
-            "right": _tree_from_dict(_expect(obj, "right", dict, path), f"{path}.right",
-                                     n_features)}
+        if isinstance(leaf, list) and len(leaf) == 2:
+            n0, n1 = leaf
+            if type(n0) is int and type(n1) is int and n0 >= 0 and n1 >= 0 and n0 + n1 > 0:
+                return {"leaf": [n0, n1]}
+        raise PersistError(f"field {_node_path(path)}.leaf must be [n0, n1]: two non-negative "
+                           "integers with a positive sum")
+    feature, threshold, left = obj.get("feature"), obj.get("threshold"), obj.get("left")
+    if not (type(feature) is int and 0 <= feature < n_features and type(threshold) is float
+            and -_FLOAT_MAX <= threshold <= _FLOAT_MAX and type(left) is dict):
+        # Not a split as JSON reads a well-formed one: the checks raise the
+        # first fault, and an int threshold passes as a float.
+        text = _node_path(path)
+        feature = _expect(obj, "feature", int, text)
+        if not 0 <= feature < n_features:
+            raise PersistError(f"field {text}.feature = {feature} is outside [0, {n_features})")
+        threshold = _real(obj, "threshold", text)
+        left = _expect(obj, "left", dict, text)
+    left = _tree_from_dict(left, (path, ".left"), n_features)
+    right = obj.get("right")
+    if type(right) is not dict:
+        right = _expect(obj, "right", dict, _node_path(path))
+    return {"feature": feature, "threshold": threshold, "left": left,
+            "right": _tree_from_dict(right, (path, ".right"), n_features)}
 
 
 def save_model(model, created_with: dict) -> bytes | bytearray:
@@ -292,10 +321,20 @@ def load_model(data: bytes):
             sv = _finite_array(payload, "support_vectors", "$.payload", 2)
         else:
             sv = _packed_matrix(payload, "support_vectors", "$.payload", version)
+        model = SvmModel(support_vectors=sv, alpha_y=alpha_y, bias=bias, gamma=gamma, c=c)
+        if version > 1 and sv.size:  # an empty matrix is refused below, with nothing sized by it
+            # Finite norms clear the matrix (see the module docstring). A huge
+            # finite row overflows, and squaring a signalling NaN would warn
+            # "invalid", which the exact test's min and max do not.
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = model.sv_sq_norms
+            if not (_all_finite(norms) or _all_finite(sv)):
+                raise PersistError("field $.payload.support_vectors must be finite numbers "
+                                   "in 2 dimensions")
         if sv.size == 0 or len(sv) != len(alpha_y):
             raise PersistError(f"$.payload.support_vectors of shape {sv.shape} is empty or has a "
                                f"length mismatch with alpha_y ({len(alpha_y)})")
-        return SvmModel(support_vectors=sv, alpha_y=alpha_y, bias=bias, gamma=gamma, c=c), created_with
+        return model, created_with
     if kind == "forest":
         n_features = _expect(payload, "n_features", int, "$.payload")
         if n_features < 1:
@@ -318,8 +357,7 @@ def load_model(data: bytes):
         except TrainingError as exc:
             raise PersistError(f"field $.payload.hyperparams: {exc}") from None
         try:
-            trees = [_tree_from_dict(t, f"$.payload.trees[{i}]", n_features)
-                     for i, t in enumerate(trees_obj)]
+            trees = [_tree_from_dict(t, i, n_features) for i, t in enumerate(trees_obj)]
         except RecursionError:
             raise PersistError("field $.payload.trees is nested too deeply") from None
         return ForestModel(trees=trees, n_features=n_features, hyperparams=hp), created_with

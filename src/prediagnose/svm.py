@@ -18,7 +18,8 @@ _MAX_STEPS = 100  # SMO pair steps allowed per training sample
 # temporary of its size that building it takes (16 n^2 bytes in all), would
 # exceed this: 1 GiB, so n = 8,192 is the largest set trained.
 MAX_GRAM_BYTES = 1 << 30
-_NORM_BLOCK_BYTES = 1 << 20  # bytes of rows _sq_norms squares at a time
+# Bytes of rows _sq_norms squares at a time; a packed model load holds one block.
+_NORM_BLOCK_BYTES = 1 << 18
 
 
 @dataclass
@@ -45,8 +46,8 @@ class SvmModel:
 
 
 def _sq_norms(a: np.ndarray) -> np.ndarray:
-    """np.sum(a * a, axis=1), bit for bit, squaring about a megabyte of rows
-    at a time rather than all of a. Each row reduces on its own, so a block
+    """np.sum(a * a, axis=1), bit for bit, squaring about 256 KB of rows at a
+    time rather than all of a. Each row reduces on its own, so a block
     gives each row's bits as the whole does while the rows lie in row-major
     order; an a whose columns are closer in memory than its rows is reduced
     whole."""

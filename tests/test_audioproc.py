@@ -393,6 +393,22 @@ class TestWav:
         out = ap.read_wav(header + raw)
         assert np.allclose(out.samples, [2000 / 32768.0, -2000 / 32768.0])
 
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    def test_samples_are_the_channel_mean_over_32768_bit_for_bit(self, channels):
+        # One channel skips the mean, which would give each sample itself.
+        import struct
+
+        ints = np.random.default_rng(channels).integers(-32768, 32768, 3 * 4096, dtype="<i2")
+        raw = ints.tobytes()
+        header = struct.pack(
+            "<4sI4s4sIHHIIHH4sI",
+            b"RIFF", 36 + len(raw), b"WAVE",
+            b"fmt ", 16, 1, channels, 8000, 8000 * 2 * channels, 2 * channels, 16,
+            b"data", len(raw),
+        )
+        want = ints.astype(np.float64).reshape(-1, channels).mean(axis=1) / 32768.0
+        assert ap.read_wav(header + raw).samples.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("channels", [1, 2])
     def test_length_cap_counts_frames(self, channels):
         # MAX_DURATION_S at 100 Hz is 60,000 frames, however many channels.

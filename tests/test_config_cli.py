@@ -949,6 +949,38 @@ class TestGoldenFlow:
         assert digests == GOLDEN_FLOW
 
 
+class TestAnnotationsResolvedOnce:
+    def test_each_config_class_resolved_once_per_process(self, twelve_ws, tmp_path, capsys,
+                                                         monkeypatch):
+        # train, eval and two predicts on a cardio and a clot set, each reading
+        # its config; config's annotation tables are then rebuilt, counted.
+        def flow() -> list[str]:
+            outs = []
+            for kind, data in (("cardio", twelve_ws / "wav"), ("clot", twelve_ws / "img")):
+                model = tmp_path / f"{kind}.pdmodel.json"
+                inputs = sorted(set(data.iterdir()) - {data / "manifest.csv"})[:2]
+                for argv in (["train", kind, "--data", data, "--out", model],
+                             ["eval", "--model", model, "--data", data],
+                             *(["predict", kind, "--model", model, "--input", x] for x in inputs)):
+                    code, out, _ = run(capsys, *map(str, argv))
+                    assert code == 0
+                    outs.append(re.sub(r', "latency_ms": [^}]*', "", out))
+            return outs
+
+        expected = flow()
+        calls = []
+
+        def counted(cls, *args, **kwargs):
+            calls.append(cls.__name__)
+            return typing.get_type_hints(cls, *args, **kwargs)
+
+        monkeypatch.setattr(cfgmod, "get_type_hints", counted)
+        cfgmod._fields.cache_clear()
+        assert flow() == expected
+        assert sorted(calls) == ["CardioPipelineConfig", "ClotPipelineConfig", "ForestHyperparams",
+                                 "HogConfig", "MfccConfig"]
+
+
 class TestModalityRecord:
     @pytest.mark.parametrize("kind", ["clot", "cardio", "skin"])
     def test_train_accuracy_is_eval_accuracy_on_the_training_set(self, kind, twelve_ws, capsys,

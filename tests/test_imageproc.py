@@ -249,6 +249,20 @@ class TestMatchesNdimage:
             want = ndimage.correlate1d(want, k, axis=1, mode="nearest")
             assert ip.gaussian_blur(GrayImage(px), sigma).pixels.tobytes() == want.tobytes()
 
+    def test_kernel_is_fresh_and_the_blur_kernel_refuses_writes(self):
+        # gaussian_blur takes its kernel from a cache that every blur at one
+        # sigma shares; gaussian_kernel_1d itself still builds a new array.
+        img = GrayImage(oracle_images()[5])
+        before = ip.gaussian_blur(img, 1.4).pixels.tobytes()
+        k = ip.gaussian_kernel_1d(1.4)
+        assert k.flags.writeable and k is not ip.gaussian_kernel_1d(1.4)
+        k[:] = 7.0
+        assert ip.gaussian_blur(img, 1.4).pixels.tobytes() == before
+        cached = ip._blur_kernel(1.4)
+        assert cached is ip._blur_kernel(1.4)
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+
     def test_sobel_is_correlate_bit_for_bit(self):
         sobel_x = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64)
         for px in oracle_images():

@@ -7,6 +7,7 @@ import os
 import re
 import stat
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +23,7 @@ from prediagnose import synththermal
 from prediagnose.config import config_snapshot
 from prediagnose.forest import (ForestHyperparams, forest_predict, forest_predict_batch,
                                train_random_forest)
-from prediagnose.svm import SvmModel, svm_decision
+from prediagnose.svm import SvmModel, _sq_norms, svm_decision
 from prediagnose.synthcardio import generate_cardio_dataset
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -400,7 +401,8 @@ class TestMemory:
 
     def test_v3_load_holds_the_file_and_the_matrix(self, tmp_path):
         # The hex is decoded straight from the file's bytes: no text copy of
-        # the file, no packed string and no finiteness mask beside them.
+        # the file, no packed string and no finiteness mask beside them, only
+        # the norms and the block of squared rows they are summed from.
         path = tmp_path / "big.pdmodel.json"
         persist.save_model_file(path, big_svm(), {})
         (model, _), peak = traced_peak(lambda: persist.load_model_file(path))
@@ -624,6 +626,7 @@ class TestSchemaErrors:
         (packed_sv(np.ones(13), shape=[6, 2]), "does not hold 96 bytes"),
         (packed_sv(np.ones(7)[:0], shape=[6, 0]), "is empty"),
         (packed_sv(np.ones(7)[:0], shape=[0, 2]), "is empty"),
+        (packed_sv(np.ones(7)[:0], shape=[10**12, 0]), "is empty"),
         (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "*" + t[11:]), "is not base64"),
         (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "=" + t[11:]), "is not base64"),
         (packed_sv(np.ones((6, 2)), text=lambda t: t[:-4] + "AA=="), "does not hold 96 bytes"),
@@ -641,7 +644,7 @@ class TestSchemaErrors:
         ({"shape": [6, 2]}, "missing field"),
         ([[1.0, 2.0]] * 6, "wrong type"),
     ], ids=["inf", "minus_inf", "nan", "ragged_short", "ragged_long", "no_features", "no_rows",
-            "not_base64_char", "bad_padding", "early_padding", "space", "newline", "four_spaces",
+            "huge_no_features", "not_base64_char", "bad_padding", "early_padding", "space", "newline", "four_spaces",
             "line_break_inserted", "not_ascii", "text_not_a_string", "shape_one_entry",
             "shape_three_entries", "shape_negative", "shape_bool", "shape_float", "text_missing",
             "nested_list"])
@@ -662,6 +665,7 @@ class TestSchemaErrors:
         (packed_sv(np.array([[np.nan, 0.0]] * 6), version=3), "must be finite"),
         (packed_sv(np.ones(11), shape=[6, 2], version=3), "does not hold 96 bytes"),
         (packed_sv(np.ones(13), shape=[6, 2], version=3), "does not hold 96 bytes"),
+        (packed_sv(np.ones(7)[:0], shape=[10**12, 0], version=3), "is empty"),
         (packed_sv(np.ones((6, 2)), text=lambda t: t[:-1], version=3), "is not hex"),
         (packed_sv(np.ones((6, 2)), text=lambda t: t + "0", version=3), "is not hex"),
         (packed_sv(np.ones((6, 2)), text=lambda t: t[:10] + "g" + t[11:], version=3),
@@ -674,9 +678,9 @@ class TestSchemaErrors:
          "is not hex"),
         (packed_sv(np.ones((6, 2)), text=lambda t: [t], version=3), "wrong type"),
         (packed_sv(np.ones((6, 2))), "missing field"),
-    ], ids=["inf", "minus_inf", "nan", "short", "long", "odd_length", "odd_length_long",
-            "not_hex_char", "spaces", "line_break_inserted", "not_ascii", "text_not_a_string",
-            "base64_field"])
+    ], ids=["inf", "minus_inf", "nan", "short", "long", "huge_no_features", "odd_length",
+            "odd_length_long", "not_hex_char", "spaces", "line_break_inserted", "not_ascii",
+            "text_not_a_string", "base64_field"])
     def test_hex_support_vectors_rejected(self, packed, message):
         # The version 3 field is lowercase or uppercase hex digits only, of
         # exactly the 96 bytes of tiny_svm's 6 support vectors of 2 features.
@@ -811,3 +815,153 @@ class TestCrossVersionCli:
                    for path in paths]
         assert "latency_ms" not in "".join(outputs[2]) and '"score"' in outputs[2][0]
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+LEAF_FAULT = "field {p}.leaf must be [n0, n1]: two non-negative integers with a positive sum"
+
+
+def split(**fields) -> dict:
+    """A split of two leaves with fields replaced; a field set to ... is left out."""
+    node = {"feature": 0, "threshold": 0.5, "left": {"leaf": [1, 2]}, "right": {"leaf": [2, 1]}}
+    node.update(fields)
+    return {key: value for key, value in node.items() if value is not ...}
+
+
+def forest_doc_with(node, side: str) -> dict:
+    """tiny_forest's file as a dict, its fourth tree replaced by one whose node
+    at $.payload.trees[3].{side}.{side}, depth 2, is node."""
+    inner = split(feature=1, threshold=0.25, **{side: node})
+    obj = json.loads(persist.save_model(tiny_forest(), {}))
+    obj["payload"]["trees"][3] = split(feature=2, threshold=0.75, **{side: inner})
+    return obj
+
+
+def load_doc(obj):
+    return persist.load_model(json.dumps(obj).encode())
+
+
+class TestForestLoaderMessages:
+    # Each malformed node's exact message, as the loader gave it before the
+    # well-formed case was given its own checks; {p} is the node's path.
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("node, message", [
+        ([1, 2], "field {p} has wrong type list"),
+        (None, "field {p} has wrong type NoneType"),
+        ("leaf", "field {p} has wrong type str"),
+        ({"leaf": [1]}, LEAF_FAULT),
+        ({"leaf": [1, 2, 3]}, LEAF_FAULT),
+        ({"leaf": [-1, 3]}, LEAF_FAULT),
+        ({"leaf": [True, 0]}, LEAF_FAULT),
+        ({"leaf": [0, 0]}, LEAF_FAULT),
+        ({"leaf": [1.0, 0]}, LEAF_FAULT),
+        ({"leaf": {"n0": 1, "n1": 0}}, LEAF_FAULT),
+        (split(feature=...), "missing field {p}.feature"),
+        (split(feature=True), "field {p}.feature has wrong type bool"),
+        (split(feature=1.0), "field {p}.feature has wrong type float"),
+        (split(feature=-1), "field {p}.feature = -1 is outside [0, 3)"),
+        (split(feature=3), "field {p}.feature = 3 is outside [0, 3)"),
+        (split(threshold=...), "missing field {p}.threshold"),
+        (split(threshold=False), "field {p}.threshold has wrong type bool"),
+        (split(threshold="0.5"), "field {p}.threshold has wrong type str"),
+        (split(threshold=float("nan")), "field {p}.threshold must be finite, got nan"),
+        (split(threshold=float("inf")), "field {p}.threshold must be finite, got inf"),
+        (split(threshold=10**400), "field {p}.threshold must be finite, got inf"),
+        (split(left=...), "missing field {p}.left"),
+        (split(left=[{"leaf": [1, 2]}]), "field {p}.left has wrong type list"),
+        (split(right=...), "missing field {p}.right"),
+        (split(right=3), "field {p}.right has wrong type int"),
+        # The first fault in the order checked: feature, threshold, left, the
+        # left subtree, right.
+        (split(feature=9, threshold="x"), "field {p}.feature = 9 is outside [0, 3)"),
+        (split(threshold=float("nan"), left=...), "field {p}.threshold must be finite, got nan"),
+        (split(left=..., right=...), "missing field {p}.left"),
+        (split(left={"leaf": [0, 0]}, right=...), LEAF_FAULT.replace("{p}", "{p}.left")),
+        (split(left=split(feature=-1), right=3),
+         "field {p}.left.feature = -1 is outside [0, 3)"),
+    ], ids=["list", "null", "string", "leaf_one", "leaf_three", "leaf_negative", "leaf_bool",
+            "leaf_zero_sum", "leaf_float", "leaf_object", "feature_missing", "feature_bool",
+            "feature_float", "feature_negative", "feature_n_features", "threshold_missing",
+            "threshold_bool", "threshold_string", "threshold_nan", "threshold_inf",
+            "threshold_int_beyond_float", "left_missing", "left_list", "right_missing",
+            "right_int", "feature_before_threshold", "threshold_before_left",
+            "left_before_right", "left_subtree_before_right_missing",
+            "left_subtree_before_right_type"])
+    def test_malformed_node_message(self, node, message, side):
+        with pytest.raises(persist.PersistError) as exc:
+            load_doc(forest_doc_with(node, side))
+        assert str(exc.value) == message.format(p=f"$.payload.trees[3].{side}.{side}")
+
+    def test_tree_that_is_not_an_object(self):
+        obj = forest_doc_with({"leaf": [1, 2]}, "left")
+        obj["payload"]["trees"][3] = [1, 2]
+        with pytest.raises(persist.PersistError) as exc:
+            load_doc(obj)
+        assert str(exc.value) == "field $.payload.trees[3] must be an object"
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_int_threshold_loads_as_a_float(self, side):
+        (model, _) = load_doc(forest_doc_with(split(threshold=1), side))
+        threshold = model.trees[3][side][side]["threshold"]
+        assert type(threshold) is float and threshold == 1.0
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_unknown_keys_dropped_at_depth(self, side):
+        node = split(gini=0.5, left={"leaf": [1, 2], "note": "x"},
+                     right={"leaf": [2, 1], "feature": 5})
+        (model, _) = load_doc(forest_doc_with(node, side))
+        assert model.trees[3][side][side] == split()
+
+
+def v3_file_with(values) -> bytes:
+    """tiny_svm's file as save_model writes it, its packed hex replaced by
+    that of values, six rows of two features."""
+    model = tiny_svm()
+    hex_of = lambda a: np.asarray(a, dtype="<f8").tobytes().hex().encode()
+    return bytes(persist.save_model(model, {"pipeline": "clot"})).replace(
+        hex_of(model.support_vectors), hex_of(values))
+
+
+def with_element(bits: int) -> np.ndarray:
+    """tiny_svm's support vectors with element (4, 1) set to the float64 of bits."""
+    values = tiny_svm().support_vectors.copy()
+    values.view(np.uint64)[4, 1] = bits
+    return values
+
+
+class TestPackedFiniteness:
+    # A packed matrix is cleared by its rows' squared norms, which the load
+    # computes once and keeps for the first score.
+    @pytest.mark.parametrize("bits", [0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                                      0xFFF8000000000000, 0x7FF0000000000001],
+                             ids=["inf", "minus_inf", "nan", "minus_nan", "signalling_nan"])
+    def test_non_finite_hex_refused_through_predict(self, bits, tmp_path, capsys):
+        from prediagnose.cli import main
+
+        data = v3_file_with(with_element(bits))
+        for path, text in ((tmp_path / "fast.pdmodel.json", data),  # save_model's form
+                           (tmp_path / "full.pdmodel.json", data.replace(b"{", b"{ "))):
+            path.write_bytes(text)
+            assert main(["predict", "clot", "--model", str(path), "--input",
+                         str(tmp_path / "x.pgm")]) == 2
+            assert capsys.readouterr() == ("", "data error: field $.payload.support_vectors "
+                                               "must be finite numbers in 2 dimensions\n")
+
+    @pytest.mark.parametrize("value", [1e200, -1e300, 1.7976931348623157e308])
+    def test_finite_matrix_whose_norms_overflow_loads_without_a_warning(self, value):
+        values = tiny_svm().support_vectors.copy()
+        values[2:4] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model, _ = persist.load_model(v3_file_with(values))
+        assert np.array_equal(bits(model.support_vectors), bits(values))
+        assert np.isinf(model.sv_sq_norms[2:4]).all()
+        assert np.isfinite(model.sv_sq_norms[[0, 1, 4, 5]]).all()
+
+    @pytest.mark.parametrize("make", [tiny_svm, big_svm])
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_loaded_norms_are_sq_norms_bit_for_bit(self, make, version):
+        data = (persist.save_model(make(), {}) if version == 3
+                else svm_bytes_reference(make(), version=2))
+        model, _ = persist.load_model(data)
+        assert "sv_sq_norms" in vars(model)  # set by the load, not by a first score
+        assert np.array_equal(bits(model.sv_sq_norms), bits(_sq_norms(model.support_vectors)))
